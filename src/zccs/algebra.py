@@ -8,8 +8,8 @@ is reduced until a zero test, where the vector is reduced modulo the
 delta-th cyclotomic polynomial.
 
 Coefficients live in int64.  Every term produced by a correlation has
-unit magnitude, so for sequences of length N <= 2**20 the coefficients
-are bounded by N and can never overflow.
+unit magnitude, so a code correlation of M sequences of length N has
+coefficients bounded by M*N; nothing enforces that bound yet.
 """
 from __future__ import annotations
 

@@ -20,13 +20,14 @@ import argparse
 import csv
 import json
 import sys
+from math import lcm
 
 import numpy as np
 
 from .boolfn import RootSequence, parse_gbf
 from .construct import Code, CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs
 from .correlate import profile
-from .errors import FileFormatError, InvalidZ, ZccsError
+from .errors import FileFormatError, InvalidParams, ShapeError, ZccsError
 from .verify import verify_code_set
 
 FORMAT_VERSION = 1
@@ -55,30 +56,53 @@ def write_code_set(cs: CodeSet, path: str) -> None:
         fh.write("\n")
 
 
+def _check_params(pp: CodeSetParams) -> None:
+    for name in _PARAM_FIELDS:
+        value = getattr(pp, name)
+        if type(value) is not int and not (value is None and name in ("p", "s")):
+            raise FileFormatError(f"params.{name} must be an integer, got {value!r}")
+    if pp.K < 1 or pp.M < 1:
+        raise FileFormatError("params.K and params.M must be positive")
+    if pp.delta != (pp.q if pp.p is None else lcm(pp.p, pp.q)):
+        raise FileFormatError("params.delta is neither lcm(p, q) nor q with p null")
+    if not 1 <= pp.Z <= pp.N:
+        raise FileFormatError(f"params.Z={pp.Z} outside [1, N={pp.N}]")
+
+
+def _label_from_dict(entry: dict, p: int | None) -> CodeLabel:
+    label = CodeLabel(entry["family"], entry["t"], entry["lam"])
+    if label.family in ("C", "Cbar"):
+        ok = label.lam is None
+    else:
+        ok = label.family in ("U", "V") and p is not None and type(label.lam) is int and 0 <= label.lam < p
+    if not ok or type(label.t) is not int:
+        raise FileFormatError(f"invalid code label {entry}")
+    return label
+
+
 def code_set_from_dict(doc: dict) -> CodeSet:
     try:
         if doc["format_version"] != FORMAT_VERSION:
             raise FileFormatError(f"unsupported format_version {doc['format_version']}")
         params = CodeSetParams(**{name: doc["params"][name] for name in _PARAM_FIELDS})
+        _check_params(params)
         delta = doc["delta"]
         if delta != params.delta:
             raise FileFormatError("top-level delta disagrees with params")
         codes = []
         for entry in doc["codes"]:
-            label = CodeLabel(entry["label"]["family"], entry["label"]["t"], entry["label"]["lam"])
+            label = _label_from_dict(entry["label"], params.p)
             sequences = []
             for exps in entry["sequences"]:
+                if set(map(type, exps)) != {int}:
+                    raise FileFormatError("exponents must be integers")
                 arr = np.asarray(exps, dtype=np.int64)
-                if len(arr) != params.N:
-                    raise FileFormatError("sequence length disagrees with params.N")
-                if arr.size and (arr.min() < 0 or arr.max() >= delta):
+                if arr.min() < 0 or arr.max() >= delta:
                     raise FileFormatError("exponent outside [0, delta)")
                 sequences.append(RootSequence(delta, arr))
-            if len(sequences) != params.M:
-                raise FileFormatError("sequence count disagrees with params.M")
             codes.append(Code(tuple(sequences), label))
         return CodeSet(tuple(codes), params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidParams, ShapeError) as exc:
         raise FileFormatError(f"malformed code-set document: {exc}") from None
 
 
@@ -120,10 +144,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     cs = read_code_set(getattr(args, "in"))
-    z = args.zcz if args.zcz is not None else cs.params.Z
-    if z < 1 or z > cs.params.N:
-        raise InvalidZ(f"need 1 <= Z <= {cs.params.N}, got {z}")
-    report = verify_code_set(cs, z, compute_max=args.max_zcz)
+    report = verify_code_set(cs, args.zcz, compute_max=args.max_zcz)
     print(f"is_zccs@Z={report.claimed_z}: {str(report.is_zccs_at_claimed_z).lower()}")
     print(f"peak: {report.peak} (expected {cs.params.M * cs.params.N})")
     print(f"optimal: {str(report.optimal).lower()}")

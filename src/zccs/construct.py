@@ -29,7 +29,7 @@ from .boolfn import (
     pbf_sequence,
     sequence_of,
 )
-from .errors import InvalidGamma, InvalidParams
+from .errors import InvalidGamma, InvalidParams, ShapeError
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,12 @@ class CodeSet:
     params: CodeSetParams
 
     def __post_init__(self):
-        if len(self.codes) != self.params.K:
+        pp = self.params
+        if len(self.codes) != pp.K:
             raise InvalidParams("code count disagrees with params.K")
+        for mu, code in enumerate(self.codes):
+            if len(code.sequences) != pp.M or any(len(s) != pp.N or s.delta != pp.delta for s in code.sequences):
+                raise ShapeError(f"code {mu} is not {pp.M} sequences of length {pp.N} over delta={pp.delta}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeSet):

@@ -49,10 +49,6 @@ class InvalidZ(ZccsError):
     """A zero-correlation-zone width outside [1, N] was requested."""
 
 
-class NotAComplementarySet(ZccsError):
-    """The set fails the zero-shift autocorrelation peak condition."""
-
-
 class NotAZccs(ZccsError):
     """An operation required a verified ZCCS but the check failed."""
 

@@ -1,8 +1,11 @@
 """Exact decision procedures for zero-correlation-zone properties.
 
-All zero tests reduce group-ring values modulo a cyclotomic polynomial,
-so a verdict never depends on floating-point tolerance.  Checking every
-ordered code pair at shifts tau >= 0 covers negative shifts too, because
+A cell (mu1, mu2, tau) is ideal when it is a code's own zero shift, which
+is M*N for every code a CodeSet admits, or when its correlation reduces
+to zero modulo a cyclotomic polynomial; no verdict depends on a
+floating-point tolerance.  A report decides each cell once: the zone
+scan up to z, then, when the maximal width is wanted, shift by shift
+from there.  Shifts tau >= 0 cover negative ones too, because
 theta(A, B)(-tau) is the conjugate of theta(B, A)(tau).
 """
 from __future__ import annotations
@@ -10,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import CycInt
 from .construct import CodeSet
 from .correlate import code_accf
-from .errors import InvalidZ, NotAComplementarySet, NotAZccs
+from .errors import InvalidZ, NotAZccs
 
 
 class ZccsCheck(NamedTuple):
@@ -21,58 +23,47 @@ class ZccsCheck(NamedTuple):
     witness: tuple[int, int, int] | None
 
 
-def _peak_target(cs: CodeSet) -> CycInt:
-    return CycInt.from_int(cs.params.M * cs.params.N, cs.params.delta)
+def _ideal(cs: CodeSet, mu1: int, mu2: int, tau: int) -> bool:
+    if mu1 == mu2 and tau == 0:
+        return True
+    return code_accf(cs.codes[mu1], cs.codes[mu2], tau).is_zero()
+
+
+def _first_bad_shift(cs: CodeSet, start: int) -> int:
+    """First tau >= start with a non-ideal cell, scanning shift by shift;
+    N when there is none."""
+    k = cs.params.K
+    for tau in range(start, cs.params.N):
+        if not all(_ideal(cs, mu1, mu2, tau) for mu1 in range(k) for mu2 in range(k)):
+            return tau
+    return cs.params.N
 
 
 def check_zccs(cs: CodeSet, z: int) -> ZccsCheck:
     """Decide the zone conditions at width z.
 
-    Every same-code correlation must be exactly M*N at shift 0 and zero
-    for 0 < tau < z; every cross-code correlation must be zero for
-    0 <= tau < z.  On failure the witness is the first violating
-    (mu1, mu2, tau) in lexicographic scan order.
+    Every cell with 0 <= tau < z must be ideal.  On failure the witness
+    is the first non-ideal (mu1, mu2, tau) in lexicographic scan order.
     """
     n = cs.params.N
     if z < 1 or z > n:
         raise InvalidZ(f"need 1 <= Z <= {n}, got {z}")
-    peak = _peak_target(cs)
-    for mu1, a in enumerate(cs.codes):
-        for mu2, b in enumerate(cs.codes):
+    k = cs.params.K
+    for mu1 in range(k):
+        for mu2 in range(k):
             for tau in range(z):
-                value = code_accf(a, b, tau)
-                target = peak if mu1 == mu2 and tau == 0 else None
-                if target is None:
-                    bad = not value.is_zero()
-                else:
-                    bad = value != target
-                if bad:
+                if not _ideal(cs, mu1, mu2, tau):
                     return ZccsCheck(False, (mu1, mu2, tau))
     return ZccsCheck(True, None)
 
 
 def max_zcz(cs: CodeSet) -> int:
-    """Widest z for which :func:`check_zccs` holds, by scanning shifts.
-
-    Raises NotAComplementarySet when some code misses the M*N peak at
-    shift 0.  Returns 0 when cross-correlations at shift 0 already fail
-    (no width qualifies).  Worst case this is O(K^2 * M * N^2) exact
-    integer work, which is fine at the scale the builders produce.
+    """Widest z for which :func:`check_zccs` holds: the first shift with a
+    non-ideal cell, or N.  Returns 0 when cross-correlations at shift 0
+    already fail (no width qualifies).  Worst case this is O(K^2 * M * N^2)
+    exact integer work, which is fine at the scale the builders produce.
     """
-    peak = _peak_target(cs)
-    for mu, code in enumerate(cs.codes):
-        if code_accf(code, code, 0) != peak:
-            raise NotAComplementarySet(f"code {mu} misses the zero-shift peak")
-    for i, a in enumerate(cs.codes):
-        for j, b in enumerate(cs.codes):
-            if i != j and not code_accf(a, b, 0).is_zero():
-                return 0
-    for tau in range(1, cs.params.N):
-        for a in cs.codes:
-            for b in cs.codes:
-                if not code_accf(a, b, tau).is_zero():
-                    return tau
-    return cs.params.N
+    return _first_bad_shift(cs, 0)
 
 
 def check_optimal(cs: CodeSet, z: int) -> bool:
@@ -104,18 +95,22 @@ class VerificationReport:
 
 
 def verify_code_set(cs: CodeSet, z: int | None = None, compute_max: bool = False) -> VerificationReport:
-    """Full report against a claimed zone width (default: the built-in one)."""
+    """Full report against a claimed zone width (default: the built-in one).
+
+    The maximal width, needed for ``compute_max`` and for is_ccc when
+    K = M, resumes the scan at z when the zone holds.
+    """
+    pp = cs.params
     if z is None:
-        z = cs.params.Z
+        z = pp.Z
     ok, witness = check_zccs(cs, z)
-    peak_value = code_accf(cs.codes[0], cs.codes[0], 0).to_complex()
-    report_max = max_zcz(cs) if compute_max else None
+    width = _first_bad_shift(cs, z if ok else 0) if compute_max or pp.K == pp.M else None
     return VerificationReport(
         claimed_z=z,
         is_zccs_at_claimed_z=ok,
-        peak=int(round(peak_value.real)),
-        optimal=ok and cs.params.K == cs.params.M * (cs.params.N // z),
-        is_ccc=check_ccc(cs),
+        peak=pp.M * pp.N,
+        optimal=ok and pp.K == pp.M * (pp.N // z),
+        is_ccc=pp.K == pp.M and width == pp.N,
         witness=witness,
-        max_zcz=report_max,
+        max_zcz=width if compute_max else None,
     )

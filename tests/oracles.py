@@ -48,6 +48,21 @@ def float_zcz_width(cs) -> int:
     return n
 
 
+def first_violation(cs, z: int):
+    """First (mu1, mu2, tau) with 0 <= tau < z, in lexicographic order,
+    whose float correlation is not ideal (M*N at a code's own zero shift,
+    zero elsewhere); None when the zone holds."""
+    codes = [to_complex_code(c) for c in cs.codes]
+    peak = cs.params.M * cs.params.N
+    for i, a in enumerate(codes):
+        for j, b in enumerate(codes):
+            for tau in range(z):
+                ideal = peak if i == j and tau == 0 else 0
+                if abs(naive_code_accf(a, b, tau) - ideal) > TOL:
+                    return (i, j, tau)
+    return None
+
+
 def float_is_zccs(cs, z: int) -> bool:
     width = float_zcz_width(cs)
     return width >= z

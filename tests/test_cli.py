@@ -4,8 +4,9 @@ import json
 import pytest
 
 from zccs.boolfn import parse_gbf
-from zccs.cli import main, read_code_set, write_code_set
+from zccs.cli import code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import build_ccc, build_zccs
+from zccs.errors import FileFormatError
 
 
 @pytest.fixture()
@@ -145,3 +146,85 @@ class TestFileFormat:
         path = tmp_path / "ccc.json"
         write_code_set(cs, str(path))
         assert read_code_set(str(path)) == cs
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
+    return mutate
+
+
+FIRST_EXPONENT = ("codes", 0, "sequences", 0, 0)
+
+
+def _set_delta(value):
+    def mutate(doc):
+        doc["delta"] = doc["params"]["delta"] = value
+    return mutate
+
+
+def _drop_code(doc):
+    del doc["codes"][-1]
+
+
+def _drop_member(doc):
+    del doc["codes"][0]["sequences"][-1]
+
+
+def _shorten_member(doc):
+    doc["codes"][0]["sequences"][0].pop()
+
+
+# (kind of set, mutation) pairs; every mutated document must be refused
+MALFORMED = {
+    "float_exponent": ("zccs", _set(*FIRST_EXPONENT, 1.5)),
+    "integral_float_exponent": ("zccs", _set(*FIRST_EXPONENT, 1.0)),
+    "bool_exponent": ("zccs", _set(*FIRST_EXPONENT, True)),
+    "string_exponent": ("zccs", _set(*FIRST_EXPONENT, "1")),
+    "huge_exponent": ("zccs", _set(*FIRST_EXPONENT, 2 ** 70)),
+    "negative_exponent": ("zccs", _set(*FIRST_EXPONENT, -1)),
+    "float_param": ("zccs", _set("params", "K", 12.0)),
+    "bool_param": ("zccs", _set("params", "k", True)),
+    "string_p": ("zccs", _set("params", "p", "3")),
+    "unknown_family": ("zccs", _set("codes", 0, "label", "family", "W")),
+    "extended_family_without_lam": ("zccs", _set("codes", 0, "label", "lam", None)),
+    "lam_equal_to_p": ("zccs", _set("codes", 0, "label", "lam", 3)),
+    "float_lam": ("zccs", _set("codes", 0, "label", "lam", 0.0)),
+    "float_t": ("zccs", _set("codes", 0, "label", "t", 0.5)),
+    "base_family_with_lam": ("ccc", _set("codes", 0, "label", "lam", 0)),
+    "extended_family_without_p": ("ccc", _set("codes", 0, "label", "family", "U")),
+    "delta_not_lcm": ("zccs", _set_delta(12)),
+    "delta_not_q": ("ccc", _set_delta(4)),
+    "top_level_delta_differs": ("zccs", _set("delta", 12)),
+    "zero_z": ("zccs", _set("params", "Z", 0)),
+    "z_above_n": ("zccs", _set("params", "Z", 25)),
+    "code_count": ("zccs", _drop_code),
+    "member_count": ("zccs", _drop_member),
+    "member_length": ("zccs", _shorten_member),
+    "zero_m": ("zccs", _set("params", "M", 0)),
+    "missing_params": ("zccs", _set("params", {})),
+    "codes_not_a_list": ("zccs", _set("codes", 7)),
+}
+
+
+@pytest.fixture(scope="module")
+def documents():
+    return {
+        "zccs": code_set_to_dict(build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3)),
+        "ccc": code_set_to_dict(build_ccc(parse_gbf("x0*x1", 2, 2), [])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_reader_refuses_malformed_document(case, documents):
+    kind, mutate = MALFORMED[case]
+    doc = json.loads(json.dumps(documents[kind]))
+    code_set_from_dict(doc)  # the unmutated copy reads back
+    mutate(doc)
+    with pytest.raises(FileFormatError):
+        code_set_from_dict(doc)

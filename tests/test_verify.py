@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from zccs.boolfn import RootSequence, parse_gbf
 from zccs.construct import Code, CodeSet, CodeSetParams, build_ccc, build_zccs
-from zccs.errors import InvalidZ, NotAComplementarySet, NotAZccs
+from zccs.errors import InvalidZ, NotAZccs, ShapeError
 from zccs.verify import check_ccc, check_optimal, check_zccs, max_zcz, verify_code_set
 
-from oracles import float_zcz_width
+from oracles import first_violation, float_zcz_width, naive_code_accf, to_complex_code
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +57,12 @@ class TestCheckZccs:
         assert witness == (0, 0, 1)
 
     def test_peak_violation_witness(self, flagship):
-        # drop one sequence from code 0 so the peak misses M*N
+        # a code one sequence short, whose peak would miss M*N, is refused
+        # when the set is built, so the scan never meets it
         codes = list(flagship.codes)
         codes[0] = Code(codes[0].sequences[:3], codes[0].label)
-        broken = CodeSet(tuple(codes), flagship.params)
-        ok, witness = check_zccs(broken, 8)
-        assert not ok
-        assert witness == (0, 0, 0)
+        with pytest.raises(ShapeError):
+            CodeSet(tuple(codes), flagship.params)
 
 
 class TestMaxZcz:
@@ -77,9 +78,8 @@ class TestMaxZcz:
     def test_peak_violation_raises(self, flagship):
         codes = list(flagship.codes)
         codes[0] = Code(codes[0].sequences[:3], codes[0].label)
-        broken = CodeSet(tuple(codes), flagship.params)
-        with pytest.raises(NotAComplementarySet):
-            max_zcz(broken)
+        with pytest.raises(ShapeError):
+            CodeSet(tuple(codes), flagship.params)
 
     def test_cross_violation_at_zero_returns_zero(self):
         # two copies of the same code cross-correlate to the peak at shift 0
@@ -145,3 +145,53 @@ class TestReport:
         assert not report.is_zccs_at_claimed_z
         assert not report.optimal
         assert report.witness == (0, 0, 1)
+
+
+def corrupt_seeded(cs: CodeSet, seed: int) -> CodeSet:
+    """Shift one seeded exponent by a seeded nonzero amount."""
+    rng = np.random.default_rng(seed)
+    pp = cs.params
+    mu, nu, pos = rng.integers(pp.K), rng.integers(pp.M), rng.integers(pp.N)
+    codes = list(cs.codes)
+    seqs = list(codes[mu].sequences)
+    exps = seqs[nu].exponents.copy()
+    exps[pos] = (exps[pos] + rng.integers(1, pp.delta)) % pp.delta
+    seqs[nu] = RootSequence(pp.delta, exps)
+    codes[mu] = Code(tuple(seqs), codes[mu].label)
+    return CodeSet(tuple(codes), pp)
+
+
+def ccc_half(cs: CodeSet) -> CodeSet:
+    k = cs.params.K // 2
+    return CodeSet(cs.codes[:k], replace(cs.params, K=k))
+
+
+CROSS_CHECK_SETS = {
+    "ccc_2x2x4": lambda: build_ccc(parse_gbf("x0*x1", 2, 2), [], 0),
+    "ccc_4x4x8": lambda: build_ccc(parse_gbf("x1*x2", 3, 2), [0], 2),
+    "zccs_8x4x8": lambda: build_zccs(parse_gbf("x0*x1", 2, 2), [], 0, p=2),
+    # half of a CCC: the zone spans N but K < M, so it is not complete
+    "ccc_half_2x4x8": lambda: ccc_half(build_ccc(parse_gbf("x1*x2", 3, 2), [0], 2)),
+    "zccs_12x4x24": lambda: build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3, s=2),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_SETS))
+def test_report_matches_float_oracle(name, seed):
+    cs = CROSS_CHECK_SETS[name]()
+    if seed is not None:
+        cs = corrupt_seeded(cs, seed)
+    pp = cs.params
+    width = float_zcz_width(cs)
+    code0 = to_complex_code(cs.codes[0])
+    peak = round(naive_code_accf(code0, code0, 0).real)
+    for z in sorted({1, pp.Z, pp.N}):
+        witness = first_violation(cs, z)
+        for compute_max in (False, True):
+            report = verify_code_set(cs, z, compute_max=compute_max)
+            assert report.witness == witness
+            assert report.is_zccs_at_claimed_z == (witness is None)
+            assert report.max_zcz == (width if compute_max else None)
+            assert report.is_ccc == (pp.K == pp.M and width == pp.N)
+            assert report.peak == peak
