@@ -9,7 +9,11 @@ delta-th cyclotomic polynomial.
 
 Coefficients live in int64.  Every term produced by a correlation has
 unit magnitude, so a code correlation of M sequences of length N has
-coefficients bounded by M*N; nothing enforces that bound yet.
+coefficients bounded by M*N.  :data:`MAX_TERMS` caps M*N; ``CodeSet``
+and the file reader refuse larger sets.  Under that cap a product of two
+correlations stays below (M*N)**2 * delta, far inside int64, and the
+floating-point accumulation in :mod:`zccs.correlate` rounds back to
+exact counts.
 """
 from __future__ import annotations
 
@@ -21,6 +25,9 @@ from math import isqrt
 import numpy as np
 
 from .errors import DeltaMismatch
+
+MAX_TERMS = 1 << 20
+"""Largest M*N (unit terms in one code correlation) a code set may have."""
 
 
 def is_prime(n: int) -> bool:
@@ -73,6 +80,25 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
             poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
             assert rem == ()
     return poly
+
+
+@lru_cache(maxsize=None)
+def reduction_matrix(delta: int) -> np.ndarray:
+    """delta x phi(delta) integer matrix whose row j is x^j mod Phi_delta.
+
+    Reduction is linear, so ``h @ reduction_matrix(delta)`` is the reduced
+    form of every coefficient vector stacked in ``h`` at once, and a
+    vector is zero in Z[w] iff its row of the product is all zero.  The
+    entries are tiny (|x| <= 3 for delta < 500), so the product of counts
+    within :data:`MAX_TERMS` cannot overflow int64.
+    """
+    phi = cyclotomic_poly(delta)
+    out = np.zeros((delta, len(phi) - 1), dtype=np.int64)
+    for j in range(delta):
+        _, rem = _poly_divmod((0,) * j + (1,), phi)
+        out[j, : len(rem)] = rem
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)

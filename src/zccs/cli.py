@@ -24,9 +24,10 @@ from math import lcm
 
 import numpy as np
 
+from .algebra import MAX_TERMS, reduction_matrix
 from .boolfn import RootSequence, parse_gbf
 from .construct import Code, CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs
-from .correlate import profile
+from .correlate import pair_histograms
 from .errors import FileFormatError, InvalidParams, ShapeError, ZccsError
 from .verify import verify_code_set
 
@@ -63,19 +64,33 @@ def _check_params(pp: CodeSetParams) -> None:
             raise FileFormatError(f"params.{name} must be an integer, got {value!r}")
     if pp.K < 1 or pp.M < 1:
         raise FileFormatError("params.K and params.M must be positive")
+    if pp.M * pp.N > MAX_TERMS:
+        raise FileFormatError(f"params.M*N={pp.M * pp.N} exceeds the limit {MAX_TERMS}")
     if pp.delta != (pp.q if pp.p is None else lcm(pp.p, pp.q)):
         raise FileFormatError("params.delta is neither lcm(p, q) nor q with p null")
     if not 1 <= pp.Z <= pp.N:
         raise FileFormatError(f"params.Z={pp.Z} outside [1, N={pp.N}]")
+    # The range tests come first so that no shift count is huge.
+    if not (0 <= pp.k < pp.M.bit_length() and pp.M == 2 << pp.k):
+        raise FileFormatError(f"params.M={pp.M} is not 2^(k+1) with k={pp.k}")
+    blocks = 1 if pp.p is None else pp.p
+    if not (0 <= pp.m < pp.N.bit_length() and pp.N == blocks << pp.m):
+        raise FileFormatError(f"params.N={pp.N} is not {blocks}*2^m with m={pp.m}")
+    if pp.K != blocks * pp.M:
+        raise FileFormatError(f"params.K={pp.K} is not {blocks}*M")
+    if (pp.s is None) != (pp.p is None):
+        raise FileFormatError("params.s and params.p must be both null or both set")
+    if pp.s is not None and (pp.s < 0 or (pp.s < pp.p.bit_length() and 1 << pp.s < pp.p)):
+        raise FileFormatError(f"params.s={pp.s} does not give 2^s >= p={pp.p}")
 
 
-def _label_from_dict(entry: dict, p: int | None) -> CodeLabel:
+def _label_from_dict(entry: dict, pp: CodeSetParams) -> CodeLabel:
     label = CodeLabel(entry["family"], entry["t"], entry["lam"])
     if label.family in ("C", "Cbar"):
         ok = label.lam is None
     else:
-        ok = label.family in ("U", "V") and p is not None and type(label.lam) is int and 0 <= label.lam < p
-    if not ok or type(label.t) is not int:
+        ok = label.family in ("U", "V") and pp.p is not None and type(label.lam) is int and 0 <= label.lam < pp.p
+    if not ok or type(label.t) is not int or not 0 <= label.t < 1 << pp.k:
         raise FileFormatError(f"invalid code label {entry}")
     return label
 
@@ -91,7 +106,7 @@ def code_set_from_dict(doc: dict) -> CodeSet:
             raise FileFormatError("top-level delta disagrees with params")
         codes = []
         for entry in doc["codes"]:
-            label = _label_from_dict(entry["label"], params.p)
+            label = _label_from_dict(entry["label"], params)
             sequences = []
             for exps in entry["sequences"]:
                 if set(map(type, exps)) != {int}:
@@ -165,20 +180,22 @@ def cmd_corr(args) -> int:
         raise ZccsError(f"--pair expects 'mu1,mu2', got {args.pair!r}") from None
     if not (0 <= mu1 < cs.params.K and 0 <= mu2 < cs.params.K):
         raise IndexError(f"pair ({mu1},{mu2}) out of range for K={cs.params.K}")
-    prof = profile(cs.codes[mu1], cs.codes[mu2])
+    delta, n = cs.params.delta, cs.params.N
+    hist = pair_histograms(cs.codes[mu1], cs.codes[mu2])
+    zero = ~(hist @ reduction_matrix(delta)).any(axis=1)
+    # Summed like CycInt.to_complex, so the digits match the reference.
+    values = (hist * np.exp(2j * np.pi * np.arange(delta) / delta)).sum(axis=1)
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["tau", "re", "im", "abs", "exact_zero"])
-        for tau in sorted(prof.values):
-            value = prof.values[tau]
-            z = value.to_complex()
+        for tau, z, exact_zero in zip(range(-n + 1, n), values.tolist(), zero.tolist()):
             writer.writerow([
                 tau,
                 f"{z.real:.12g}",
                 f"{z.imag:.12g}",
                 f"{abs(z):.12g}",
-                str(value.is_zero()).lower(),
+                str(exact_zero).lower(),
             ])
     finally:
         if args.csv:

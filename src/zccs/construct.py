@@ -17,7 +17,7 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import is_prime
+from .algebra import MAX_TERMS, is_prime
 from .boolfn import (
     GeneralizedBooleanFunction,
     PathCertificate,
@@ -82,6 +82,8 @@ class CodeSet:
 
     def __post_init__(self):
         pp = self.params
+        if not (pp.M >= 1 and pp.N >= 1 and pp.M * pp.N <= MAX_TERMS):
+            raise InvalidParams(f"M*N must lie in [1, {MAX_TERMS}], got M={pp.M} N={pp.N}")
         if len(self.codes) != pp.K:
             raise InvalidParams("code count disagrees with params.K")
         for mu, code in enumerate(self.codes):

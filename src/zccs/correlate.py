@@ -4,9 +4,23 @@ Each correlation value is accumulated in the group ring (see
 :mod:`zccs.algebra`): a product of two unit entries is a single root of
 unity, so a correlation sum is a histogram of exponent differences.
 Zero tests are deferred to the caller and are bit-exact.
+
+:func:`code_accf` builds one histogram by direct counting; it is the
+reference.  :func:`code_histograms` builds many at once: for a row code
+mu1, a block of codes mu2 and a window of shifts it maps each exponent
+e to the harmonics w^(-r*e), r = 0..delta/2, correlates the harmonics
+over the whole block with FFTs along the sequence, sums over the M
+members and inverts the harmonic transform.  The counts it recovers are
+integers of at most M*N <= MAX_TERMS, so double-precision round-off is
+far below 1/2 (Percival, Math. Comp. 72, 2003); a block is accepted only
+when its residuals stay below RESIDUAL_TOL, every count is non-negative
+and each histogram sums to its M*(N - tau) terms.  Any block that fails
+a check is recounted exactly with :func:`code_accf`, so no result rests
+on a floating tolerance.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +29,12 @@ from .algebra import CycInt, is_prime
 from .boolfn import RootSequence
 from .construct import Code
 from .errors import InvalidParams, ShapeError
+
+# Largest |h - rint(h)| accepted from the FFT before a block is recounted.
+RESIDUAL_TOL = 0.25
+# Byte budget of a block's spectra, the largest transient array; a block
+# holds as many codes as fit, and at least one.
+BLOCK_BYTES = 1 << 18
 
 
 def _check_pair(a: RootSequence, b: RootSequence):
@@ -59,6 +79,81 @@ def code_accf(a: Code, b: Code, tau: int) -> CycInt:
     return CycInt(a.sequences[0].delta, total)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a length the FFT handles quickly."""
+    while True:
+        rest = n
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return n
+        n += 1
+
+
+def code_histograms(
+    codes: Sequence[Code], mu1: int, mu2s: range, t0: int, t1: int
+) -> Iterator[tuple[range, np.ndarray]]:
+    """Exact correlation histograms of code mu1 against the codes mu2s.
+
+    For shifts t0 <= tau < t1 (0 <= t0 < t1 <= N) yields, block by block
+    of consecutive codes, ``(block, h)`` with h an int64 array of shape
+    (len(block), t1 - t0, delta) and ``h[i, tau - t0]`` equal to
+    ``code_accf(codes[mu1], codes[block[i]], tau).coeffs``.  The codes
+    must share M, N and delta, as the codes of a ``CodeSet`` do.
+    """
+    delta = codes[mu1].sequences[0].delta
+    exps = np.array([[s.exponents for s in c.sequences] for c in codes])
+    _, m, n = exps.shape
+    if not 0 <= t0 < t1 <= n:
+        raise ValueError(f"need 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
+    width = t1 - t0
+    # Shifts t0.. of mu1 pair its entries from t0 on with the first n - t0
+    # of each mu2; a cyclic length of n - t0 + width - 1 keeps the window
+    # free of wrap-around.
+    length = _fft_length(n - t0 + width - 1)
+    harmonics = np.arange(delta // 2 + 1)
+    table = np.exp(-2j * np.pi * np.outer(harmonics, np.arange(delta)) / delta)
+    row = np.fft.fft(table[:, exps[mu1, :, t0:]], length)
+    terms = m * (n - np.arange(t0, t1))
+    step = max(1, BLOCK_BYTES // (16 * len(harmonics) * m * length))
+    for start in range(mu2s.start, mu2s.stop, step):
+        block = range(start, min(start + step, mu2s.stop))
+        spectra = np.fft.fft(table[:, exps[block.start : block.stop, :, : n - t0]], length)
+        np.conjugate(spectra, out=spectra)
+        spectra *= row[:, None]
+        sums = np.fft.ifft(spectra.sum(axis=2))[..., :width]
+        approx = np.fft.irfft(sums, delta, axis=0).transpose(1, 2, 0)
+        counts = np.rint(approx)
+        hist = counts.astype(np.int64)
+        if (
+            np.abs(approx - counts).max() < RESIDUAL_TOL
+            and (hist >= 0).all()
+            and (hist.sum(axis=-1) == terms).all()
+        ):
+            yield block, hist
+        else:
+            yield block, np.array([
+                [code_accf(codes[mu1], codes[mu2], tau).coeffs for tau in range(t0, t1)] for mu2 in block
+            ])
+
+
+def pair_histograms(a: Code, b: Code) -> np.ndarray:
+    """Histograms of the correlation of a with b at every shift in (-N, N).
+
+    Row tau + N - 1 equals ``code_accf(a, b, tau).coeffs``; negative shifts
+    come from theta(a, b)(-tau) = conj(theta(b, a)(tau)).
+    """
+    if not a.sequences or len(a.sequences) != len(b.sequences):
+        raise ShapeError("codes must have the same, nonzero number of sequences")
+    _check_pair(a.sequences[0], b.sequences[0])
+    n, delta = len(a.sequences[0]), a.sequences[0].delta
+    ((_, ab),) = code_histograms((a, b), 0, range(1, 2), 0, n)
+    ((_, ba),) = code_histograms((a, b), 1, range(0, 1), 0, n)
+    conj = (-np.arange(delta)) % delta
+    return np.concatenate([ba[0, :0:-1][:, conj], ab[0]])
+
+
 @dataclass(frozen=True)
 class CorrelationProfile:
     """Code-level correlation at every shift in (-N, N)."""
@@ -68,9 +163,10 @@ class CorrelationProfile:
 
 
 def profile(a: Code, b: Code) -> CorrelationProfile:
+    h = pair_histograms(a, b)
     n = len(a.sequences[0])
-    values = {tau: code_accf(a, b, tau) for tau in range(-n + 1, n)}
-    return CorrelationProfile(n, values)
+    delta = h.shape[1]
+    return CorrelationProfile(n, {tau: CycInt(delta, h[tau + n - 1]) for tau in range(-n + 1, n)})
 
 
 def root_sum(p: int, c: int) -> CycInt:

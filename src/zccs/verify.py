@@ -2,19 +2,26 @@
 
 A cell (mu1, mu2, tau) is ideal when it is a code's own zero shift, which
 is M*N for every code a CodeSet admits, or when its correlation reduces
-to zero modulo a cyclotomic polynomial; no verdict depends on a
-floating-point tolerance.  A report decides each cell once: the zone
-scan up to z, then, when the maximal width is wanted, shift by shift
-from there.  Shifts tau >= 0 cover negative ones too, because
-theta(A, B)(-tau) is the conjugate of theta(B, A)(tau).
+to zero modulo the delta-th cyclotomic polynomial; no verdict depends on
+a floating-point tolerance.  The scan goes row by row in mu1: one call of
+:func:`~zccs.correlate.code_histograms` gives the exact histograms of the
+row over a window of shifts, and one integer product with
+:func:`~zccs.algebra.reduction_matrix` reduces them all.  A report
+decides each cell once: the zone rows up to z, then, when the maximal
+width is wanted, the shifts from z up to the first failure found.
+Shifts tau >= 0 cover negative ones too, because theta(A, B)(-tau) is
+the conjugate of theta(B, A)(tau).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
+from .algebra import reduction_matrix
 from .construct import CodeSet
-from .correlate import code_accf
+from .correlate import code_histograms
 from .errors import InvalidZ, NotAZccs
 
 
@@ -23,20 +30,31 @@ class ZccsCheck(NamedTuple):
     witness: tuple[int, int, int] | None
 
 
-def _ideal(cs: CodeSet, mu1: int, mu2: int, tau: int) -> bool:
-    if mu1 == mu2 and tau == 0:
-        return True
-    return code_accf(cs.codes[mu1], cs.codes[mu2], tau).is_zero()
+def _ideal_row(cs: CodeSet, mu1: int, t0: int, t1: int) -> np.ndarray:
+    """Boolean (K, t1 - t0) mask: is cell (mu1, mu2, tau) ideal."""
+    reduce = reduction_matrix(cs.params.delta)
+    blocks = code_histograms(cs.codes, mu1, range(cs.params.K), t0, t1)
+    ideal = np.concatenate([~(h @ reduce).any(axis=-1) for _, h in blocks])
+    if t0 == 0:
+        ideal[mu1, 0] = True
+    return ideal
 
 
 def _first_bad_shift(cs: CodeSet, start: int) -> int:
-    """First tau >= start with a non-ideal cell, scanning shift by shift;
-    N when there is none."""
-    k = cs.params.K
-    for tau in range(start, cs.params.N):
-        if not all(_ideal(cs, mu1, mu2, tau) for mu1 in range(k) for mu2 in range(k)):
-            return tau
-    return cs.params.N
+    """First tau >= start with a non-ideal cell, N when there is none.
+
+    Scans the rows over the shifts from start up to the first failure
+    found so far, so the window narrows as failures turn up and the scan
+    ends once a row fails at start itself.
+    """
+    first = cs.params.N
+    for mu1 in range(cs.params.K):
+        if first == start:
+            break
+        bad = np.flatnonzero(~_ideal_row(cs, mu1, start, first).all(axis=0))
+        if bad.size:
+            first = start + int(bad[0])
+    return first
 
 
 def check_zccs(cs: CodeSet, z: int) -> ZccsCheck:
@@ -48,20 +66,19 @@ def check_zccs(cs: CodeSet, z: int) -> ZccsCheck:
     n = cs.params.N
     if z < 1 or z > n:
         raise InvalidZ(f"need 1 <= Z <= {n}, got {z}")
-    k = cs.params.K
-    for mu1 in range(k):
-        for mu2 in range(k):
-            for tau in range(z):
-                if not _ideal(cs, mu1, mu2, tau):
-                    return ZccsCheck(False, (mu1, mu2, tau))
+    for mu1 in range(cs.params.K):
+        bad = np.argwhere(~_ideal_row(cs, mu1, 0, z))
+        if bad.size:
+            mu2, tau = bad[0]
+            return ZccsCheck(False, (mu1, int(mu2), int(tau)))
     return ZccsCheck(True, None)
 
 
 def max_zcz(cs: CodeSet) -> int:
     """Widest z for which :func:`check_zccs` holds: the first shift with a
     non-ideal cell, or N.  Returns 0 when cross-correlations at shift 0
-    already fail (no width qualifies).  Worst case this is O(K^2 * M * N^2)
-    exact integer work, which is fine at the scale the builders produce.
+    already fail (no width qualifies).  The scan costs at most K^2 FFT
+    correlations of the M members, each of length about 2N.
     """
     return _first_bad_shift(cs, 0)
 

@@ -1,11 +1,16 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here works on plain complex doubles or brute-force search and
-never calls into the exact group-ring code paths it is checking.
+never calls into the exact group-ring code paths it is checking; the one
+helper that builds library objects, :func:`corrupt_seeded`, only makes
+inputs for the checks.
 """
 from itertools import permutations
 
 import numpy as np
+
+from zccs.boolfn import RootSequence
+from zccs.construct import Code, CodeSet
 
 TOL = 1e-6
 
@@ -107,3 +112,17 @@ def poly_divmod(num: tuple, den: tuple) -> tuple[tuple, tuple]:
     while rem and rem[-1] == 0:
         rem.pop()
     return tuple(quot), tuple(rem)
+
+
+def corrupt_seeded(cs: CodeSet, seed: int) -> CodeSet:
+    """Shift one seeded exponent by a seeded nonzero amount."""
+    rng = np.random.default_rng(seed)
+    pp = cs.params
+    mu, nu, pos = rng.integers(pp.K), rng.integers(pp.M), rng.integers(pp.N)
+    codes = list(cs.codes)
+    seqs = list(codes[mu].sequences)
+    exps = seqs[nu].exponents.copy()
+    exps[pos] = (exps[pos] + rng.integers(1, pp.delta)) % pp.delta
+    seqs[nu] = RootSequence(pp.delta, exps)
+    codes[mu] = Code(tuple(seqs), codes[mu].label)
+    return CodeSet(tuple(codes), pp)

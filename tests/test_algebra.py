@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zccs.algebra import CycInt, cyclotomic_poly, is_prime
+from zccs.algebra import CycInt, cyclotomic_poly, is_prime, reduction_matrix
 from zccs.correlate import root_sum
 from zccs.errors import DeltaMismatch
 
@@ -102,6 +102,26 @@ class TestZeroTest:
                 a = ci(delta, g * np.roll(phi, shift))
             bound = 1e-9 * (np.abs(a.coeffs).sum() + 1)
             assert a.is_zero() == (abs(a.to_complex()) < bound)
+
+
+class TestReductionMatrix:
+    def test_rows_are_reduced_powers(self):
+        for delta in range(1, 41):
+            phi = cyclotomic_poly(delta)
+            r = reduction_matrix(delta)
+            assert r.shape == (delta, len(phi) - 1)
+            for j in range(delta):
+                _, rem = poly_divmod((0,) * j + (1,), phi)
+                assert tuple(r[j, : len(rem)]) == rem and not r[j, len(rem) :].any()
+
+    def test_product_decides_zero_like_is_zero(self):
+        rng = np.random.default_rng(17)
+        for delta in range(1, 31):
+            phi = np.array(cyclotomic_poly(delta) + (0,) * delta)[:delta]
+            stack = [rng.integers(-4, 5, size=delta) for _ in range(20)]
+            stack += [int(rng.integers(-3, 4)) * np.roll(phi, int(rng.integers(delta))) for _ in range(20)]
+            zero = ~(np.array(stack) @ reduction_matrix(delta)).any(axis=1)
+            assert zero.tolist() == [ci(delta, h).is_zero() for h in stack]
 
 
 class TestPrimeOrbitSums:

@@ -180,6 +180,28 @@ def _shorten_member(doc):
     doc["codes"][0]["sequences"][0].pop()
 
 
+def _keep_codes(count):
+    def mutate(doc):
+        doc["params"]["K"] = count
+        del doc["codes"][count:]
+    return mutate
+
+
+def _documented_mismatch(doc):
+    doc["params"].update(m=9, k=5, s=-4)
+    doc["codes"][0]["label"]["t"] = 99
+
+
+class _Untouchable(list):
+    def __iter__(self):
+        raise AssertionError("the reader looked at the codes before the params")
+
+
+def _claim_huge_n(doc):
+    doc["params"].update(N=3 << 40, m=40)
+    doc["codes"] = _Untouchable()
+
+
 # (kind of set, mutation) pairs; every mutated document must be refused
 MALFORMED = {
     "float_exponent": ("zccs", _set(*FIRST_EXPONENT, 1.5)),
@@ -209,6 +231,24 @@ MALFORMED = {
     "zero_m": ("zccs", _set("params", "M", 0)),
     "missing_params": ("zccs", _set("params", {})),
     "codes_not_a_list": ("zccs", _set("codes", 7)),
+    # params that disagree with the shape they describe
+    "n_not_p_times_2_to_m": ("zccs", _set("params", "m", 2)),
+    "n_not_2_to_m": ("ccc", _set("params", "m", 3)),
+    "negative_m": ("zccs", _set("params", "m", -1)),
+    "huge_m": ("zccs", _set("params", "m", 10 ** 12)),
+    "m_not_2_to_k_plus_1": ("zccs", _set("params", "k", 2)),
+    "negative_k": ("ccc", _set("params", "k", -1)),
+    "huge_k": ("zccs", _set("params", "k", 10 ** 12)),
+    "k_not_p_times_m": ("zccs", _keep_codes(8)),
+    "k_not_m": ("ccc", _keep_codes(1)),
+    "s_null_with_p": ("zccs", _set("params", "s", None)),
+    "s_with_p_null": ("ccc", _set("params", "s", 1)),
+    "s_too_small_for_p": ("zccs", _set("params", "s", 1)),
+    "negative_s": ("zccs", _set("params", "s", -4)),
+    "t_equal_to_2_to_k": ("zccs", _set("codes", 0, "label", "t", 2)),
+    "negative_t": ("ccc", _set("codes", 0, "label", "t", -1)),
+    "documented_mismatch": ("zccs", _documented_mismatch),
+    "m_n_above_limit": ("zccs", _claim_huge_n),
 }
 
 

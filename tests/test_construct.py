@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
+from zccs.algebra import MAX_TERMS
 from zccs.construct import (
     CodeLabel,
+    CodeSet,
+    CodeSetParams,
     build_ccc,
     build_zccs,
     build_zccs_by_concatenation,
@@ -147,3 +150,15 @@ class TestPeak:
         for code in cs.codes:
             value = naive_code_accf(to_complex_code(code), to_complex_code(code), 0)
             assert abs(value - cs.params.M * cs.params.N) < TOL
+
+
+class TestCoefficientBound:
+    def test_m_times_n_up_to_the_limit(self):
+        CodeSet((), CodeSetParams(K=0, M=2, N=MAX_TERMS // 2, Z=1, q=2, m=19, k=0, delta=2))
+        with pytest.raises(InvalidParams):
+            CodeSet((), CodeSetParams(K=0, M=2, N=MAX_TERMS, Z=1, q=2, m=20, k=0, delta=2))
+
+    def test_empty_shapes_refused(self):
+        for m, n in ((0, 4), (2, 0)):
+            with pytest.raises(InvalidParams):
+                CodeSet((), CodeSetParams(K=0, M=m, N=n, Z=1, q=2, m=2, k=0, delta=2))

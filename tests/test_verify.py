@@ -1,6 +1,5 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from zccs.boolfn import RootSequence, parse_gbf
@@ -8,7 +7,7 @@ from zccs.construct import Code, CodeSet, CodeSetParams, build_ccc, build_zccs
 from zccs.errors import InvalidZ, NotAZccs, ShapeError
 from zccs.verify import check_ccc, check_optimal, check_zccs, max_zcz, verify_code_set
 
-from oracles import first_violation, float_zcz_width, naive_code_accf, to_complex_code
+from oracles import corrupt_seeded, first_violation, float_zcz_width, naive_code_accf, to_complex_code
 
 
 @pytest.fixture(scope="module")
@@ -145,20 +144,6 @@ class TestReport:
         assert not report.is_zccs_at_claimed_z
         assert not report.optimal
         assert report.witness == (0, 0, 1)
-
-
-def corrupt_seeded(cs: CodeSet, seed: int) -> CodeSet:
-    """Shift one seeded exponent by a seeded nonzero amount."""
-    rng = np.random.default_rng(seed)
-    pp = cs.params
-    mu, nu, pos = rng.integers(pp.K), rng.integers(pp.M), rng.integers(pp.N)
-    codes = list(cs.codes)
-    seqs = list(codes[mu].sequences)
-    exps = seqs[nu].exponents.copy()
-    exps[pos] = (exps[pos] + rng.integers(1, pp.delta)) % pp.delta
-    seqs[nu] = RootSequence(pp.delta, exps)
-    codes[mu] = Code(tuple(seqs), codes[mu].label)
-    return CodeSet(tuple(codes), pp)
 
 
 def ccc_half(cs: CodeSet) -> CodeSet:
