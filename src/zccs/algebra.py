@@ -9,11 +9,11 @@ delta-th cyclotomic polynomial.
 
 Coefficients live in int64.  Every term produced by a correlation has
 unit magnitude, so a code correlation of M sequences of length N has
-coefficients bounded by M*N.  :data:`MAX_TERMS` caps M*N; ``CodeSet``
-and the file reader refuse larger sets.  Under that cap a product of two
-correlations stays below (M*N)**2 * delta, far inside int64, and the
-floating-point accumulation in :mod:`zccs.correlate` rounds back to
-exact counts.
+coefficients bounded by M*N.  :data:`MAX_TERMS` caps M*N and
+:data:`MAX_DELTA` caps the root order; ``CodeSet`` and the file reader
+refuse larger sets.  Under those caps a product of two correlations
+stays below (M*N)**2 * delta, far inside int64, and the floating-point
+accumulation in :mod:`zccs.correlate` rounds back to exact counts.
 """
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ from .errors import DeltaMismatch
 
 MAX_TERMS = 1 << 20
 """Largest M*N (unit terms in one code correlation) a code set may have."""
+MAX_DELTA = 1 << 10
+"""Largest root order delta a code set may have."""
 
 
 def is_prime(n: int) -> bool:
@@ -88,15 +90,19 @@ def reduction_matrix(delta: int) -> np.ndarray:
 
     Reduction is linear, so ``h @ reduction_matrix(delta)`` is the reduced
     form of every coefficient vector stacked in ``h`` at once, and a
-    vector is zero in Z[w] iff its row of the product is all zero.  The
-    entries are tiny (|x| <= 3 for delta < 500), so the product of counts
-    within :data:`MAX_TERMS` cannot overflow int64.
+    vector is zero in Z[w] iff its row of the product is all zero.  Row
+    j + 1 is x times row j with its x^phi term folded back through the
+    monic Phi_delta.  A histogram sums to at most :data:`MAX_TERMS`, so
+    the product stays inside int64 when max|R| * MAX_TERMS does.
     """
-    phi = cyclotomic_poly(delta)
-    out = np.zeros((delta, len(phi) - 1), dtype=np.int64)
+    phi = np.array(cyclotomic_poly(delta)[:-1], dtype=np.int64)
+    out = np.zeros((delta, len(phi)), dtype=np.int64)
+    row = np.zeros(len(phi), dtype=np.int64)
+    row[0] = 1
     for j in range(delta):
-        _, rem = _poly_divmod((0,) * j + (1,), phi)
-        out[j, : len(rem)] = rem
+        out[j] = row
+        row = np.concatenate(([0], row[:-1])) - row[-1] * phi
+    assert int(np.abs(out).max()) * MAX_TERMS < 1 << 63
     out.flags.writeable = False
     return out
 

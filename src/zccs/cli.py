@@ -24,9 +24,9 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_TERMS, reduction_matrix
-from .boolfn import RootSequence, parse_gbf
-from .construct import Code, CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs
+from .algebra import MAX_DELTA, MAX_TERMS, is_prime, reduction_matrix
+from .boolfn import parse_gbf
+from .construct import CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs
 from .correlate import pair_histograms
 from .errors import FileFormatError, InvalidParams, ShapeError, ZccsError
 from .verify import verify_code_set
@@ -42,11 +42,8 @@ def code_set_to_dict(cs: CodeSet) -> dict:
         "delta": cs.params.delta,
         "params": {name: getattr(cs.params, name) for name in _PARAM_FIELDS},
         "codes": [
-            {
-                "label": {"family": c.label.family, "t": c.label.t, "lam": c.label.lam},
-                "sequences": [s.exponents.tolist() for s in c.sequences],
-            }
-            for c in cs.codes
+            {"label": {"family": label.family, "t": label.t, "lam": label.lam}, "sequences": rows}
+            for label, rows in zip(cs.labels, cs.exponents.tolist())
         ],
     }
 
@@ -66,8 +63,15 @@ def _check_params(pp: CodeSetParams) -> None:
         raise FileFormatError("params.K and params.M must be positive")
     if pp.M * pp.N > MAX_TERMS:
         raise FileFormatError(f"params.M*N={pp.M * pp.N} exceeds the limit {MAX_TERMS}")
+    if not 1 <= pp.delta <= MAX_DELTA:
+        raise FileFormatError(f"params.delta={pp.delta} outside [1, {MAX_DELTA}]")
     if pp.delta != (pp.q if pp.p is None else lcm(pp.p, pp.q)):
         raise FileFormatError("params.delta is neither lcm(p, q) nor q with p null")
+    # delta now bounds |p| and |q|, so the primality test is short.
+    if pp.q < 2 or pp.q % 2:
+        raise FileFormatError(f"params.q={pp.q} is not even and >= 2")
+    if pp.p is not None and not is_prime(pp.p):
+        raise FileFormatError(f"params.p={pp.p} is not prime")
     if not 1 <= pp.Z <= pp.N:
         raise FileFormatError(f"params.Z={pp.Z} outside [1, N={pp.N}]")
     # The range tests come first so that no shift count is huge.
@@ -104,19 +108,17 @@ def code_set_from_dict(doc: dict) -> CodeSet:
         delta = doc["delta"]
         if delta != params.delta:
             raise FileFormatError("top-level delta disagrees with params")
-        codes = []
+        labels, rows = [], []
         for entry in doc["codes"]:
-            label = _label_from_dict(entry["label"], params)
-            sequences = []
-            for exps in entry["sequences"]:
-                if set(map(type, exps)) != {int}:
+            labels.append(_label_from_dict(entry["label"], params))
+            for seq in entry["sequences"]:
+                if set(map(type, seq)) != {int}:
                     raise FileFormatError("exponents must be integers")
-                arr = np.asarray(exps, dtype=np.int64)
-                if arr.min() < 0 or arr.max() >= delta:
-                    raise FileFormatError("exponent outside [0, delta)")
-                sequences.append(RootSequence(delta, arr))
-            codes.append(Code(tuple(sequences), label))
-        return CodeSet(tuple(codes), params)
+            rows.append(entry["sequences"])
+        exps = np.array(rows, dtype=np.int64)
+        if exps.min() < 0 or exps.max() >= delta:
+            raise FileFormatError("exponent outside [0, delta)")
+        return CodeSet(exps, labels, params)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidParams, ShapeError) as exc:
         raise FileFormatError(f"malformed code-set document: {exc}") from None
 

@@ -12,15 +12,15 @@ concatenating p phase-rotated copies of the base codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_TERMS, is_prime
+from .algebra import MAX_DELTA, MAX_TERMS, is_prime
 from .boolfn import (
     GeneralizedBooleanFunction,
-    PathCertificate,
     PbfSpec,
     RootSequence,
     check_path_after_deletion,
@@ -42,7 +42,7 @@ class CodeLabel:
     lam: int | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Code:
     """Ordered list of equal-length sequences over one root order."""
 
@@ -54,11 +54,6 @@ class Code:
         deltas = {s.delta for s in self.sequences}
         if len(lengths) > 1 or len(deltas) > 1:
             raise InvalidParams("code members must share length and root order")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Code):
-            return NotImplemented
-        return self.label == other.label and self.sequences == other.sequences
 
 
 @dataclass(frozen=True)
@@ -77,23 +72,42 @@ class CodeSetParams:
 
 @dataclass(frozen=True, eq=False)
 class CodeSet:
-    codes: tuple[Code, ...]
+    """K codes of M sequences of length N over delta-th roots of unity,
+    held as one read-only int64 (K, M, N) array ``exponents`` reduced mod
+    delta: entry [mu, nu, i] is the exponent of entry i of sequence nu of
+    code mu, whose label is ``labels[mu]``."""
+
+    exponents: np.ndarray = field(repr=False)
+    labels: tuple[CodeLabel, ...]
     params: CodeSetParams
 
     def __post_init__(self):
         pp = self.params
+        if not 1 <= pp.delta <= MAX_DELTA:
+            raise InvalidParams(f"delta must lie in [1, {MAX_DELTA}], got {pp.delta}")
         if not (pp.M >= 1 and pp.N >= 1 and pp.M * pp.N <= MAX_TERMS):
             raise InvalidParams(f"M*N must lie in [1, {MAX_TERMS}], got M={pp.M} N={pp.N}")
-        if len(self.codes) != pp.K:
-            raise InvalidParams("code count disagrees with params.K")
-        for mu, code in enumerate(self.codes):
-            if len(code.sequences) != pp.M or any(len(s) != pp.N or s.delta != pp.delta for s in code.sequences):
-                raise ShapeError(f"code {mu} is not {pp.M} sequences of length {pp.N} over delta={pp.delta}")
+        exps = np.mod(self.exponents, pp.delta, dtype=np.int64)
+        if exps.shape != (pp.K, pp.M, pp.N) or len(self.labels) != pp.K:
+            raise ShapeError(f"{len(self.labels)} labels and {exps.shape} exponents are not K={pp.K} codes")
+        exps.flags.writeable = False
+        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "labels", tuple(self.labels))
+
+    @cached_property
+    def codes(self) -> tuple[Code, ...]:
+        """The codes, each sequence a read-only view of a row of ``exponents``."""
+        delta = self.params.delta
+        return tuple(
+            Code(tuple(RootSequence(delta, row) for row in code), label)
+            for code, label in zip(self.exponents, self.labels)
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeSet):
             return NotImplemented
-        return self.params == other.params and self.codes == other.codes
+        same = self.params == other.params and self.labels == other.labels
+        return same and np.array_equal(self.exponents, other.exponents)
 
 
 def _prepare(f: GeneralizedBooleanFunction, deleted, gamma: int | None):
@@ -127,39 +141,25 @@ def build_ccc(
     """
     cert, gamma = _prepare(f, deleted, gamma)
     k = len(cert.deleted)
-    codes: list[Code] = []
-    for family in ("C", "Cbar"):
-        for t in range(1 << k):
-            t_vec = _bits(t, k)
-            members = []
-            for d_vec, d in _member_order(k):
-                if family == "C":
-                    g = codeword_function(f, cert.deleted, d_vec, t_vec, d, gamma, "F")
-                    members.append(sequence_of(g))
-                else:
-                    g = codeword_function(f, cert.deleted, d_vec, t_vec, d, gamma, "G")
-                    members.append(sequence_of(g).conjugate())
-            codes.append(Code(tuple(members), CodeLabel(family, t)))
-    n = 1 << f.m
+    half, n = 1 << k, 1 << f.m
+    exps = np.empty((2 * half, 2 * half, n), dtype=np.int64)
+    for t in range(half):
+        t_vec = _bits(t, k)
+        for nu, (d_vec, d) in enumerate(_member_order(k)):
+            for mu, family, sign in ((t, "F", 1), (half + t, "G", -1)):
+                g = codeword_function(f, cert.deleted, d_vec, t_vec, d, gamma, family)
+                exps[mu, nu] = sign * sequence_of(g).exponents
+    labels = [CodeLabel(family, t) for family in ("C", "Cbar") for t in range(half)]
+    return CodeSet(exps, labels, CodeSetParams(K=2 << k, M=2 << k, N=n, Z=n, q=f.q, m=f.m, k=k, delta=f.q))
+
+
+def _extended_set(exps: np.ndarray, f: GeneralizedBooleanFunction, k: int, p: int, s: int) -> CodeSet:
+    """The prime-extension set of exponents exps: "U" codes, then "V", each in lam-major order."""
+    labels = [CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(p) for t in range(1 << k)]
     params = CodeSetParams(
-        K=2 << k, M=2 << k, N=n, Z=n, q=f.q, m=f.m, k=k, delta=f.q,
+        K=p * (2 << k), M=2 << k, N=p << f.m, Z=1 << f.m, q=f.q, m=f.m, k=k, delta=lcm(p, f.q), p=p, s=s,
     )
-    return CodeSet(tuple(codes), params)
-
-
-def _zccs_params(f, k, p, s, delta):
-    return CodeSetParams(
-        K=p * (2 << k),
-        M=2 << k,
-        N=p << f.m,
-        Z=1 << f.m,
-        q=f.q,
-        m=f.m,
-        k=k,
-        delta=delta,
-        p=p,
-        s=s,
-    )
+    return CodeSet(exps, labels, params)
 
 
 def min_blocks_exponent(p: int) -> int:
@@ -192,22 +192,17 @@ def build_zccs(
     cert, gamma = _prepare(f, deleted, gamma)
     k = len(cert.deleted)
     keep = p << f.m
-    delta = lcm(p, f.q)
-    codes: list[Code] = []
-    for family in ("U", "V"):
-        pbf_family = "F" if family == "U" else "G"
-        for lam in range(p):
-            spec = PbfSpec(f, p, s, lam, pbf_family)
-            for t in range(1 << k):
-                t_vec = _bits(t, k)
-                members = []
-                for d_vec, d in _member_order(k):
-                    seq = pbf_sequence(spec, d_vec, t_vec, d, cert, gamma).truncate(keep)
-                    if family == "V":
-                        seq = seq.conjugate()
-                    members.append(seq)
-                codes.append(Code(tuple(members), CodeLabel(family, t, lam)))
-    return CodeSet(tuple(codes), _zccs_params(f, k, p, s, delta))
+    half = p << k
+    exps = np.empty((2 * half, 2 << k, keep), dtype=np.int64)
+    for lam in range(p):
+        u_spec, v_spec = PbfSpec(f, p, s, lam, "F"), PbfSpec(f, p, s, lam, "G")
+        for t in range(1 << k):
+            t_vec = _bits(t, k)
+            mu = (lam << k) + t
+            for nu, (d_vec, d) in enumerate(_member_order(k)):
+                exps[mu, nu] = pbf_sequence(u_spec, d_vec, t_vec, d, cert, gamma).exponents[:keep]
+                exps[half + mu, nu] = -pbf_sequence(v_spec, d_vec, t_vec, d, cert, gamma).exponents[:keep]
+    return _extended_set(exps, f, k, p, s)
 
 
 def build_zccs_by_concatenation(
@@ -225,22 +220,13 @@ def build_zccs_by_concatenation(
         raise InvalidParams(f"p must be prime, got {p}")
     cert, gamma = _prepare(f, deleted, gamma)
     k = len(cert.deleted)
-    base = build_ccc(f, cert.deleted, gamma)
+    base = build_ccc(f, cert.deleted, gamma).exponents
     delta = lcm(p, f.q)
-    scale = delta // f.q
-    step = delta // p
-    half = len(base.codes) // 2
-    codes: list[Code] = []
-    for family in ("U", "V"):
-        for lam in range(p):
-            for t in range(1 << k):
-                source = base.codes[t if family == "U" else half + t]
-                sign = 1 if family == "U" else -1
-                members = []
-                for seq in source.sequences:
-                    promoted = scale * seq.exponents
-                    blocks = [(promoted + sign * step * lam * i) % delta for i in range(p)]
-                    members.append(RootSequence(delta, np.concatenate(blocks)))
-                codes.append(Code(tuple(members), CodeLabel(family, t, lam)))
-    s = min_blocks_exponent(p)
-    return CodeSet(tuple(codes), _zccs_params(f, k, p, s, delta))
+    n = base.shape[-1]
+    # axes (family, lam, t, nu, entry); block i of a sequence is entries i*n..
+    source = (delta // f.q) * base.reshape(2, 1, 1 << k, 2 << k, n)
+    sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1)
+    lam = np.arange(p).reshape(1, p, 1, 1, 1)
+    ramp = sign * (delta // p) * lam * np.repeat(np.arange(p), n)
+    exps = (np.tile(source, p) + ramp).reshape(2 * p << k, 2 << k, p * n)
+    return _extended_set(exps, f, k, p, min_blocks_exponent(p))

@@ -6,21 +6,22 @@ unity, so a correlation sum is a histogram of exponent differences.
 Zero tests are deferred to the caller and are bit-exact.
 
 :func:`code_accf` builds one histogram by direct counting; it is the
-reference.  :func:`code_histograms` builds many at once: for a row code
-mu1, a block of codes mu2 and a window of shifts it maps each exponent
-e to the harmonics w^(-r*e), r = 0..delta/2, correlates the harmonics
-over the whole block with FFTs along the sequence, sums over the M
-members and inverts the harmonic transform.  The counts it recovers are
-integers of at most M*N <= MAX_TERMS, so double-precision round-off is
-far below 1/2 (Percival, Math. Comp. 72, 2003); a block is accepted only
-when its residuals stay below RESIDUAL_TOL, every count is non-negative
-and each histogram sums to its M*(N - tau) terms.  Any block that fails
-a check is recounted exactly with :func:`code_accf`, so no result rests
-on a floating tolerance.
+reference.  :func:`code_histograms` builds many at once from the
+(K, M, N) exponent array of a code set: for a row code mu1, a block of
+codes mu2 and a window of shifts it maps each exponent e to the
+harmonics w^(-r*e), r = 0..delta/2, correlates the harmonics over the
+whole block with FFTs along the sequence, sums over the M members and
+inverts the harmonic transform.  The counts it recovers are integers of
+at most M*N <= MAX_TERMS, so double-precision round-off is far below
+1/2 (Percival, Math. Comp. 72, 2003); a block is accepted only when its
+residuals stay below RESIDUAL_TOL, every count is non-negative and each
+histogram sums to its M*(N - tau) terms.  Any block that fails a check
+is recounted exactly by the counter behind :func:`code_accf`, so no
+result rests on a floating tolerance.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,17 @@ def _check_pair(a: RootSequence, b: RootSequence):
         raise ShapeError(f"root orders differ: {a.delta} != {b.delta}")
 
 
-def _accf_coeffs(a: RootSequence, b: RootSequence, tau: int) -> np.ndarray:
-    n = len(a)
+def _count(a: np.ndarray, b: np.ndarray, delta: int, tau: int) -> np.ndarray:
+    """Coefficients of the correlation of two (M, N) exponent arrays at
+    shift tau: the histogram over Z_delta of a[nu, i + tau] - b[nu, i]."""
+    n = a.shape[-1]
     if tau <= -n or tau >= n:
-        return np.zeros(a.delta, dtype=np.int64)
+        return np.zeros(delta, dtype=np.int64)
     if tau >= 0:
-        diffs = (a.exponents[tau:] - b.exponents[: n - tau]) % a.delta
+        diffs = a[:, tau:] - b[:, : n - tau]
     else:
-        diffs = (a.exponents[: n + tau] - b.exponents[-tau:]) % a.delta
-    return np.bincount(diffs, minlength=a.delta)
+        diffs = a[:, : n + tau] - b[:, -tau:]
+    return np.bincount((diffs % delta).ravel(), minlength=delta)
 
 
 def accf(a: RootSequence, b: RootSequence, tau: int) -> CycInt:
@@ -62,21 +65,21 @@ def accf(a: RootSequence, b: RootSequence, tau: int) -> CycInt:
     mirrored sum for -N < tau < 0, and zero outside (-N, N).
     """
     _check_pair(a, b)
-    return CycInt(a.delta, _accf_coeffs(a, b, tau))
+    return CycInt(a.delta, _count(a.exponents[None], b.exponents[None], a.delta, tau))
+
+
+def _stacked(a: Code, b: Code) -> np.ndarray:
+    """(2, M, N) exponent array of two codes that can be correlated."""
+    if not a.sequences or len(a.sequences) != len(b.sequences):
+        raise ShapeError("codes must have the same, nonzero number of sequences")
+    _check_pair(a.sequences[0], b.sequences[0])
+    return np.array([[s.exponents for s in c.sequences] for c in (a, b)])
 
 
 def code_accf(a: Code, b: Code, tau: int) -> CycInt:
     """Correlation of two codes: the sum over paired member sequences."""
-    if len(a.sequences) != len(b.sequences):
-        raise ShapeError("codes have different sequence counts")
-    total = None
-    for sa, sb in zip(a.sequences, b.sequences):
-        _check_pair(sa, sb)
-        c = _accf_coeffs(sa, sb, tau)
-        total = c if total is None else total + c
-    if total is None:
-        raise ShapeError("cannot correlate empty codes")
-    return CycInt(a.sequences[0].delta, total)
+    exps, delta = _stacked(a, b), a.sequences[0].delta
+    return CycInt(delta, _count(exps[0], exps[1], delta, tau))
 
 
 def _fft_length(n: int) -> int:
@@ -91,19 +94,23 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
+def _recount(exps: np.ndarray, delta: int, mu1: int, block: range, t0: int, t1: int) -> np.ndarray:
+    """The histograms of a block counted exactly, cell by cell."""
+    return np.array([[_count(exps[mu1], exps[mu2], delta, tau) for tau in range(t0, t1)] for mu2 in block])
+
+
 def code_histograms(
-    codes: Sequence[Code], mu1: int, mu2s: range, t0: int, t1: int
+    exps: np.ndarray, delta: int, mu1: int, mu2s: range, t0: int, t1: int
 ) -> Iterator[tuple[range, np.ndarray]]:
     """Exact correlation histograms of code mu1 against the codes mu2s.
 
-    For shifts t0 <= tau < t1 (0 <= t0 < t1 <= N) yields, block by block
-    of consecutive codes, ``(block, h)`` with h an int64 array of shape
-    (len(block), t1 - t0, delta) and ``h[i, tau - t0]`` equal to
-    ``code_accf(codes[mu1], codes[block[i]], tau).coeffs``.  The codes
-    must share M, N and delta, as the codes of a ``CodeSet`` do.
+    ``exps`` is a (K, M, N) array of exponents mod delta, such as
+    ``CodeSet.exponents``.  For shifts t0 <= tau < t1 (0 <= t0 < t1 <= N)
+    yields, block by block of consecutive codes, ``(block, h)`` with h an
+    int64 array of shape (len(block), t1 - t0, delta) and ``h[i, tau - t0]``
+    the coefficients of the correlation of code mu1 with code block[i] at
+    shift tau, as :func:`code_accf` gives them.
     """
-    delta = codes[mu1].sequences[0].delta
-    exps = np.array([[s.exponents for s in c.sequences] for c in codes])
     _, m, n = exps.shape
     if not 0 <= t0 < t1 <= n:
         raise ValueError(f"need 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
@@ -133,9 +140,7 @@ def code_histograms(
         ):
             yield block, hist
         else:
-            yield block, np.array([
-                [code_accf(codes[mu1], codes[mu2], tau).coeffs for tau in range(t0, t1)] for mu2 in block
-            ])
+            yield block, _recount(exps, delta, mu1, block, t0, t1)
 
 
 def pair_histograms(a: Code, b: Code) -> np.ndarray:
@@ -144,12 +149,10 @@ def pair_histograms(a: Code, b: Code) -> np.ndarray:
     Row tau + N - 1 equals ``code_accf(a, b, tau).coeffs``; negative shifts
     come from theta(a, b)(-tau) = conj(theta(b, a)(tau)).
     """
-    if not a.sequences or len(a.sequences) != len(b.sequences):
-        raise ShapeError("codes must have the same, nonzero number of sequences")
-    _check_pair(a.sequences[0], b.sequences[0])
-    n, delta = len(a.sequences[0]), a.sequences[0].delta
-    ((_, ab),) = code_histograms((a, b), 0, range(1, 2), 0, n)
-    ((_, ba),) = code_histograms((a, b), 1, range(0, 1), 0, n)
+    exps, delta = _stacked(a, b), a.sequences[0].delta
+    n = exps.shape[-1]
+    ((_, ab),) = code_histograms(exps, delta, 0, range(1, 2), 0, n)
+    ((_, ba),) = code_histograms(exps, delta, 1, range(0, 1), 0, n)
     conj = (-np.arange(delta)) % delta
     return np.concatenate([ba[0, :0:-1][:, conj], ab[0]])
 

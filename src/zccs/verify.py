@@ -33,7 +33,7 @@ class ZccsCheck(NamedTuple):
 def _ideal_row(cs: CodeSet, mu1: int, t0: int, t1: int) -> np.ndarray:
     """Boolean (K, t1 - t0) mask: is cell (mu1, mu2, tau) ideal."""
     reduce = reduction_matrix(cs.params.delta)
-    blocks = code_histograms(cs.codes, mu1, range(cs.params.K), t0, t1)
+    blocks = code_histograms(cs.exponents, cs.params.delta, mu1, range(cs.params.K), t0, t1)
     ideal = np.concatenate([~(h @ reduce).any(axis=-1) for _, h in blocks])
     if t0 == 0:
         ideal[mu1, 0] = True

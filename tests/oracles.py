@@ -9,8 +9,7 @@ from itertools import permutations
 
 import numpy as np
 
-from zccs.boolfn import RootSequence
-from zccs.construct import Code, CodeSet
+from zccs.construct import CodeSet
 
 TOL = 1e-6
 
@@ -119,10 +118,6 @@ def corrupt_seeded(cs: CodeSet, seed: int) -> CodeSet:
     rng = np.random.default_rng(seed)
     pp = cs.params
     mu, nu, pos = rng.integers(pp.K), rng.integers(pp.M), rng.integers(pp.N)
-    codes = list(cs.codes)
-    seqs = list(codes[mu].sequences)
-    exps = seqs[nu].exponents.copy()
-    exps[pos] = (exps[pos] + rng.integers(1, pp.delta)) % pp.delta
-    seqs[nu] = RootSequence(pp.delta, exps)
-    codes[mu] = Code(tuple(seqs), codes[mu].label)
-    return CodeSet(tuple(codes), pp)
+    exps = cs.exponents.copy()
+    exps[mu, nu, pos] = (exps[mu, nu, pos] + rng.integers(1, pp.delta)) % pp.delta
+    return CodeSet(exps, cs.labels, pp)

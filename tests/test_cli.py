@@ -1,8 +1,11 @@
 import csv
 import json
+import time
+from math import lcm
 
 import pytest
 
+from zccs.algebra import MAX_DELTA
 from zccs.boolfn import parse_gbf
 from zccs.cli import code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import build_ccc, build_zccs
@@ -202,6 +205,33 @@ def _claim_huge_n(doc):
     doc["codes"] = _Untouchable()
 
 
+def _claim_blocks(p):
+    """Turn the 2x2x4 CCC document into a set of p blocks whose shapes,
+    labels and delta = lcm(p, q) all agree with p."""
+    def mutate(doc):
+        doc["delta"] = lcm(p, 2)
+        doc["params"].update(K=2 * p, N=4 * p, delta=lcm(p, 2), p=p, s=(p - 1).bit_length())
+        doc["codes"] = [
+            {"label": {"family": family, "t": 0, "lam": lam}, "sequences": [[0] * (4 * p)] * 2}
+            for family in ("U", "V") for lam in range(p)
+        ]
+    return mutate
+
+
+def _claim_q(q):
+    def mutate(doc):
+        doc["delta"] = doc["params"]["delta"] = doc["params"]["q"] = q
+    return mutate
+
+
+def _claim_huge_prime_p(doc):
+    # delta = lcm(p, q) stays consistent; a primality test of p by trial
+    # division would take minutes, so the delta limit must come first
+    p = (1 << 61) - 1
+    doc["delta"] = doc["params"]["delta"] = 2 * p
+    doc["params"]["p"] = p
+
+
 # (kind of set, mutation) pairs; every mutated document must be refused
 MALFORMED = {
     "float_exponent": ("zccs", _set(*FIRST_EXPONENT, 1.5)),
@@ -249,6 +279,13 @@ MALFORMED = {
     "negative_t": ("ccc", _set("codes", 0, "label", "t", -1)),
     "documented_mismatch": ("zccs", _documented_mismatch),
     "m_n_above_limit": ("zccs", _claim_huge_n),
+    # q must be even and >= 2, p prime, delta at most MAX_DELTA
+    "p_one": ("ccc", _claim_blocks(1)),
+    "p_four": ("ccc", _claim_blocks(4)),
+    "p_nine": ("ccc", _claim_blocks(9)),
+    "negative_q": ("zccs", _set("params", "q", -6)),
+    "delta_above_limit": ("ccc", _claim_q(2310)),
+    "huge_prime_p": ("zccs", _claim_huge_prime_p),
 }
 
 
@@ -268,3 +305,26 @@ def test_reader_refuses_malformed_document(case, documents):
     mutate(doc)
     with pytest.raises(FileFormatError):
         code_set_from_dict(doc)
+
+
+def test_root_order_above_limit_exits_at_once(tmp_path, capsys):
+    doc = code_set_to_dict(build_ccc(parse_gbf("x0*x1", 2, 2), []))
+    _claim_q(2310)(doc)
+    path = tmp_path / "q2310.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    assert "delta" in capsys.readouterr().err
+
+
+def test_set_at_the_root_order_limit_verifies(tmp_path, capsys):
+    path = tmp_path / "ccc.json"
+    rc = main([
+        "generate", "--kind", "ccc", "--q", str(MAX_DELTA), "--m", "2",
+        "--f", f"{MAX_DELTA // 2}*x0*x1", "--out", str(path),
+    ])
+    assert rc == 0
+    assert main(["verify", "--in", str(path), "--max-zcz"]) == 0
+    out = capsys.readouterr().out
+    assert f"delta={MAX_DELTA}" in out and "is_ccc: true" in out and "max_zcz: 4" in out

@@ -1,8 +1,13 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
-from zccs.algebra import MAX_TERMS
+from zccs.algebra import MAX_DELTA, MAX_TERMS
+from zccs.cli import code_set_from_dict, code_set_to_dict
 from zccs.construct import (
     CodeLabel,
     CodeSet,
@@ -100,6 +105,15 @@ class TestBuildZccs:
         with pytest.raises(InvalidGamma):
             build_zccs(f, [0], 0, p=3)
 
+    def test_equality_covers_exponents_labels_and_params(self):
+        cs = build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3)
+        exps = cs.exponents.copy()
+        exps[0, 0, 0] += 1
+        assert CodeSet(cs.exponents, cs.labels, cs.params) == cs
+        assert CodeSet(exps, cs.labels, cs.params) != cs
+        assert CodeSet(cs.exponents, cs.labels[::-1], cs.params) != cs
+        assert CodeSet(cs.exponents, cs.labels, replace(cs.params, Z=4)) != cs
+
     def test_default_gamma_is_lower_endpoint(self):
         f = parse_gbf("x1*x2", 3, 2)
         assert build_zccs(f, [0], p=3) == build_zccs(f, [0], 1, p=3)
@@ -154,11 +168,58 @@ class TestPeak:
 
 class TestCoefficientBound:
     def test_m_times_n_up_to_the_limit(self):
-        CodeSet((), CodeSetParams(K=0, M=2, N=MAX_TERMS // 2, Z=1, q=2, m=19, k=0, delta=2))
+        at_limit = CodeSetParams(K=0, M=2, N=MAX_TERMS // 2, Z=1, q=2, m=19, k=0, delta=2)
+        CodeSet(np.zeros((0, 2, at_limit.N), int), (), at_limit)
+        above = replace(at_limit, N=MAX_TERMS, m=20)
         with pytest.raises(InvalidParams):
-            CodeSet((), CodeSetParams(K=0, M=2, N=MAX_TERMS, Z=1, q=2, m=20, k=0, delta=2))
+            CodeSet(np.zeros((0, 2, above.N), int), (), above)
 
     def test_empty_shapes_refused(self):
         for m, n in ((0, 4), (2, 0)):
             with pytest.raises(InvalidParams):
-                CodeSet((), CodeSetParams(K=0, M=m, N=n, Z=1, q=2, m=2, k=0, delta=2))
+                CodeSet(np.zeros((0, m, n), int), (), CodeSetParams(K=0, M=m, N=n, Z=1, q=2, m=2, k=0, delta=2))
+
+    def test_root_order_within_limits(self):
+        exps = np.zeros((0, 2, 4), int)
+        CodeSet(exps, (), CodeSetParams(K=0, M=2, N=4, Z=1, q=2, m=2, k=0, delta=MAX_DELTA))
+        for delta in (0, -2, MAX_DELTA + 2):
+            with pytest.raises(InvalidParams):
+                CodeSet(exps, (), CodeSetParams(K=0, M=2, N=4, Z=1, q=2, m=2, k=0, delta=delta))
+        with pytest.raises(InvalidParams):
+            build_ccc(parse_gbf(f"{MAX_DELTA // 2 + 1}*x0*x1", 2, MAX_DELTA + 2), [])
+
+
+@st.composite
+def certified_functions(draw):
+    """A second-order function whose m - k kept vertices form a path with
+    every edge weighing q/2, plus random linear and constant terms and
+    random edges at the k deleted vertices; returns (f, deleted)."""
+    q = draw(st.sampled_from([2, 4]))
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(2, m - 1)))
+    order = draw(st.permutations(range(m)))
+    deleted, path = sorted(order[:k]), order[k:]
+    terms = {tuple(sorted(edge)): q // 2 for edge in zip(path, path[1:])}
+    terms[()] = draw(st.integers(0, q - 1))
+    for v in range(m):
+        terms[(v,)] = draw(st.integers(0, q - 1))
+        for d in deleted:
+            if v != d:
+                terms[tuple(sorted((d, v)))] = draw(st.integers(0, q - 1))
+    return GeneralizedBooleanFunction(m, q, terms), deleted
+
+
+@settings(max_examples=60, deadline=None)
+@given(certified_functions(), st.sampled_from([2, 3, 5]))
+def test_round_trip_and_views_of_random_sets(fd, p):
+    f, deleted = fd
+    cs = build_zccs(f, deleted, p=p)
+    assert code_set_from_dict(json.loads(json.dumps(code_set_to_dict(cs)))) == cs
+    assert build_zccs_by_concatenation(f, deleted, p=p) == cs
+    with pytest.raises(ValueError):
+        cs.exponents[0, 0, 0] = 1
+    for code in cs.codes:
+        for seq in code.sequences:
+            assert np.shares_memory(seq.exponents, cs.exponents)
+            with pytest.raises(ValueError):
+                seq.exponents[0] = 1

@@ -35,12 +35,12 @@ def _refuse(*args):
 @pytest.fixture()
 def no_fallback(monkeypatch):
     """Fail the test if any block is recounted instead of taken from the FFT."""
-    monkeypatch.setattr(correlate, "code_accf", _refuse)
+    monkeypatch.setattr(correlate, "_recount", _refuse)
 
 
-def _row(codes, mu1, t0, t1):
-    blocks = list(code_histograms(codes, mu1, range(len(codes)), t0, t1))
-    assert [mu for block, _ in blocks for mu in block] == list(range(len(codes)))
+def _row(exps, delta, mu1, t0, t1):
+    blocks = list(code_histograms(exps, delta, mu1, range(len(exps)), t0, t1))
+    assert [mu for block, _ in blocks for mu in block] == list(range(len(exps)))
     return np.concatenate([h for _, h in blocks])
 
 
@@ -54,10 +54,10 @@ def test_batched_histograms_match_code_accf(name, seed, no_fallback):
     n = pp.N
     rng = np.random.default_rng(seed)
     for mu1 in range(pp.K):
-        row = _row(codes, mu1, 0, n)
+        row = _row(cs.exponents, pp.delta, mu1, 0, n)
         t0 = int(rng.integers(n))
         t1 = int(rng.integers(t0 + 1, n + 1))
-        assert np.array_equal(_row(codes, mu1, t0, t1), row[:, t0:t1])
+        assert np.array_equal(_row(cs.exponents, pp.delta, mu1, t0, t1), row[:, t0:t1])
         for mu2 in range(pp.K):
             both = pair_histograms(codes[mu1], codes[mu2])
             assert both.shape == (2 * n - 1, pp.delta)
@@ -67,10 +67,10 @@ def test_batched_histograms_match_code_accf(name, seed, no_fallback):
 
 
 def test_empty_or_outside_window_is_refused():
-    codes = ENGINE_SETS["zccs_12x4x24_delta6"]().codes
+    cs = ENGINE_SETS["zccs_12x4x24_delta6"]()
     for t0, t1 in ((3, 3), (0, 25), (-1, 2)):
         with pytest.raises(ValueError):
-            list(code_histograms(codes, 0, range(2), t0, t1))
+            list(code_histograms(cs.exponents, cs.params.delta, 0, range(2), t0, t1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -86,8 +86,8 @@ def test_histograms_of_random_exponent_arrays(data):
     t0 = data.draw(st.integers(0, n - 1), label="t0")
     t1 = data.draw(st.integers(t0 + 1, n), label="t1")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(correlate, "code_accf", _refuse)
-        row = _row(codes, mu1, t0, t1)
+        patch.setattr(correlate, "_recount", _refuse)
+        row = _row(exps, delta, mu1, t0, t1)
         other = data.draw(st.integers(0, k - 1), label="other")
         both = pair_histograms(codes[mu1], codes[other])
     zero = ~(row @ reduction_matrix(delta)).any(axis=-1)
@@ -121,13 +121,14 @@ def test_exact_fallback_reports_the_same(seed, monkeypatch, tmp_path):
     fast = _reports_and_rows(cs, path)
 
     recounted = []
+    recount = correlate._recount
 
-    def counting(a, b, tau):
-        recounted.append(tau)
-        return code_accf(a, b, tau)
+    def counting(*args):
+        recounted.append(args)
+        return recount(*args)
 
     monkeypatch.setattr(correlate, "RESIDUAL_TOL", 0.0)
-    monkeypatch.setattr(correlate, "code_accf", counting)
+    monkeypatch.setattr(correlate, "_recount", counting)
     exact = _reports_and_rows(cs, path)
     assert recounted
     assert exact == fast

@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from zccs.boolfn import RootSequence, parse_gbf
-from zccs.construct import Code, CodeSet, CodeSetParams, build_ccc, build_zccs
+from zccs.boolfn import parse_gbf
+from zccs.construct import CodeSet, CodeSetParams, build_ccc, build_zccs
 from zccs.errors import InvalidZ, NotAZccs, ShapeError
 from zccs.verify import check_ccc, check_optimal, check_zccs, max_zcz, verify_code_set
 
@@ -16,13 +16,9 @@ def flagship():
 
 
 def corrupt(cs: CodeSet, mu: int, nu: int, pos: int) -> CodeSet:
-    codes = list(cs.codes)
-    seqs = list(codes[mu].sequences)
-    exps = seqs[nu].exponents.copy()
-    exps[pos] = (exps[pos] + 1) % cs.params.delta
-    seqs[nu] = RootSequence(cs.params.delta, exps)
-    codes[mu] = Code(tuple(seqs), codes[mu].label)
-    return CodeSet(tuple(codes), cs.params)
+    exps = cs.exponents.copy()
+    exps[mu, nu, pos] = (exps[mu, nu, pos] + 1) % cs.params.delta
+    return CodeSet(exps, cs.labels, cs.params)
 
 
 class TestCheckZccs:
@@ -56,12 +52,10 @@ class TestCheckZccs:
         assert witness == (0, 0, 1)
 
     def test_peak_violation_witness(self, flagship):
-        # a code one sequence short, whose peak would miss M*N, is refused
-        # when the set is built, so the scan never meets it
-        codes = list(flagship.codes)
-        codes[0] = Code(codes[0].sequences[:3], codes[0].label)
+        # codes one sequence short, whose peaks would miss M*N, are refused
+        # when the set is built, so the scan never meets them
         with pytest.raises(ShapeError):
-            CodeSet(tuple(codes), flagship.params)
+            CodeSet(flagship.exponents[:, :3], flagship.labels, flagship.params)
 
 
 class TestMaxZcz:
@@ -75,17 +69,15 @@ class TestMaxZcz:
         assert max_zcz(cs) == cs.params.N
 
     def test_peak_violation_raises(self, flagship):
-        codes = list(flagship.codes)
-        codes[0] = Code(codes[0].sequences[:3], codes[0].label)
         with pytest.raises(ShapeError):
-            CodeSet(tuple(codes), flagship.params)
+            CodeSet(flagship.exponents[:, :3], flagship.labels, flagship.params)
 
     def test_cross_violation_at_zero_returns_zero(self):
         # two copies of the same code cross-correlate to the peak at shift 0
         base = build_ccc(parse_gbf("x0*x1", 2, 2), [], 0)
-        codes = (base.codes[0], base.codes[0])
+        exps, labels = base.exponents[[0, 0]], base.labels[:1] * 2
         params = CodeSetParams(K=2, M=2, N=4, Z=4, q=2, m=2, k=0, delta=2)
-        assert max_zcz(CodeSet(codes, params)) == 0
+        assert max_zcz(CodeSet(exps, labels, params)) == 0
 
     def test_agrees_with_float_scan(self, flagship):
         cs = build_zccs(parse_gbf("x0*x1", 2, 2), [], 0, p=2)
@@ -124,9 +116,9 @@ class TestCheckCcc:
 
     def test_broken_peak_fails(self):
         base = build_ccc(parse_gbf("x0*x1", 2, 2), [], 0)
-        codes = (base.codes[0], base.codes[0])
+        exps, labels = base.exponents[[0, 0]], base.labels[:1] * 2
         params = CodeSetParams(K=2, M=2, N=4, Z=4, q=2, m=2, k=0, delta=2)
-        assert not check_ccc(CodeSet(codes, params))
+        assert not check_ccc(CodeSet(exps, labels, params))
 
 
 class TestReport:
@@ -148,7 +140,7 @@ class TestReport:
 
 def ccc_half(cs: CodeSet) -> CodeSet:
     k = cs.params.K // 2
-    return CodeSet(cs.codes[:k], replace(cs.params, K=k))
+    return CodeSet(cs.exponents[:k], cs.labels[:k], replace(cs.params, K=k))
 
 
 CROSS_CHECK_SETS = {
