@@ -24,7 +24,7 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_DELTA, MAX_TERMS, is_prime, reduction_matrix
+from .algebra import MAX_DELTA, MAX_TERMS, is_prime, reduced_forms
 from .boolfn import parse_gbf
 from .construct import CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs
 from .correlate import pair_histograms
@@ -49,9 +49,14 @@ def code_set_to_dict(cs: CodeSet) -> dict:
 
 
 def write_code_set(cs: CodeSet, path: str) -> None:
+    # The bytes of json.dump(doc) and a newline.  json.dumps runs the C
+    # encoder, which json.dump does not, and taking one code at a time
+    # keeps its list of tokens short.
+    doc = code_set_to_dict(cs)
+    codes = doc.pop("codes")
     with open(path, "w") as fh:
-        json.dump(code_set_to_dict(cs), fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc)[:-1] + ', "codes": [')
+        fh.write(", ".join(map(json.dumps, codes)) + "]}\n")
 
 
 def _check_params(pp: CodeSetParams) -> None:
@@ -184,7 +189,7 @@ def cmd_corr(args) -> int:
         raise IndexError(f"pair ({mu1},{mu2}) out of range for K={cs.params.K}")
     delta, n = cs.params.delta, cs.params.N
     hist = pair_histograms(cs.codes[mu1], cs.codes[mu2])
-    zero = ~(hist @ reduction_matrix(delta)).any(axis=1)
+    zero = ~reduced_forms(hist).any(axis=1)
     # Summed like CycInt.to_complex, so the digits match the reference.
     values = (hist * np.exp(2j * np.pi * np.arange(delta) / delta)).sum(axis=1)
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout

@@ -6,18 +6,27 @@ unity, so a correlation sum is a histogram of exponent differences.
 Zero tests are deferred to the caller and are bit-exact.
 
 :func:`code_accf` builds one histogram by direct counting; it is the
-reference.  :func:`code_histograms` builds many at once from the
-(K, M, N) exponent array of a code set: for a row code mu1, a block of
-codes mu2 and a window of shifts it maps each exponent e to the
-harmonics w^(-r*e), r = 0..delta/2, correlates the harmonics over the
-whole block with FFTs along the sequence, sums over the M members and
-inverts the harmonic transform.  The counts it recovers are integers of
-at most M*N <= MAX_TERMS, so double-precision round-off is far below
-1/2 (Percival, Math. Comp. 72, 2003); a block is accepted only when its
-residuals stay below RESIDUAL_TOL, every count is non-negative and each
-histogram sums to its M*(N - tau) terms.  Any block that fails a check
-is recounted exactly by the counter behind :func:`code_accf`, so no
-result rests on a floating tolerance.
+reference.  The batched engine works on the (K, M, N) exponent array of
+a code set: for a row code mu1, a block of codes mu2 and a window of
+shifts it maps each exponent e to the harmonics w^(-r*e), correlates
+them over the whole block with FFTs along the sequence and sums over
+the M members.  Two recoveries share that core:
+
+* :func:`code_histograms` takes every harmonic r = 0..delta/2 and
+  inverts the harmonic transform to the histograms.  It accepts a block
+  only when its residuals stay below RESIDUAL_TOL, every count is
+  non-negative and each histogram sums to its M*(N - tau) terms.
+* :func:`code_reductions` takes only the phi(delta)/2 primitive
+  harmonics, the ones that survive reduction modulo Phi_delta, and maps
+  them straight to the reduced forms h @ R (see
+  :func:`~zccs.algebra.harmonic_reduction`).  It accepts a block only
+  when every coordinate lies within RESIDUAL_TOL of an integer and
+  inside the bound M*(N - tau)*max_d|R[d, i]|.
+
+The values are integers of at most 5*MAX_TERMS, so double-precision
+round-off is far below 1/2 (Percival, Math. Comp. 72, 2003).  Any block
+that fails a check is recounted exactly by the counter behind
+:func:`code_accf`, so no result rests on a floating tolerance.
 """
 from __future__ import annotations
 
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CycInt, is_prime
+from .algebra import CycInt, harmonic_reduction, is_prime, reduced_forms, reduction_matrix
 from .boolfn import RootSequence
 from .construct import Code
 from .errors import InvalidParams, ShapeError
@@ -99,6 +108,49 @@ def _recount(exps: np.ndarray, delta: int, mu1: int, block: range, t0: int, t1: 
     return np.array([[_count(exps[mu1], exps[mu2], delta, tau) for tau in range(t0, t1)] for mu2 in block])
 
 
+def _harmonic_sums(
+    exps: np.ndarray, delta: int, harmonics: np.ndarray, mu1: int, mu2s: range, t0: int, t1: int
+) -> Iterator[tuple[range, np.ndarray]]:
+    """The harmonics of the histograms of code mu1 against the codes mu2s.
+
+    Yields, block by block of consecutive codes, ``(block, sums)`` with
+    ``sums[j, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r = harmonics[i]
+    and h the histogram of code mu1 with code block[j] at shift tau.
+    Each exponent e maps to w^(-r*e); the harmonics of mu1 are correlated
+    with a whole block by FFTs along the sequence and summed over the M
+    members.  A block holds as many codes as fit BLOCK_BYTES of spectra;
+    when one code does not fit, the harmonics are taken in chunks that
+    do, every block of a chunk in turn, and a block is yielded once its
+    last chunk is in.
+    """
+    _, m, n = exps.shape
+    if not 0 <= t0 < t1 <= n:
+        raise ValueError(f"need 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
+    width = t1 - t0
+    # Shifts t0.. of mu1 pair its entries from t0 on with the first n - t0
+    # of each mu2; a cyclic length of n - t0 + width - 1 keeps the window
+    # free of wrap-around.
+    length = _fft_length(n - t0 + width - 1)
+    per_harmonic = 16 * m * length
+    span = max(1, min(len(harmonics), BLOCK_BYTES // per_harmonic))
+    step = max(1, BLOCK_BYTES // (per_harmonic * span))
+    pending: dict[int, np.ndarray] = {}
+    for lo in range(0, len(harmonics), span):
+        chunk = slice(lo, lo + span)
+        table = np.exp(-2j * np.pi * (np.outer(harmonics[chunk], np.arange(delta)) % delta) / delta)
+        row = np.fft.fft(table[:, exps[mu1, :, t0:]], length)
+        for start in range(mu2s.start, mu2s.stop, step):
+            block = range(start, min(start + step, mu2s.stop))
+            spectra = np.fft.fft(table[:, exps[block.start : block.stop, :, : n - t0]], length)
+            np.conjugate(spectra, out=spectra)
+            spectra *= row[:, None]
+            if lo == 0:
+                pending[start] = np.empty((len(block), width, len(harmonics)), dtype=complex)
+            pending[start][..., chunk] = np.fft.ifft(spectra.sum(axis=2))[..., :width].transpose(1, 2, 0)
+            if chunk.stop >= len(harmonics):
+                yield block, pending.pop(start)
+
+
 def code_histograms(
     exps: np.ndarray, delta: int, mu1: int, mu2s: range, t0: int, t1: int
 ) -> Iterator[tuple[range, np.ndarray]]:
@@ -109,28 +161,14 @@ def code_histograms(
     yields, block by block of consecutive codes, ``(block, h)`` with h an
     int64 array of shape (len(block), t1 - t0, delta) and ``h[i, tau - t0]``
     the coefficients of the correlation of code mu1 with code block[i] at
-    shift tau, as :func:`code_accf` gives them.
+    shift tau, as :func:`code_accf` gives them.  It recovers h from all
+    the harmonics r = 0..delta/2 with an inverse real FFT.
     """
     _, m, n = exps.shape
-    if not 0 <= t0 < t1 <= n:
-        raise ValueError(f"need 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
-    width = t1 - t0
-    # Shifts t0.. of mu1 pair its entries from t0 on with the first n - t0
-    # of each mu2; a cyclic length of n - t0 + width - 1 keeps the window
-    # free of wrap-around.
-    length = _fft_length(n - t0 + width - 1)
     harmonics = np.arange(delta // 2 + 1)
-    table = np.exp(-2j * np.pi * np.outer(harmonics, np.arange(delta)) / delta)
-    row = np.fft.fft(table[:, exps[mu1, :, t0:]], length)
     terms = m * (n - np.arange(t0, t1))
-    step = max(1, BLOCK_BYTES // (16 * len(harmonics) * m * length))
-    for start in range(mu2s.start, mu2s.stop, step):
-        block = range(start, min(start + step, mu2s.stop))
-        spectra = np.fft.fft(table[:, exps[block.start : block.stop, :, : n - t0]], length)
-        np.conjugate(spectra, out=spectra)
-        spectra *= row[:, None]
-        sums = np.fft.ifft(spectra.sum(axis=2))[..., :width]
-        approx = np.fft.irfft(sums, delta, axis=0).transpose(1, 2, 0)
+    for block, sums in _harmonic_sums(exps, delta, harmonics, mu1, mu2s, t0, t1):
+        approx = np.fft.irfft(sums, delta)
         counts = np.rint(approx)
         hist = counts.astype(np.int64)
         if (
@@ -141,6 +179,35 @@ def code_histograms(
             yield block, hist
         else:
             yield block, _recount(exps, delta, mu1, block, t0, t1)
+
+
+def code_reductions(
+    exps: np.ndarray, delta: int, mu1: int, mu2s: range, t0: int, t1: int
+) -> Iterator[tuple[range, np.ndarray]]:
+    """Reduced forms of the correlations of code mu1 against the codes mu2s.
+
+    Takes the arguments of :func:`code_histograms` and yields, block by
+    block, ``(block, c)`` with c an int64 array of shape (len(block),
+    t1 - t0, phi(delta)) equal to ``h @ reduction_matrix(delta)`` for the
+    histograms h that :func:`code_histograms` yields: ``c[i, tau - t0]``
+    is zero iff that correlation is.  Only the primitive harmonics of
+    :func:`~zccs.algebra.harmonic_reduction` are correlated, and c =
+    Re(sums @ basis).
+    """
+    _, m, n = exps.shape
+    harmonics, basis = harmonic_reduction(delta)
+    # Re(S @ B) as one real product: S viewed as interleaved (Re, Im)
+    # pairs times the rows Re B_r, -Im B_r interleaved the same way.
+    interleaved = np.stack((basis.real, -basis.imag), axis=1).reshape(-1, basis.shape[1])
+    # |c[tau, i]| <= sum_d h[d] |R[d, i]| <= M * (N - tau) * max_d |R[d, i]|.
+    bound = m * (n - np.arange(t0, t1))[:, None] * np.abs(reduction_matrix(delta)).max(axis=0)
+    for block, sums in _harmonic_sums(exps, delta, harmonics, mu1, mu2s, t0, t1):
+        approx = sums.view(np.float64) @ interleaved
+        reduced = np.rint(approx)
+        if np.abs(approx - reduced).max() < RESIDUAL_TOL and (np.abs(reduced) <= bound).all():
+            yield block, reduced.astype(np.int64)
+        else:
+            yield block, reduced_forms(_recount(exps, delta, mu1, block, t0, t1))
 
 
 def pair_histograms(a: Code, b: Code) -> np.ndarray:

@@ -4,9 +4,9 @@ A cell (mu1, mu2, tau) is ideal when it is a code's own zero shift, which
 is M*N for every code a CodeSet admits, or when its correlation reduces
 to zero modulo the delta-th cyclotomic polynomial; no verdict depends on
 a floating-point tolerance.  The scan goes row by row in mu1: one call of
-:func:`~zccs.correlate.code_histograms` gives the exact histograms of the
-row over a window of shifts, and one integer product with
-:func:`~zccs.algebra.reduction_matrix` reduces them all.  A report
+:func:`~zccs.correlate.code_reductions` gives the exact reduced forms,
+modulo Phi_delta, of the correlations of the row over a window of
+shifts, and a cell is ideal when its form is all zero.  A report
 decides each cell once: the zone rows up to z, then, when the maximal
 width is wanted, the shifts from z up to the first failure found.
 Shifts tau >= 0 cover negative ones too, because theta(A, B)(-tau) is
@@ -19,9 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import reduction_matrix
 from .construct import CodeSet
-from .correlate import code_histograms
+from .correlate import code_reductions
 from .errors import InvalidZ, NotAZccs
 
 
@@ -32,9 +31,8 @@ class ZccsCheck(NamedTuple):
 
 def _ideal_row(cs: CodeSet, mu1: int, t0: int, t1: int) -> np.ndarray:
     """Boolean (K, t1 - t0) mask: is cell (mu1, mu2, tau) ideal."""
-    reduce = reduction_matrix(cs.params.delta)
-    blocks = code_histograms(cs.exponents, cs.params.delta, mu1, range(cs.params.K), t0, t1)
-    ideal = np.concatenate([~(h @ reduce).any(axis=-1) for _, h in blocks])
+    blocks = code_reductions(cs.exponents, cs.params.delta, mu1, range(cs.params.K), t0, t1)
+    ideal = np.concatenate([~c.any(axis=-1) for _, c in blocks])
     if t0 == 0:
         ideal[mu1, 0] = True
     return ideal

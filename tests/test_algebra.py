@@ -1,7 +1,18 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
-from zccs.algebra import CycInt, cyclotomic_poly, is_prime, reduction_matrix
+from zccs.algebra import (
+    MAX_DELTA,
+    MAX_TERMS,
+    CycInt,
+    cyclotomic_poly,
+    harmonic_reduction,
+    is_prime,
+    reduced_forms,
+    reduction_matrix,
+)
 from zccs.correlate import root_sum
 from zccs.errors import DeltaMismatch
 
@@ -122,6 +133,50 @@ class TestReductionMatrix:
             stack += [int(rng.integers(-3, 4)) * np.roll(phi, int(rng.integers(delta))) for _ in range(20)]
             zero = ~(np.array(stack) @ reduction_matrix(delta)).any(axis=1)
             assert zero.tolist() == [ci(delta, h).is_zero() for h in stack]
+
+
+    @pytest.mark.parametrize("delta", [935, 1024])
+    def test_float_product_is_exact_at_the_term_limit(self, delta):
+        reduce = reduction_matrix(delta)
+        rng = np.random.default_rng(delta)
+        stack = [rng.multinomial(MAX_TERMS, np.full(delta, 1 / delta)) for _ in range(4)]
+        # All terms on one power, and spread over the powers whose entries
+        # in the largest column of R share its sign: the largest partial sums.
+        col = int(np.abs(reduce).max(axis=0).argmax())
+        for sign in (1, -1):
+            rows = np.flatnonzero(sign * reduce[:, col] > 0)
+            stack.append(np.bincount(rng.choice(rows, MAX_TERMS), minlength=delta))
+        stack.append(np.eye(delta, dtype=np.int64)[int(np.abs(reduce[:, col]).argmax())] * MAX_TERMS)
+        hist = np.array(stack)
+        assert (hist.sum(axis=1) == MAX_TERMS).all()
+        assert np.abs(reduce).max() == (5 if delta == 935 else 1)
+        assert np.array_equal(reduced_forms(hist), hist @ reduce)
+        assert reduced_forms(hist).dtype == np.int64
+
+
+class TestHarmonicReduction:
+    def test_keeps_the_primitive_harmonics_up_to_half(self):
+        for delta in range(1, MAX_DELTA + 1):
+            harmonics, basis = harmonic_reduction(delta)
+            assert harmonics.tolist() == [r for r in range(delta // 2 + 1) if gcd(r, delta) == 1]
+            assert basis.shape == (len(harmonics), len(cyclotomic_poly(delta)) - 1)
+            if delta >= 3:
+                assert 2 * len(harmonics) == basis.shape[1]
+        assert harmonic_reduction(1)[0].tolist() == [0]
+        assert harmonic_reduction(2)[0].tolist() == [1]
+
+    def test_primitive_harmonics_give_the_reduced_form(self):
+        rng = np.random.default_rng(23)
+        worst_gain = 0.0
+        for delta in range(1, MAX_DELTA + 1):
+            harmonics, basis = harmonic_reduction(delta)
+            hist = rng.integers(0, 1000, size=(3, delta))
+            approx = (np.fft.rfft(hist)[:, harmonics] @ basis).real
+            assert np.abs(approx - hist @ reduction_matrix(delta)).max() < 1e-6
+            worst_gain = max(worst_gain, float(np.abs(basis).sum(axis=0).max()))
+        # The error gain the docstring quotes; harmonic_reduction asserts
+        # gain * MAX_TERMS * 2**-52 < 2**-20.
+        assert 13.1 < worst_gain < 13.2
 
 
 class TestPrimeOrbitSums:

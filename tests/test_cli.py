@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import time
 from math import lcm
@@ -143,6 +144,11 @@ class TestFileFormat:
         assert doc["codes"][0]["label"] == {"family": "U", "t": 0, "lam": 0}
         assert all(len(c["sequences"]) == 4 for c in doc["codes"])
         assert all(0 <= e < 6 for c in doc["codes"] for s in c["sequences"] for e in s)
+
+    def test_written_bytes_are_pinned(self, flagship_file):
+        # sha256 of the README 12 x 4 x 24 set as json.dump wrote it.
+        digest = hashlib.sha256(flagship_file.read_bytes()).hexdigest()
+        assert digest == "0539c1bb681a918bf3e92d4e034a12512f4006284f9e6488b5fa421b9271cc10"
 
     def test_write_read_identity(self, tmp_path):
         cs = build_ccc(parse_gbf("x0*x1", 2, 2), [])
