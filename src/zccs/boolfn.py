@@ -331,7 +331,8 @@ class PbfSpec:
             raise InvalidParams(f"p must be prime, got {self.p}")
         if self.s < 1:
             raise InvalidParams("s must be a positive integer")
-        if not 2 <= self.p <= (1 << self.s):
+        # s is compared with p's bit length first, so no shift count is huge.
+        if self.s < self.p.bit_length() and 1 << self.s < self.p:
             # p in (2**s, 2**(s+1)) would make the truncation length negative
             raise InvalidParams(f"need 2 <= p <= 2**s, got p={self.p}, s={self.s}")
         if not 0 <= self.lam < self.p:

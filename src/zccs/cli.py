@@ -129,10 +129,12 @@ def code_set_from_dict(doc: dict) -> CodeSet:
 
 
 def read_code_set(path: str) -> CodeSet:
+    # UnicodeDecodeError (a ValueError) comes from bytes that are not
+    # UTF-8, RecursionError from arrays or objects nested too deep.
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
     return code_set_from_dict(doc)
 

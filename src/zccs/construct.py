@@ -3,12 +3,13 @@
 Both builders start from a second-order Boolean function whose graph,
 after deleting k chosen vertices, is a path with every edge weighing q/2.
 The base construction yields 2**(k+1) mutually complementary codes of
-2**(k+1) sequences of length 2**m.  The prime-extension construction
-multiplies the family by a prime p: it appends s extra variables carrying
-a rational linear part, truncates the resulting length-2**(m+s) sequences
-to p*2**m entries, and yields p*2**(k+1) codes whose zero-correlation
-zone is 2**m.  The same set can equivalently be assembled by
-concatenating p phase-rotated copies of the base codes.
+2**(k+1) sequences of length 2**m, read off one truth table of f plus
+(q/2) times bit-planes of the deleted variables and of x_gamma.  The
+prime extension multiplies the family by a prime p: s extra variables
+carry a rational linear part, the members are read only at their p*2**m
+kept entries (so s is recorded but costs nothing), and the p*2**(k+1)
+codes have a zero-correlation zone of 2**m.  The same set can equivalently be
+assembled by concatenating p phase-rotated copies of the base codes.
 """
 from __future__ import annotations
 
@@ -19,16 +20,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import MAX_DELTA, MAX_TERMS, is_prime
-from .boolfn import (
-    GeneralizedBooleanFunction,
-    PbfSpec,
-    RootSequence,
-    check_path_after_deletion,
-    codeword_function,
-    graph_of,
-    pbf_sequence,
-    sequence_of,
-)
+from .boolfn import GeneralizedBooleanFunction, RootSequence, check_path_after_deletion, graph_of, sequence_of
 from .errors import InvalidGamma, InvalidParams, ShapeError
 
 
@@ -70,6 +62,14 @@ class CodeSetParams:
     s: int | None = None
 
 
+def _within_limits(pp: CodeSetParams) -> CodeSetParams:
+    if not 1 <= pp.delta <= MAX_DELTA:
+        raise InvalidParams(f"delta must lie in [1, {MAX_DELTA}], got {pp.delta}")
+    if not (pp.M >= 1 and pp.N >= 1 and pp.M * pp.N <= MAX_TERMS):
+        raise InvalidParams(f"M*N must lie in [1, {MAX_TERMS}], got M={pp.M} N={pp.N}")
+    return pp
+
+
 @dataclass(frozen=True, eq=False)
 class CodeSet:
     """K codes of M sequences of length N over delta-th roots of unity,
@@ -82,11 +82,7 @@ class CodeSet:
     params: CodeSetParams
 
     def __post_init__(self):
-        pp = self.params
-        if not 1 <= pp.delta <= MAX_DELTA:
-            raise InvalidParams(f"delta must lie in [1, {MAX_DELTA}], got {pp.delta}")
-        if not (pp.M >= 1 and pp.N >= 1 and pp.M * pp.N <= MAX_TERMS):
-            raise InvalidParams(f"M*N must lie in [1, {MAX_TERMS}], got M={pp.M} N={pp.N}")
+        pp = _within_limits(self.params)
         exps = np.mod(self.exponents, pp.delta, dtype=np.int64)
         if exps.shape != (pp.K, pp.M, pp.N) or len(self.labels) != pp.K:
             raise ShapeError(f"{len(self.labels)} labels and {exps.shape} exponents are not K={pp.K} codes")
@@ -119,14 +115,27 @@ def _prepare(f: GeneralizedBooleanFunction, deleted, gamma: int | None):
     return cert, gamma
 
 
-def _bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> i) & 1 for i in range(width))
+def _member_exponents(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], gamma: int) -> np.ndarray:
+    """The (family, t, nu, 2**m) exponents over Z_q of the base set.
 
-
-def _member_order(k: int):
-    """Yield (d_vec, d) with member index nu = d*2**k + sum(d_i * 2**i)."""
-    for nu in range(1 << (k + 1)):
-        yield _bits(nu & ((1 << k) - 1), k), nu >> k
+    Member nu = d*2**k + sum(d_i * 2**i) of code t of family "F" is
+    f + (q/2)*((d_vec + t_vec) . x_deleted + d*x_gamma).  Family "G" reads
+    f at 2**m - 1 - r, which is f(1 - x) at r, adds
+    (q/2)*((d_vec + t_vec) . (1 - x_deleted) + (1 - d)*x_gamma) and is
+    conjugated (negated).
+    """
+    k, n, half = len(deleted), 1 << f.m, f.q // 2
+    r = np.arange(n, dtype=np.int64)
+    planes = (r >> np.array(deleted, dtype=np.int64).reshape(k, 1)) & 1
+    x_gamma = (r >> gamma) & 1
+    nu, shifts = np.arange(2 << k, dtype=np.int64), np.arange(k, dtype=np.int64)
+    # selector bits d_vec + t_vec, axes (t, nu, deleted variable)
+    select = ((nu[: 1 << k, None] >> shifts) & 1)[:, None] + ((nu[:, None] >> shifts) & 1)
+    d = (nu >> k)[:, None]
+    table = sequence_of(f).exponents
+    fam_f = table + half * (select @ planes + d * x_gamma)
+    fam_g = -(table[::-1] + half * (select @ (1 - planes) + (1 - d) * x_gamma))
+    return np.stack([fam_f, fam_g]) % f.q
 
 
 def build_ccc(
@@ -140,26 +149,28 @@ def build_ccc(
     2**k codes are the conjugated complement family ("Cbar").
     """
     cert, gamma = _prepare(f, deleted, gamma)
-    k = len(cert.deleted)
-    half, n = 1 << k, 1 << f.m
-    exps = np.empty((2 * half, 2 * half, n), dtype=np.int64)
-    for t in range(half):
-        t_vec = _bits(t, k)
-        for nu, (d_vec, d) in enumerate(_member_order(k)):
-            for mu, family, sign in ((t, "F", 1), (half + t, "G", -1)):
-                g = codeword_function(f, cert.deleted, d_vec, t_vec, d, gamma, family)
-                exps[mu, nu] = sign * sequence_of(g).exponents
-    labels = [CodeLabel(family, t) for family in ("C", "Cbar") for t in range(half)]
-    return CodeSet(exps, labels, CodeSetParams(K=2 << k, M=2 << k, N=n, Z=n, q=f.q, m=f.m, k=k, delta=f.q))
-
-
-def _extended_set(exps: np.ndarray, f: GeneralizedBooleanFunction, k: int, p: int, s: int) -> CodeSet:
-    """The prime-extension set of exponents exps: "U" codes, then "V", each in lam-major order."""
-    labels = [CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(p) for t in range(1 << k)]
-    params = CodeSetParams(
-        K=p * (2 << k), M=2 << k, N=p << f.m, Z=1 << f.m, q=f.q, m=f.m, k=k, delta=lcm(p, f.q), p=p, s=s,
-    )
+    k, n = len(cert.deleted), 1 << f.m
+    params = _within_limits(CodeSetParams(K=2 << k, M=2 << k, N=n, Z=n, q=f.q, m=f.m, k=k, delta=f.q))
+    exps = _member_exponents(f, cert.deleted, gamma).reshape(2 << k, 2 << k, n)
+    labels = [CodeLabel(family, t) for family in ("C", "Cbar") for t in range(1 << k)]
     return CodeSet(exps, labels, params)
+
+
+def _extended_params(f: GeneralizedBooleanFunction, k: int, p: int, s: int | None = None) -> CodeSetParams:
+    """Params of the prime-extension set, checked before anything is built;
+    s is compared with p's bit length first, so no shift count is huge."""
+    s = min_blocks_exponent(p) if s is None else s
+    if s < 1 or (s < p.bit_length() and 1 << s < p):
+        raise InvalidParams(f"need s >= 1 and 2**s >= p, got p={p}, s={s}")
+    return _within_limits(CodeSetParams(
+        K=p * (2 << k), M=2 << k, N=p << f.m, Z=1 << f.m, q=f.q, m=f.m, k=k, delta=lcm(p, f.q), p=p, s=s,
+    ))
+
+
+def _extended_set(exps: np.ndarray, pp: CodeSetParams) -> CodeSet:
+    """The prime-extension set of exponents exps: "U" codes, then "V", each in lam-major order."""
+    labels = [CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(pp.p) for t in range(1 << pp.k)]
+    return CodeSet(exps.reshape(pp.K, pp.M, pp.N), labels, pp)
 
 
 def min_blocks_exponent(p: int) -> int:
@@ -180,29 +191,24 @@ def build_zccs(
     """Prime-extension family: an optimal (p*2**(k+1), 2**m) Z-complementary
     code set of 2**(k+1) sequences per code, length p*2**m.
 
-    s only controls the pre-truncation length 2**(m+s) and defaults to the
-    smallest value with 2**s >= p; the truncated output does not depend on
-    it.  Code mu = lam*2**k + t is the "U" family; the "V" family follows
-    in the same order, conjugated.
+    Member nu of code (lam, t) is (delta/q)*g(r) + (delta/p)*lam*w, g the
+    base member, read at the p*2**m kept indices r + 2**m*w, w < p.  s,
+    which must give 2**s >= p and defaults to the smallest such value, is
+    recorded in the params; neither the output nor the cost depends on it.
+    Code mu = lam*2**k + t is the "U" family; the "V" family follows in the
+    same order, conjugated.
     """
     if not is_prime(p):
         raise InvalidParams(f"p must be prime, got {p}")
-    if s is None:
-        s = min_blocks_exponent(p)
     cert, gamma = _prepare(f, deleted, gamma)
-    k = len(cert.deleted)
-    keep = p << f.m
-    half = p << k
-    exps = np.empty((2 * half, 2 << k, keep), dtype=np.int64)
-    for lam in range(p):
-        u_spec, v_spec = PbfSpec(f, p, s, lam, "F"), PbfSpec(f, p, s, lam, "G")
-        for t in range(1 << k):
-            t_vec = _bits(t, k)
-            mu = (lam << k) + t
-            for nu, (d_vec, d) in enumerate(_member_order(k)):
-                exps[mu, nu] = pbf_sequence(u_spec, d_vec, t_vec, d, cert, gamma).exponents[:keep]
-                exps[half + mu, nu] = -pbf_sequence(v_spec, d_vec, t_vec, d, cert, gamma).exponents[:keep]
-    return _extended_set(exps, f, k, p, s)
+    pp = _extended_params(f, len(cert.deleted), p, s)
+    # axes (family, lam, t, nu, w, r): kept entry r + 2**m*w, w < p, reads
+    # g at r; "V" takes the conjugate phase ramp
+    base = _member_exponents(f, cert.deleted, gamma)[:, None, :, :, None, :]
+    sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1, 1)
+    lam, w = np.arange(p).reshape(1, p, 1, 1, 1, 1), np.arange(p).reshape(p, 1)
+    exps = (pp.delta // f.q) * base + sign * (pp.delta // p) * lam * w
+    return _extended_set(exps, pp)
 
 
 def build_zccs_by_concatenation(
@@ -220,13 +226,12 @@ def build_zccs_by_concatenation(
         raise InvalidParams(f"p must be prime, got {p}")
     cert, gamma = _prepare(f, deleted, gamma)
     k = len(cert.deleted)
+    pp = _extended_params(f, k, p)
     base = build_ccc(f, cert.deleted, gamma).exponents
-    delta = lcm(p, f.q)
-    n = base.shape[-1]
+    delta, n = pp.delta, 1 << f.m
     # axes (family, lam, t, nu, entry); block i of a sequence is entries i*n..
     source = (delta // f.q) * base.reshape(2, 1, 1 << k, 2 << k, n)
     sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1)
     lam = np.arange(p).reshape(1, p, 1, 1, 1)
     ramp = sign * (delta // p) * lam * np.repeat(np.arange(p), n)
-    exps = (np.tile(source, p) + ramp).reshape(2 * p << k, 2 << k, p * n)
-    return _extended_set(exps, f, k, p, min_blocks_exponent(p))
+    return _extended_set(np.tile(source, p) + ramp, pp)

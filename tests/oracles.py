@@ -1,15 +1,21 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here works on plain complex doubles or brute-force search and
-never calls into the exact group-ring code paths it is checking; the one
-helper that builds library objects, :func:`corrupt_seeded`, only makes
-inputs for the checks.
+never calls into the exact group-ring code paths it is checking.  Two
+helpers build library objects: :func:`corrupt_seeded` only makes inputs
+for the checks, and the per-member builders :func:`reference_ccc` and
+:func:`reference_zccs` assemble a set one member function at a time with
+:func:`~zccs.boolfn.codeword_function`, :func:`~zccs.boolfn.sequence_of`
+and :func:`~zccs.boolfn.pbf_sequence`, the definitions the broadcast
+builders of :mod:`zccs.construct` must reproduce.
 """
 from itertools import permutations
+from math import lcm
 
 import numpy as np
 
-from zccs.construct import CodeSet
+from zccs.boolfn import PbfSpec, check_path_after_deletion, codeword_function, graph_of, pbf_sequence, sequence_of
+from zccs.construct import CodeLabel, CodeSet, CodeSetParams
 
 TOL = 1e-6
 
@@ -33,22 +39,22 @@ def to_complex_code(code) -> list[np.ndarray]:
 
 
 def float_zcz_width(cs) -> int:
-    """Largest zone width by exhaustive floating-point scan (0 if none)."""
-    codes = [to_complex_code(c) for c in cs.codes]
-    n = cs.params.N
-    peak = cs.params.M * cs.params.N
-    for code in codes:
-        if abs(naive_code_accf(code, code, 0) - peak) > TOL:
-            return -1
-    for i, a in enumerate(codes):
-        for j, b in enumerate(codes):
-            if i != j and abs(naive_code_accf(a, b, 0)) > TOL:
-                return 0
-    for tau in range(1, n):
-        for a in codes:
-            for b in codes:
-                if abs(naive_code_accf(a, b, tau)) > TOL:
-                    return tau
+    """Largest zone width by exhaustive floating-point scan (0 if none).
+
+    At each shift tau, corr[i, j] is the definitional sum of
+    a_i[x + tau] * conj(a_j[x]) over the members and entries x of codes i
+    and j, taken for every code pair at once."""
+    pp = cs.params
+    n, peak = pp.N, pp.M * pp.N
+    codes = np.exp(2j * np.pi * cs.exponents / pp.delta)
+    for tau in range(n):
+        corr = codes[:, :, tau:].reshape(pp.K, -1) @ np.conj(codes[:, :, : n - tau]).reshape(pp.K, -1).T
+        if tau == 0:
+            if np.any(np.abs(np.diagonal(corr) - peak) > TOL):
+                return -1
+            corr -= peak * np.eye(pp.K)
+        if np.any(np.abs(corr) > TOL):
+            return tau
     return n
 
 
@@ -121,3 +127,61 @@ def corrupt_seeded(cs: CodeSet, seed: int) -> CodeSet:
     exps = cs.exponents.copy()
     exps[mu, nu, pos] = (exps[mu, nu, pos] + rng.integers(1, pp.delta)) % pp.delta
     return CodeSet(exps, cs.labels, pp)
+
+
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    return tuple((value >> i) & 1 for i in range(width))
+
+
+def _member_order(k: int):
+    """Yield (d_vec, d) with member index nu = d*2**k + sum(d_i * 2**i)."""
+    for nu in range(1 << (k + 1)):
+        yield _bits(nu & ((1 << k) - 1), k), nu >> k
+
+
+def _certified(f, deleted, gamma):
+    cert = check_path_after_deletion(graph_of(f), deleted, f.q)
+    return cert, min(cert.end_vertices) if gamma is None else gamma
+
+
+def reference_ccc(f, deleted, gamma=None) -> CodeSet:
+    """The set of ``build_ccc``, one ``codeword_function`` and one
+    ``sequence_of`` per member."""
+    cert, gamma = _certified(f, deleted, gamma)
+    k = len(cert.deleted)
+    half, n = 1 << k, 1 << f.m
+    exps = np.empty((2 * half, 2 * half, n), dtype=np.int64)
+    for t in range(half):
+        t_vec = _bits(t, k)
+        for nu, (d_vec, d) in enumerate(_member_order(k)):
+            for mu, family, sign in ((t, "F", 1), (half + t, "G", -1)):
+                g = codeword_function(f, cert.deleted, d_vec, t_vec, d, gamma, family)
+                exps[mu, nu] = sign * sequence_of(g).exponents
+    labels = [CodeLabel(family, t) for family in ("C", "Cbar") for t in range(half)]
+    return CodeSet(exps, labels, CodeSetParams(K=2 * half, M=2 * half, N=n, Z=n, q=f.q, m=f.m, k=k, delta=f.q))
+
+
+def reference_zccs(f, deleted, gamma=None, p=2, s=None) -> CodeSet:
+    """The set of ``build_zccs``: per member, the ``pbf_sequence`` of
+    length 2**(m+s) truncated to its first p*2**m entries."""
+    cert, gamma = _certified(f, deleted, gamma)
+    if s is None:
+        s = 1
+        while (1 << s) < p:
+            s += 1
+    k = len(cert.deleted)
+    keep, half = p << f.m, p << k
+    exps = np.empty((2 * half, 2 << k, keep), dtype=np.int64)
+    for lam in range(p):
+        u_spec, v_spec = PbfSpec(f, p, s, lam, "F"), PbfSpec(f, p, s, lam, "G")
+        for t in range(1 << k):
+            t_vec = _bits(t, k)
+            mu = (lam << k) + t
+            for nu, (d_vec, d) in enumerate(_member_order(k)):
+                exps[mu, nu] = pbf_sequence(u_spec, d_vec, t_vec, d, cert, gamma).exponents[:keep]
+                exps[half + mu, nu] = -pbf_sequence(v_spec, d_vec, t_vec, d, cert, gamma).exponents[:keep]
+    labels = [CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(p) for t in range(1 << k)]
+    params = CodeSetParams(
+        K=2 * half, M=2 << k, N=keep, Z=1 << f.m, q=f.q, m=f.m, k=k, delta=lcm(p, f.q), p=p, s=s,
+    )
+    return CodeSet(exps, labels, params)

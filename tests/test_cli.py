@@ -104,6 +104,16 @@ class TestVerify:
         assert rc != 0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b'{"format_version": 1, "delta": "\xff"}',  # not UTF-8
+        b"[" * 200_000 + b"]" * 200_000,  # nested beyond the decoder's recursion limit
+    ], ids=["non_utf8", "deep_nesting"])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["verify", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCorr:
     def test_auto_pair_peak_row(self, flagship_file, capsys):

@@ -1,11 +1,12 @@
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
+from zccs.boolfn import GeneralizedBooleanFunction, check_path_after_deletion, graph_of, parse_gbf
 from zccs.algebra import MAX_DELTA, MAX_TERMS
 from zccs.cli import code_set_from_dict, code_set_to_dict
 from zccs.construct import (
@@ -19,7 +20,7 @@ from zccs.construct import (
 )
 from zccs.errors import InvalidGamma, InvalidParams
 
-from oracles import TOL, float_zcz_width, naive_code_accf, to_complex_code
+from oracles import TOL, float_zcz_width, naive_code_accf, reference_ccc, reference_zccs, to_complex_code
 
 
 def chain_function(m, k, q):
@@ -114,6 +115,23 @@ class TestBuildZccs:
         assert CodeSet(cs.exponents, cs.labels[::-1], cs.params) != cs
         assert CodeSet(cs.exponents, cs.labels, replace(cs.params, Z=4)) != cs
 
+    @pytest.mark.parametrize("s", [16, 4096])
+    def test_large_s_costs_nothing(self, s):
+        f = parse_gbf("x1*x2", 3, 2)
+        start = time.perf_counter()
+        cs = build_zccs(f, [0], 2, p=3, s=s)
+        assert time.perf_counter() - start < 0.5
+        default = build_zccs(f, [0], 2, p=3)
+        assert cs.params == replace(default.params, s=s)
+        assert cs.labels == default.labels
+        assert np.array_equal(cs.exponents, default.exponents)
+
+    def test_huge_s_is_checked_without_a_shift(self):
+        f = parse_gbf("x1*x2", 3, 2)
+        assert build_zccs(f, [0], 2, p=3, s=10**9).params.s == 10**9
+        with pytest.raises(InvalidParams):
+            build_zccs(f, [0], 2, p=3, s=0)
+
     def test_default_gamma_is_lower_endpoint(self):
         f = parse_gbf("x1*x2", 3, 2)
         assert build_zccs(f, [0], p=3) == build_zccs(f, [0], 1, p=3)
@@ -190,11 +208,12 @@ class TestCoefficientBound:
 
 
 @st.composite
-def certified_functions(draw):
-    """A second-order function whose m - k kept vertices form a path with
-    every edge weighing q/2, plus random linear and constant terms and
-    random edges at the k deleted vertices; returns (f, deleted)."""
-    q = draw(st.sampled_from([2, 4]))
+def certified_functions(draw, qs=(2, 4)):
+    """A second-order function over Z_q, q drawn from qs, whose m - k kept
+    vertices form a path with every edge weighing q/2, plus random linear
+    and constant terms and random edges at the k deleted vertices;
+    returns (f, deleted)."""
+    q = draw(st.sampled_from(qs))
     m = draw(st.integers(1, 4))
     k = draw(st.integers(0, min(2, m - 1)))
     order = draw(st.permutations(range(m)))
@@ -223,3 +242,13 @@ def test_round_trip_and_views_of_random_sets(fd, p):
             assert np.shares_memory(seq.exponents, cs.exponents)
             with pytest.raises(ValueError):
                 seq.exponents[0] = 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(certified_functions((2, 4, 8)), st.sampled_from([2, 3, 5, 7]), st.integers(0, 1), st.integers(0, 2))
+def test_builders_equal_the_per_member_reference(fd, p, end, extra_s):
+    f, deleted = fd
+    gamma = check_path_after_deletion(graph_of(f), deleted, f.q).end_vertices[end]
+    assert build_ccc(f, deleted, gamma) == reference_ccc(f, deleted, gamma)
+    s = min_blocks_exponent(p) + extra_s
+    assert build_zccs(f, deleted, gamma, p=p, s=s) == reference_zccs(f, deleted, gamma, p=p, s=s)
