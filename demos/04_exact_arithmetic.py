@@ -21,7 +21,7 @@ print("1 + w4^2               =", b.to_complex(), "-> exact zero:", b.is_zero())
 c = CycInt(4, np.array([1, -1, 0, 0]))
 print("1 - w4                 =", c.to_complex(), "-> exact zero:", c.is_zero())
 
-# The zero test divides by the cyclotomic polynomial of the root order.
+# The zero test reduces modulo the cyclotomic polynomial of the root order.
 for n in (1, 2, 3, 4, 6, 12):
     print(f"cyclotomic_poly({n:2d}) =", cyclotomic_poly(n))
 

@@ -7,18 +7,21 @@ vector operations, which is what correlation accumulation needs; nothing
 is reduced until a zero test, where the vector is reduced modulo the
 delta-th cyclotomic polynomial.
 
-Coefficients live in int64.  Every term produced by a correlation has
-unit magnitude, so a code correlation of M sequences of length N has
-coefficients bounded by M*N.  :data:`MAX_TERMS` caps M*N and
-:data:`MAX_DELTA` caps the root order; ``CodeSet`` and the file reader
-refuse larger sets.  Under those caps a product of two correlations
-stays below (M*N)**2 * delta, far inside int64, and the floating-point
-accumulation in :mod:`zccs.correlate` rounds back to exact counts.
+Coefficients are stored in int64 and combined in Python ints, so a
+``CycInt`` result that leaves int64 raises ``OverflowError`` instead of
+wrapping.  Every term produced by a correlation has unit magnitude, so a
+code correlation of M sequences of length N has coefficients bounded by
+M*N.  :data:`MAX_TERMS` caps M*N and :data:`MAX_DELTA` caps the root
+order; ``CodeSet`` and the file reader refuse larger sets, and
+``CycInt`` refuses a larger root order.  Under those caps the
+floating-point accumulation in :mod:`zccs.correlate` rounds back to
+exact counts.
 
-A zero test is linear algebra: :func:`reduction_matrix` R reduces a
-histogram h to c = h @ R, and :func:`harmonic_reduction` gives c from the
-phi(delta)/2 primitive harmonics of h, which is how the verifier gets it
-from its FFTs.
+A zero test is linear algebra, and there is one reduction:
+:func:`reduced_forms` takes c = h @ R with R = :func:`reduction_matrix`,
+checking its own exactness bound, and :func:`harmonic_reduction` gives
+the same c from the phi(delta)/2 primitive harmonics of h, which is how
+the verifier gets it from its FFTs.
 """
 from __future__ import annotations
 
@@ -46,33 +49,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Long division of integer polynomials (ascending coefficients).
-
-    The divisor must be monic so the quotient stays integral.
-    """
-    assert den and den[-1] == 1
-    rem = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(rem) - deg_d, 0)
-    for i in range(len(rem) - 1, deg_d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, dc in enumerate(den):
-            rem[i - deg_d + j] -= c * dc
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(quot), tuple(rem)
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """n-th cyclotomic polynomial as ascending integer coefficients.
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of all
-    proper divisors of n; every division is exact.
+    For n >= 2, Phi_n is the Moebius product of (1 - x^(n/s))^mu(s) over
+    the squarefree products s of n's primes.  The factors act on a power
+    series cut after degree phi(n), in Python ints: multiplying by
+    1 - x^d subtracts the series shifted by d, and dividing by it is a
+    running sum along each residue class mod d.
 
     >>> cyclotomic_poly(1)
     (-1, 1)
@@ -81,15 +65,26 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("cyclotomic_poly requires n >= 1")
-    poly: tuple[int, ...] = tuple([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
-            assert rem == ()
-    return poly
+    if n == 1:
+        return (-1, 1)
+    phi, factors = n, [(1, 1)]  # (s, mu(s))
+    for p in range(2, n + 1):
+        if n % p == 0 and is_prime(p):
+            phi = phi // p * (p - 1)
+            factors += [(s * p, -mu) for s, mu in factors]
+    series = np.zeros(phi + 1, dtype=object)
+    series[0] = 1
+    for s, mu in factors:
+        d = n // s
+        if mu == 1:
+            series[d:] = series[d:] - series[:-d]
+        else:
+            padded = np.concatenate([series, np.zeros(-len(series) % d, dtype=object)])
+            series = np.cumsum(padded.reshape(-1, d), axis=0).ravel()[: phi + 1]
+    return tuple(series.tolist())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def reduction_matrix(delta: int) -> np.ndarray:
     """delta x phi(delta) integer matrix whose row j is x^j mod Phi_delta.
 
@@ -106,26 +101,30 @@ def reduction_matrix(delta: int) -> np.ndarray:
     for j in range(n, delta):
         out[j, 1:] = out[j - 1, :-1]
         out[j] -= out[j - 1, -1] * phi
-    # A histogram sums to at most MAX_TERMS, so every partial sum of h @ R
-    # is at most max|R| * MAX_TERMS: exact in int64 and, below 2**53, in
-    # float64 too.
-    assert int(np.abs(out).max()) * MAX_TERMS < 1 << 53
     out.flags.writeable = False
     return out
 
 
 def reduced_forms(h: np.ndarray) -> np.ndarray:
-    """``h @ reduction_matrix(delta)`` for histograms h of shape (..., delta).
+    """``h @ reduction_matrix(delta)`` for integer vectors h of shape (..., delta).
 
-    h holds non-negative counts summing to at most :data:`MAX_TERMS` per
-    histogram, so the product is computed in float64, where numpy uses
-    BLAS, and cast back to int64 exactly.
+    This is the one reduction modulo Phi_delta: ``CycInt``, ``zccs corr``
+    and the verifier's exact recount all go through it.  While
+    sum|h| * max|R| < 2**52 for every vector, every partial sum is an
+    integer below 2**53, so the product is taken in float64, where numpy
+    uses BLAS, and cast back to int64 exactly.  Past that bound it is
+    taken in Python ints and returned as an object array.
     """
-    reduce = reduction_matrix(h.shape[-1]).astype(np.float64)
-    return (h.astype(np.float64) @ reduce).astype(np.int64)
+    reduce = reduction_matrix(h.shape[-1])
+    flt = h.astype(np.float64)
+    # The float sum is within a factor 1 + 2**-40 of the exact one, so the
+    # exact bound is below 2**53 whenever this one is below 2**52.
+    if np.abs(flt).sum(axis=-1).max(initial=0) * np.abs(reduce).max() < 2.0**52:
+        return (flt @ reduce.astype(np.float64)).astype(np.int64)
+    return h.astype(object) @ reduce.astype(object)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     """``(harmonics, basis)``: the primitive harmonics of Z_delta and the
     matrix that maps them to reduced forms.
@@ -180,8 +179,8 @@ class CycInt:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
+        if not 1 <= self.delta <= MAX_DELTA:
+            raise ValueError(f"delta must lie in [1, {MAX_DELTA}], got {self.delta}")
         arr = np.asarray(self.coeffs, dtype=np.int64)
         if arr.shape != (self.delta,):
             raise ValueError("coefficient vector must have length delta")
@@ -208,25 +207,23 @@ class CycInt:
     def __add__(self, other: CycInt) -> CycInt:
         if self.delta != other.delta:
             raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
-        return CycInt(self.delta, self.coeffs + other.coeffs)
+        return CycInt(self.delta, self.coeffs.astype(object) + other.coeffs)
 
     def __sub__(self, other: CycInt) -> CycInt:
         if self.delta != other.delta:
             raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
-        return CycInt(self.delta, self.coeffs - other.coeffs)
+        return CycInt(self.delta, self.coeffs.astype(object) - other.coeffs)
 
     def __neg__(self) -> CycInt:
-        return CycInt(self.delta, -self.coeffs)
+        return CycInt(self.delta, -self.coeffs.astype(object))
 
     def __mul__(self, other: CycInt) -> CycInt:
         """Product in the group ring (cyclic convolution of coefficients)."""
         if self.delta != other.delta:
             raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
-        conv = np.convolve(self.coeffs, other.coeffs)
+        conv = np.convolve(self.coeffs.astype(object), other.coeffs)
         folded = conv[: self.delta].copy()
-        if len(conv) > self.delta:
-            tail = conv[self.delta :]
-            folded[: len(tail)] += tail
+        folded[: self.delta - 1] += conv[self.delta :]
         return CycInt(self.delta, folded)
 
     def mul_root(self, e: int) -> CycInt:
@@ -249,8 +246,10 @@ class CycInt:
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical form: remainder modulo the delta-th cyclotomic polynomial."""
-        _, rem = _poly_divmod(tuple(int(c) for c in self.coeffs), cyclotomic_poly(self.delta))
-        return rem
+        rem = reduced_forms(self.coeffs).tolist()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        return tuple(rem)
 
     def is_zero(self) -> bool:
         """Exact zero test; true iff the value is 0 as a complex number."""

@@ -158,13 +158,17 @@ def build_ccc(
 
 def _extended_params(f: GeneralizedBooleanFunction, k: int, p: int, s: int | None = None) -> CodeSetParams:
     """Params of the prime-extension set, checked before anything is built;
-    s is compared with p's bit length first, so no shift count is huge."""
+    s is compared with p's bit length first, so no shift count is huge, and
+    p is tested for primality only once delta = lcm(p, q) is in bounds."""
     s = min_blocks_exponent(p) if s is None else s
     if s < 1 or (s < p.bit_length() and 1 << s < p):
         raise InvalidParams(f"need s >= 1 and 2**s >= p, got p={p}, s={s}")
-    return _within_limits(CodeSetParams(
+    pp = _within_limits(CodeSetParams(
         K=p * (2 << k), M=2 << k, N=p << f.m, Z=1 << f.m, q=f.q, m=f.m, k=k, delta=lcm(p, f.q), p=p, s=s,
     ))
+    if not is_prime(p):
+        raise InvalidParams(f"p must be prime, got {p}")
+    return pp
 
 
 def _extended_set(exps: np.ndarray, pp: CodeSetParams) -> CodeSet:
@@ -198,8 +202,6 @@ def build_zccs(
     Code mu = lam*2**k + t is the "U" family; the "V" family follows in the
     same order, conjugated.
     """
-    if not is_prime(p):
-        raise InvalidParams(f"p must be prime, got {p}")
     cert, gamma = _prepare(f, deleted, gamma)
     pp = _extended_params(f, len(cert.deleted), p, s)
     # axes (family, lam, t, nu, w, r): kept entry r + 2**m*w, w < p, reads
@@ -222,8 +224,6 @@ def build_zccs_by_concatenation(
     i-th block phase-rotated by w_p^(lam*i); each "V" code concatenates the
     conjugated complement-family sequences rotated by w_p^(-lam*i).
     """
-    if not is_prime(p):
-        raise InvalidParams(f"p must be prime, got {p}")
     cert, gamma = _prepare(f, deleted, gamma)
     k = len(cert.deleted)
     pp = _extended_params(f, k, p)

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -83,6 +84,31 @@ class TestCyclotomicPoly:
         assert cyclotomic_poly(5) == (1, 1, 1, 1, 1)
 
 
+@lru_cache(maxsize=None)
+def _divided_cyclotomic(n):
+    """Phi_n by long division of x^n - 1 by Phi_d for every proper divisor d."""
+    poly = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = poly_divmod(poly, _divided_cyclotomic(d))
+            assert rem == ()
+    return poly
+
+
+class TestCyclotomicByDivision:
+    @pytest.mark.parametrize("ns", [range(1, 201), (105, 210, 385, 1001)])
+    def test_moebius_product_equals_long_division(self, ns):
+        for n in ns:
+            phi = cyclotomic_poly(n)
+            assert phi == _divided_cyclotomic(n)
+            assert all(type(c) is int for c in phi)
+
+    def test_first_coefficient_beyond_one(self):
+        phi = cyclotomic_poly(105)
+        assert [j for j, c in enumerate(phi) if c == -2] == [7, 41]
+        assert all(max(map(abs, cyclotomic_poly(n))) == 1 for n in range(1, 105))
+
+
 class TestZeroTest:
     def test_cube_roots_sum(self):
         assert ci(3, [1, 1, 1]).is_zero()
@@ -153,6 +179,19 @@ class TestReductionMatrix:
         assert np.array_equal(reduced_forms(hist), hist @ reduce)
         assert reduced_forms(hist).dtype == np.int64
 
+    def test_reduced_forms_is_exact_past_the_float_bound(self):
+        rng = np.random.default_rng(52)
+        for delta in (12, 105, 935):
+            reduce = reduction_matrix(delta)
+            # odd values above 2**53 have no exact float64 value
+            hist = rng.integers(-(2**60), 2**60, size=(3, delta)) | 1
+            hist = np.concatenate([hist, rng.integers(0, 2**50, size=(2, delta))])
+            assert (np.abs(hist.astype(float)).sum(axis=1) * np.abs(reduce).max() >= 2.0**52).all()
+            phi = cyclotomic_poly(delta)
+            for h, c in zip(hist, reduced_forms(hist)):
+                _, rem = poly_divmod(tuple(h.tolist()), phi)
+                assert tuple(c.tolist()) == rem + (0,) * (len(phi) - 1 - len(rem))
+
 
 class TestHarmonicReduction:
     def test_keeps_the_primitive_harmonics_up_to_half(self):
@@ -188,6 +227,33 @@ class TestPrimeOrbitSums:
                     total = total + CycInt.root(p, c * alpha)
                 assert total.is_zero() == (c % p != 0)
                 assert total == root_sum(p, c)
+
+
+class TestExactArithmetic:
+    def test_reduced_equals_long_division_remainder(self):
+        rng = np.random.default_rng(60)
+        for _ in range(300):
+            delta = int(rng.integers(1, 200))
+            coeffs = rng.integers(-(2**60), 2**60, size=delta) >> int(rng.integers(0, 61))
+            _, rem = poly_divmod(tuple(coeffs.tolist()), cyclotomic_poly(delta))
+            assert ci(delta, coeffs).reduced() == rem
+
+    def test_results_outside_int64_raise(self):
+        big = ci(3, [2**32, 0, 0])
+        with pytest.raises(OverflowError):
+            big * big
+        half = ci(2, [2**62, 0])
+        with pytest.raises(OverflowError):
+            half + half
+        with pytest.raises(OverflowError):
+            -ci(2, [-(2**63), 0])
+
+    def test_root_order_is_capped(self):
+        assert CycInt.zero(MAX_DELTA).is_zero()
+        with pytest.raises(ValueError):
+            CycInt(MAX_DELTA + 1, np.zeros(MAX_DELTA + 1, dtype=np.int64))
+        with pytest.raises(ValueError):
+            root_sum(1031, 1)
 
 
 class TestComplexValue:

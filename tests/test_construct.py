@@ -132,6 +132,15 @@ class TestBuildZccs:
         with pytest.raises(InvalidParams):
             build_zccs(f, [0], 2, p=3, s=0)
 
+    @pytest.mark.parametrize("builder", [build_zccs, build_zccs_by_concatenation])
+    def test_huge_prime_is_refused_on_delta_before_the_primality_test(self, builder):
+        # Trial division up to sqrt(2**61 - 1) would run for minutes.
+        f = parse_gbf("x1*x2", 3, 2)
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match="delta"):
+            builder(f, [0], 2, p=2**61 - 1)
+        assert time.perf_counter() - start < 0.5
+
     def test_default_gamma_is_lower_endpoint(self):
         f = parse_gbf("x1*x2", 3, 2)
         assert build_zccs(f, [0], p=3) == build_zccs(f, [0], 1, p=3)
