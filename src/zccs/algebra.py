@@ -105,6 +105,16 @@ def reduction_matrix(delta: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def reduction_max(delta: int) -> np.ndarray:
+    """The phi(delta) column maxima max_d |R[d, i]| of R = reduction_matrix(delta).
+
+    A vector h has |(h @ R)[i]| <= sum|h| * reduction_max(delta)[i]."""
+    out = np.abs(reduction_matrix(delta)).max(axis=0)
+    out.flags.writeable = False
+    return out
+
+
 def reduced_forms(h: np.ndarray) -> np.ndarray:
     """``h @ reduction_matrix(delta)`` for integer vectors h of shape (..., delta).
 
@@ -119,7 +129,7 @@ def reduced_forms(h: np.ndarray) -> np.ndarray:
     flt = h.astype(np.float64)
     # The float sum is within a factor 1 + 2**-40 of the exact one, so the
     # exact bound is below 2**53 whenever this one is below 2**52.
-    if np.abs(flt).sum(axis=-1).max(initial=0) * np.abs(reduce).max() < 2.0**52:
+    if np.abs(flt).sum(axis=-1).max(initial=0) * reduction_max(h.shape[-1]).max() < 2.0**52:
         return (flt @ reduce.astype(np.float64)).astype(np.int64)
     return h.astype(object) @ reduce.astype(object)
 

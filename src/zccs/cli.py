@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import MAX_DELTA, MAX_TERMS, is_prime, reduced_forms
 from .boolfn import parse_gbf
 from .construct import CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs
-from .correlate import pair_histograms
+from .correlate import BLOCK_BYTES, code_pair_histograms
 from .errors import FileFormatError, InvalidParams, ShapeError, ZccsError
 from .verify import verify_code_set
 
@@ -181,6 +181,19 @@ def cmd_verify(args) -> int:
     return 0 if report.is_zccs_at_claimed_z else 1
 
 
+def _complex_values(hist: np.ndarray) -> np.ndarray:
+    """The complex values of the rows of a (rows, delta) histogram array.
+
+    Each row is summed like CycInt.to_complex, so the digits match the
+    reference, and the rows are taken a few at a time, so the complex
+    terms stay within BLOCK_BYTES.
+    """
+    delta = hist.shape[1]
+    roots = np.exp(2j * np.pi * np.arange(delta) / delta)
+    rows = max(1, BLOCK_BYTES // (16 * delta))
+    return np.concatenate([(hist[lo : lo + rows] * roots).sum(axis=1) for lo in range(0, len(hist), rows)])
+
+
 def cmd_corr(args) -> int:
     cs = read_code_set(getattr(args, "in"))
     try:
@@ -190,10 +203,9 @@ def cmd_corr(args) -> int:
     if not (0 <= mu1 < cs.params.K and 0 <= mu2 < cs.params.K):
         raise IndexError(f"pair ({mu1},{mu2}) out of range for K={cs.params.K}")
     delta, n = cs.params.delta, cs.params.N
-    hist = pair_histograms(cs.codes[mu1], cs.codes[mu2])
+    hist = code_pair_histograms(cs.exponents, delta, mu1, mu2)
     zero = ~reduced_forms(hist).any(axis=1)
-    # Summed like CycInt.to_complex, so the digits match the reference.
-    values = (hist * np.exp(2j * np.pi * np.arange(delta) / delta)).sum(axis=1)
+    values = _complex_values(hist)
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
         writer = csv.writer(out)

@@ -7,21 +7,25 @@ Zero tests are deferred to the caller and are bit-exact.
 
 :func:`code_accf` builds one histogram by direct counting; it is the
 reference.  The batched engine works on the (K, M, N) exponent array of
-a code set: for a row code mu1, a block of codes mu2 and a window of
-shifts it maps each exponent e to the harmonics w^(-r*e), correlates
-them over the whole block with FFTs along the sequence and sums over
-the M members.  Two recoveries share that core:
+a code set and correlates each unordered pair of codes once: row mu1
+takes only the codes mu2 >= mu1.  It maps each exponent e to the
+harmonics w^(-r*e), correlates the row with a whole block of codes by
+FFTs along the sequence and sums over the M members.  One cyclic
+correlation of length >= N + t1 - 1 holds both theta(mu1, mu2)(tau) and
+theta(mu1, mu2)(-tau) for every tau < t1, and the second gives the mirror
+cell, since theta(mu2, mu1)(tau) = conj(theta(mu1, mu2)(-tau)).  Two
+recoveries share that core, and each checks both halves:
 
 * :func:`code_histograms` takes every harmonic r = 0..delta/2 and
   inverts the harmonic transform to the histograms.  It accepts a block
   only when its residuals stay below RESIDUAL_TOL, every count is
-  non-negative and each histogram sums to its M*(N - tau) terms.
+  non-negative and each histogram sums to its M*(N - |tau|) terms.
 * :func:`code_reductions` takes only the phi(delta)/2 primitive
   harmonics, the ones that survive reduction modulo Phi_delta, and maps
   them straight to the reduced forms h @ R (see
   :func:`~zccs.algebra.harmonic_reduction`).  It accepts a block only
   when every coordinate lies within RESIDUAL_TOL of an integer and
-  inside the bound M*(N - tau)*max_d|R[d, i]|.
+  inside the bound M*(N - |tau|)*max_d|R[d, i]|.
 
 The values are integers of at most 5*MAX_TERMS, so double-precision
 round-off is far below 1/2 (Percival, Math. Comp. 72, 2003).  Any block
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CycInt, harmonic_reduction, is_prime, reduced_forms, reduction_matrix
+from .algebra import CycInt, harmonic_reduction, is_prime, reduced_forms, reduction_max
 from .boolfn import RootSequence
 from .construct import Code
 from .errors import InvalidParams, ShapeError
@@ -104,124 +108,163 @@ def _fft_length(n: int) -> int:
 
 
 def _recount(exps: np.ndarray, delta: int, mu1: int, block: range, t0: int, t1: int) -> np.ndarray:
-    """The histograms of a block counted exactly, cell by cell."""
-    return np.array([[_count(exps[mu1], exps[mu2], delta, tau) for tau in range(t0, t1)] for mu2 in block])
+    """The histograms of a block at shifts +tau and -tau counted exactly, cell by cell."""
+    return np.array([
+        [[_count(exps[mu1], exps[mu2], delta, side * tau) for tau in range(t0, t1)] for side in (1, -1)]
+        for mu2 in block
+    ])
 
 
 def _harmonic_sums(
-    exps: np.ndarray, delta: int, harmonics: np.ndarray, mu1: int, mu2s: range, t0: int, t1: int
-) -> Iterator[tuple[range, np.ndarray]]:
-    """The harmonics of the histograms of code mu1 against the codes mu2s.
+    exps: np.ndarray, delta: int, harmonics: np.ndarray, rows: range, t0: int, t1: int, cols: range | None = None
+) -> Iterator[tuple[int, range, np.ndarray]]:
+    """The harmonics of the histograms of each row code against the codes from it on.
 
-    Yields, block by block of consecutive codes, ``(block, sums)`` with
-    ``sums[j, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r = harmonics[i]
-    and h the histogram of code mu1 with code block[j] at shift tau.
-    Each exponent e maps to w^(-r*e); the harmonics of mu1 are correlated
-    with a whole block by FFTs along the sequence and summed over the M
-    members.  A block holds as many codes as fit BLOCK_BYTES of spectra;
-    when one code does not fit, the harmonics are taken in chunks that
-    do, every block of a chunk in turn, and a block is yielded once its
-    last chunk is in.
+    For each mu1 in rows, yields block by block of the codes mu2 >= mu1
+    in cols (default: all of them) ``(mu1, block, sums)`` with
+    ``sums[j, 0, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r = harmonics[i]
+    and h the histogram of code mu1 with code block[j] at shift tau, and
+    ``sums[j, 1, tau - t0, i]`` the same at shift -tau.  Each exponent e
+    maps to w^(-r*e); the harmonics of mu1 are correlated with a whole
+    block by FFTs along the sequence and summed over the M members.
+
+    Blocks hold as many codes as fit BLOCK_BYTES of spectra and start at
+    multiples of that many codes.  The row's spectra are a slice of those
+    of its own block, which are kept for the next rows inside it, so a
+    set that fits one block takes one forward FFT per harmonic chunk for
+    the whole scan.  When one code does not fit, the harmonics are taken
+    in chunks that do, every block of a row in turn, and a block is
+    yielded once its last chunk is in.
     """
-    _, m, n = exps.shape
+    k, m, n = exps.shape
     if not 0 <= t0 < t1 <= n:
         raise ValueError(f"need 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
+    cols = range(k) if cols is None else cols
     width = t1 - t0
-    # Shifts t0.. of mu1 pair its entries from t0 on with the first n - t0
-    # of each mu2; a cyclic length of n - t0 + width - 1 keeps the window
-    # free of wrap-around.
-    length = _fft_length(n - t0 + width - 1)
+    # A cyclic length of n + t1 - 1 keeps every shift |tau| < t1 free of
+    # wrap-around: +tau sits at index tau and -tau at index length - tau.
+    length = _fft_length(n + t1 - 1)
+    taus = np.arange(t0, t1)
+    ends = np.concatenate([taus, -taus % length])
     per_harmonic = 16 * m * length
     span = max(1, min(len(harmonics), BLOCK_BYTES // per_harmonic))
     step = max(1, BLOCK_BYTES // (per_harmonic * span))
-    pending: dict[int, np.ndarray] = {}
-    for lo in range(0, len(harmonics), span):
-        chunk = slice(lo, lo + span)
+
+    def spectra(block: range, chunk: slice) -> np.ndarray:
         table = np.exp(-2j * np.pi * (np.outer(harmonics[chunk], np.arange(delta)) % delta) / delta)
-        row = np.fft.fft(table[:, exps[mu1, :, t0:]], length)
-        for start in range(mu2s.start, mu2s.stop, step):
-            block = range(start, min(start + step, mu2s.stop))
-            spectra = np.fft.fft(table[:, exps[block.start : block.stop, :, : n - t0]], length)
-            np.conjugate(spectra, out=spectra)
-            spectra *= row[:, None]
-            if lo == 0:
-                pending[start] = np.empty((len(block), width, len(harmonics)), dtype=complex)
-            pending[start][..., chunk] = np.fft.ifft(spectra.sum(axis=2))[..., :width].transpose(1, 2, 0)
-            if chunk.stop >= len(harmonics):
-                yield block, pending.pop(start)
+        return np.fft.fft(table[:, exps[block.start : block.stop]], length)
+
+    kept = None  # (own block, chunk start, its spectra)
+    for mu1 in rows:
+        first = max(mu1, cols.start)
+        own = range(mu1 - mu1 % step, k)[:step]
+        pending: dict[int, np.ndarray] = {}
+        for lo in range(0, len(harmonics), span):
+            chunk = slice(lo, lo + span)
+            if kept is None or kept[:2] != (own, lo):
+                kept = (own, lo, spectra(own, chunk))
+            mine = kept[2]
+            row = mine[:, mu1 - own.start]
+            for start in range(first - first % step, cols.stop, step):
+                block = range(max(start, first), min(start + step, cols.stop))
+                if start == own.start:
+                    product = mine[:, block.start - own.start : block.stop - own.start].conj()
+                else:
+                    product = spectra(block, chunk)
+                    np.conjugate(product, out=product)
+                product *= row[:, None]
+                halves = np.fft.ifft(product.sum(axis=2))[..., ends]
+                if lo == 0:
+                    pending[start] = np.empty((len(block), 2, width, len(harmonics)), dtype=complex)
+                pending[start][..., chunk] = halves.reshape(-1, len(block), 2, width).transpose(1, 2, 3, 0)
+                if chunk.stop >= len(harmonics):
+                    yield mu1, block, pending.pop(start)
 
 
 def code_histograms(
-    exps: np.ndarray, delta: int, mu1: int, mu2s: range, t0: int, t1: int
-) -> Iterator[tuple[range, np.ndarray]]:
-    """Exact correlation histograms of code mu1 against the codes mu2s.
+    exps: np.ndarray, delta: int, rows: range, t0: int, t1: int, cols: range | None = None
+) -> Iterator[tuple[int, range, np.ndarray]]:
+    """Exact correlation histograms of each row code against the codes from it on.
 
     ``exps`` is a (K, M, N) array of exponents mod delta, such as
-    ``CodeSet.exponents``.  For shifts t0 <= tau < t1 (0 <= t0 < t1 <= N)
-    yields, block by block of consecutive codes, ``(block, h)`` with h an
-    int64 array of shape (len(block), t1 - t0, delta) and ``h[i, tau - t0]``
-    the coefficients of the correlation of code mu1 with code block[i] at
-    shift tau, as :func:`code_accf` gives them.  It recovers h from all
+    ``CodeSet.exponents``.  For each mu1 in rows and shifts t0 <= tau < t1
+    (0 <= t0 < t1 <= N) yields, block by block of the codes mu2 >= mu1 in
+    cols (default: all of them), ``(mu1, block, h)`` with h an int64 array
+    of shape (len(block), 2, t1 - t0, delta): ``h[i, 0, tau - t0]`` and
+    ``h[i, 1, tau - t0]`` are the coefficients of the correlation of code
+    mu1 with code block[i] at shifts tau and -tau, as :func:`code_accf`
+    gives them.  The cells below the diagonal follow from
+    theta(B, A)(tau) = conj(theta(A, B)(-tau)).  It recovers h from all
     the harmonics r = 0..delta/2 with an inverse real FFT.
     """
     _, m, n = exps.shape
     harmonics = np.arange(delta // 2 + 1)
     terms = m * (n - np.arange(t0, t1))
-    for block, sums in _harmonic_sums(exps, delta, harmonics, mu1, mu2s, t0, t1):
+    for mu1, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1, cols):
         approx = np.fft.irfft(sums, delta)
-        counts = np.rint(approx)
-        hist = counts.astype(np.int64)
+        del sums  # the checks run in place, as in code_reductions
+        hist = np.rint(approx).astype(np.int64)
+        approx -= hist
         if (
-            np.abs(approx - counts).max() < RESIDUAL_TOL
+            np.abs(approx, out=approx).max() < RESIDUAL_TOL
             and (hist >= 0).all()
             and (hist.sum(axis=-1) == terms).all()
         ):
-            yield block, hist
+            yield mu1, block, hist
         else:
-            yield block, _recount(exps, delta, mu1, block, t0, t1)
+            yield mu1, block, _recount(exps, delta, mu1, block, t0, t1)
 
 
 def code_reductions(
-    exps: np.ndarray, delta: int, mu1: int, mu2s: range, t0: int, t1: int
-) -> Iterator[tuple[range, np.ndarray]]:
-    """Reduced forms of the correlations of code mu1 against the codes mu2s.
+    exps: np.ndarray, delta: int, rows: range, t0: int, t1: int
+) -> Iterator[tuple[int, range, np.ndarray]]:
+    """Reduced forms of the correlations of each row code against the codes from it on.
 
     Takes the arguments of :func:`code_histograms` and yields, block by
-    block, ``(block, c)`` with c an int64 array of shape (len(block),
-    t1 - t0, phi(delta)) equal to ``h @ reduction_matrix(delta)`` for the
-    histograms h that :func:`code_histograms` yields: ``c[i, tau - t0]``
-    is zero iff that correlation is.  Only the primitive harmonics of
-    :func:`~zccs.algebra.harmonic_reduction` are correlated, and c =
-    Re(sums @ basis).
+    block, ``(mu1, block, c)`` with c an int64 array of shape (len(block),
+    2, t1 - t0, phi(delta)) equal to ``h @ reduction_matrix(delta)`` for
+    the histograms h that :func:`code_histograms` yields: ``c[i, side,
+    tau - t0]`` is zero iff that correlation is.  Only the primitive
+    harmonics of :func:`~zccs.algebra.harmonic_reduction` are correlated,
+    and c = Re(sums @ basis).
     """
     _, m, n = exps.shape
     harmonics, basis = harmonic_reduction(delta)
     # Re(S @ B) as one real product: S viewed as interleaved (Re, Im)
     # pairs times the rows Re B_r, -Im B_r interleaved the same way.
     interleaved = np.stack((basis.real, -basis.imag), axis=1).reshape(-1, basis.shape[1])
-    # |c[tau, i]| <= sum_d h[d] |R[d, i]| <= M * (N - tau) * max_d |R[d, i]|.
-    bound = m * (n - np.arange(t0, t1))[:, None] * np.abs(reduction_matrix(delta)).max(axis=0)
-    for block, sums in _harmonic_sums(exps, delta, harmonics, mu1, mu2s, t0, t1):
+    # |c[., tau, i]| <= sum_d h[d] |R[d, i]| <= M * (N - |tau|) * max_d |R[d, i]|.
+    bound = m * (n - np.arange(t0, t1))[:, None] * reduction_max(delta)
+    for mu1, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1):
         approx = sums.view(np.float64) @ interleaved
+        # The checks run in place: with the harmonics in chunks a row holds
+        # all its blocks until the last chunk, and a copy of a block would
+        # outgrow them.
+        del sums
         reduced = np.rint(approx)
-        if np.abs(approx - reduced).max() < RESIDUAL_TOL and (np.abs(reduced) <= bound).all():
-            yield block, reduced.astype(np.int64)
+        approx -= reduced
+        if np.abs(approx, out=approx).max() < RESIDUAL_TOL and (np.abs(reduced, out=approx) <= bound).all():
+            del approx
+            yield mu1, block, reduced.astype(np.int64)
         else:
-            yield block, reduced_forms(_recount(exps, delta, mu1, block, t0, t1))
+            yield mu1, block, reduced_forms(_recount(exps, delta, mu1, block, t0, t1))
+
+
+def code_pair_histograms(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np.ndarray:
+    """Histograms of the correlation of codes mu1 and mu2 of a (K, M, N)
+    exponent array at every shift in (-N, N), from one two-sided
+    correlation.  Row tau + N - 1 equals ``code_accf(a, b, tau).coeffs``.
+    """
+    pair = exps[[mu1]] if mu1 == mu2 else exps[[mu1, mu2]]
+    n = exps.shape[-1]
+    ((_, _, h),) = code_histograms(pair, delta, range(1), 0, n, range(len(pair) - 1, len(pair)))
+    return np.concatenate([h[0, 1, :0:-1], h[0, 0]])
 
 
 def pair_histograms(a: Code, b: Code) -> np.ndarray:
-    """Histograms of the correlation of a with b at every shift in (-N, N).
-
-    Row tau + N - 1 equals ``code_accf(a, b, tau).coeffs``; negative shifts
-    come from theta(a, b)(-tau) = conj(theta(b, a)(tau)).
-    """
-    exps, delta = _stacked(a, b), a.sequences[0].delta
-    n = exps.shape[-1]
-    ((_, ab),) = code_histograms(exps, delta, 0, range(1, 2), 0, n)
-    ((_, ba),) = code_histograms(exps, delta, 1, range(0, 1), 0, n)
-    conj = (-np.arange(delta)) % delta
-    return np.concatenate([ba[0, :0:-1][:, conj], ab[0]])
+    """Histograms of the correlation of a with b at every shift in (-N, N);
+    row tau + N - 1 equals ``code_accf(a, b, tau).coeffs``."""
+    return code_pair_histograms(_stacked(a, b), a.sequences[0].delta, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,19 @@
 A cell (mu1, mu2, tau) is ideal when it is a code's own zero shift, which
 is M*N for every code a CodeSet admits, or when its correlation reduces
 to zero modulo the delta-th cyclotomic polynomial; no verdict depends on
-a floating-point tolerance.  The scan goes row by row in mu1: one call of
-:func:`~zccs.correlate.code_reductions` gives the exact reduced forms,
-modulo Phi_delta, of the correlations of the row over a window of
-shifts, and a cell is ideal when its form is all zero.  A report
-decides each cell once: the zone rows up to z, then, when the maximal
-width is wanted, the shifts from z up to the first failure found.
-Shifts tau >= 0 cover negative ones too, because theta(A, B)(-tau) is
-the conjugate of theta(B, A)(tau).
+a floating-point tolerance.  The scan goes row by row in mu1: calls of
+:func:`~zccs.correlate.code_reductions` give the exact reduced forms,
+modulo Phi_delta, of the correlations of each row with the codes
+mu2 >= mu1 over a window of shifts, and a cell is ideal when its form
+is all zero.  Each correlation gives the shifts tau and -tau, and the
+cells below the diagonal come from theta(B, A)(tau) = conj(theta(A,
+B)(-tau)), so each unordered pair is correlated once.  A report decides
+each cell once: the zone rows up to z, then, when the maximal width is
+wanted, the shifts from z up to the first failure found.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,29 +31,38 @@ class ZccsCheck(NamedTuple):
     witness: tuple[int, int, int] | None
 
 
-def _ideal_row(cs: CodeSet, mu1: int, t0: int, t1: int) -> np.ndarray:
-    """Boolean (K, t1 - t0) mask: is cell (mu1, mu2, tau) ideal."""
-    blocks = code_reductions(cs.exponents, cs.params.delta, mu1, range(cs.params.K), t0, t1)
-    ideal = np.concatenate([~c.any(axis=-1) for _, c in blocks])
-    if t0 == 0:
-        ideal[mu1, 0] = True
-    return ideal
+def _ideal_blocks(cs: CodeSet, rows: range, t0: int, t1: int) -> Iterator[tuple[int, range, np.ndarray]]:
+    """Yields ``(mu1, block, ideal)`` for the rows' codes mu2 >= mu1, block
+    by block: ``ideal[j, 0, tau - t0]`` tells whether cell (mu1, block[j],
+    tau) is ideal and ``ideal[j, 1, tau - t0]`` whether its mirror
+    (block[j], mu1, tau) is."""
+    for mu1, block, c in code_reductions(cs.exponents, cs.params.delta, rows, t0, t1):
+        ideal = ~c.any(axis=-1)
+        if t0 == 0 and block.start == mu1:
+            ideal[0, :, 0] = True
+        yield mu1, block, ideal
 
 
 def _first_bad_shift(cs: CodeSet, start: int) -> int:
     """First tau >= start with a non-ideal cell, N when there is none.
 
     Scans the rows over the shifts from start up to the first failure
-    found so far, so the window narrows as failures turn up and the scan
-    ends once a row fails at start itself.
+    found so far; after a row that narrowed it, the scan goes on over
+    the narrower window, and it ends once a failure turns up at start
+    itself.
     """
-    first = cs.params.N
-    for mu1 in range(cs.params.K):
-        if first == start:
-            break
-        bad = np.flatnonzero(~_ideal_row(cs, mu1, start, first).all(axis=0))
-        if bad.size:
-            first = start + int(bad[0])
+    k, first, row = cs.params.K, cs.params.N, 0
+    while row < k and first > start:
+        window = first
+        for mu1, block, ideal in _ideal_blocks(cs, range(row, k), start, window):
+            bad = np.flatnonzero(~ideal.all(axis=(0, 1)))
+            if bad.size:
+                first = min(first, start + int(bad[0]))
+            if first == start or (block.stop == k and first < window):
+                row = mu1 + 1
+                break
+        else:
+            row = k
     return first
 
 
@@ -60,23 +71,31 @@ def check_zccs(cs: CodeSet, z: int) -> ZccsCheck:
 
     Every cell with 0 <= tau < z must be ideal.  On failure the witness
     is the first non-ideal (mu1, mu2, tau) in lexicographic scan order.
+    Row mu1 correlates the codes mu2 >= mu1 only; a failure of its -tau
+    half at (mu2, mu1, tau) is kept as row mu2's pending witness, which
+    precedes every cell of the upper part of row mu2.
     """
     n = cs.params.N
     if z < 1 or z > n:
         raise InvalidZ(f"need 1 <= Z <= {n}, got {z}")
-    for mu1 in range(cs.params.K):
-        bad = np.argwhere(~_ideal_row(cs, mu1, 0, z))
+    pending: dict[int, tuple[int, int, int]] = {}
+    for mu1, block, ideal in _ideal_blocks(cs, range(cs.params.K), 0, z):
+        if mu1 in pending:
+            return ZccsCheck(False, pending[mu1])
+        bad = np.argwhere(~ideal[:, 0])
         if bad.size:
-            mu2, tau = bad[0]
-            return ZccsCheck(False, (mu1, int(mu2), int(tau)))
+            j, tau = bad[0]
+            return ZccsCheck(False, (mu1, block[j], int(tau)))
+        for j in np.flatnonzero(~ideal[:, 1].all(axis=1)):
+            pending.setdefault(block[j], (block[j], mu1, int(np.argmin(ideal[j, 1]))))
     return ZccsCheck(True, None)
 
 
 def max_zcz(cs: CodeSet) -> int:
     """Widest z for which :func:`check_zccs` holds: the first shift with a
     non-ideal cell, or N.  Returns 0 when cross-correlations at shift 0
-    already fail (no width qualifies).  The scan costs at most K^2 FFT
-    correlations of the M members, each of length about 2N.
+    already fail (no width qualifies).  The scan costs at most K(K+1)/2
+    FFT correlations of the M members, each of length about 2N.
     """
     return _first_bad_shift(cs, 0)
 

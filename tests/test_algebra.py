@@ -13,6 +13,7 @@ from zccs.algebra import (
     is_prime,
     reduced_forms,
     reduction_matrix,
+    reduction_max,
 )
 from zccs.correlate import root_sum
 from zccs.errors import DeltaMismatch
@@ -151,6 +152,12 @@ class TestReductionMatrix:
                 _, rem = poly_divmod((0,) * j + (1,), phi)
                 assert tuple(r[j, : len(rem)]) == rem and not r[j, len(rem) :].any()
 
+    def test_column_maxima_are_cached_next_to_r(self):
+        for delta in (1, 6, 20, 935, 1024):
+            top = reduction_max(delta)
+            assert np.array_equal(top, np.abs(reduction_matrix(delta)).max(axis=0))
+            assert reduction_max(delta) is top and not top.flags.writeable
+
     def test_product_decides_zero_like_is_zero(self):
         rng = np.random.default_rng(17)
         for delta in range(1, 31):
@@ -194,25 +201,23 @@ class TestReductionMatrix:
 
 
 class TestHarmonicReduction:
-    def test_keeps_the_primitive_harmonics_up_to_half(self):
+    def test_primitive_harmonics_give_the_reduced_form(self):
+        # One cold pass over every delta builds each R and B once for both
+        # checks: the harmonics kept and the reduced forms they give.
+        rng = np.random.default_rng(23)
+        worst_gain = 0.0
         for delta in range(1, MAX_DELTA + 1):
             harmonics, basis = harmonic_reduction(delta)
             assert harmonics.tolist() == [r for r in range(delta // 2 + 1) if gcd(r, delta) == 1]
             assert basis.shape == (len(harmonics), len(cyclotomic_poly(delta)) - 1)
             if delta >= 3:
                 assert 2 * len(harmonics) == basis.shape[1]
-        assert harmonic_reduction(1)[0].tolist() == [0]
-        assert harmonic_reduction(2)[0].tolist() == [1]
-
-    def test_primitive_harmonics_give_the_reduced_form(self):
-        rng = np.random.default_rng(23)
-        worst_gain = 0.0
-        for delta in range(1, MAX_DELTA + 1):
-            harmonics, basis = harmonic_reduction(delta)
             hist = rng.integers(0, 1000, size=(3, delta))
             approx = (np.fft.rfft(hist)[:, harmonics] @ basis).real
             assert np.abs(approx - hist @ reduction_matrix(delta)).max() < 1e-6
             worst_gain = max(worst_gain, float(np.abs(basis).sum(axis=0).max()))
+        assert harmonic_reduction(1)[0].tolist() == [0]
+        assert harmonic_reduction(2)[0].tolist() == [1]
         # The error gain the docstring quotes; harmonic_reduction asserts
         # gain * MAX_TERMS * 2**-52 < 2**-20.
         assert 13.1 < worst_gain < 13.2

@@ -1,12 +1,14 @@
 """The batched correlation engine against the per-cell reference path.
 
-``code_histograms`` and ``pair_histograms`` must give, cell for cell, the
-histograms ``code_accf`` counts, ``code_reductions`` their reductions mod
-Phi_delta, and the reports built on them must not depend on whether a
-block was accepted from the FFT or recounted exactly.
+``code_histograms`` and ``pair_histograms`` must give, cell for cell and
+at shifts +tau and -tau, the histograms ``code_accf`` counts,
+``code_reductions`` their reductions mod Phi_delta, and the reports built
+on them must not depend on whether a block was accepted from the FFT or
+recounted exactly.
 """
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zccs import correlate
-from zccs.algebra import MAX_TERMS, reduced_forms, reduction_matrix
+from zccs.algebra import MAX_TERMS, CycInt, harmonic_reduction, reduced_forms, reduction_matrix
 from zccs.boolfn import RootSequence, parse_gbf
-from zccs.cli import main, write_code_set
-from zccs.construct import Code, CodeLabel, build_ccc, build_zccs
-from zccs.correlate import code_accf, code_histograms, code_reductions, pair_histograms
-from zccs.verify import verify_code_set
+from zccs.cli import _complex_values, main, write_code_set
+from zccs.construct import Code, CodeLabel, CodeSet, build_ccc, build_zccs
+from zccs.correlate import code_accf, code_histograms, code_pair_histograms, code_reductions, pair_histograms
+from zccs.verify import check_zccs, verify_code_set
 
 from oracles import corrupt_seeded
 
@@ -44,10 +46,34 @@ def no_fallback(monkeypatch):
     monkeypatch.setattr(correlate, "_recount", _refuse)
 
 
-def _row(exps, delta, mu1, t0, t1, engine=code_histograms):
-    blocks = list(engine(exps, delta, mu1, range(len(exps)), t0, t1))
-    assert [mu for block, _ in blocks for mu in block] == list(range(len(exps)))
-    return np.concatenate([h for _, h in blocks])
+def _upper(exps, delta, t0, t1, engine=code_histograms, rows=None):
+    """The engine's values for each row mu1, over the codes mu2 >= mu1.
+
+    Checks that the blocks of each row come in order and cover exactly
+    the codes from mu1 on."""
+    k = len(exps)
+    rows = range(k) if rows is None else rows
+    blocks = {}
+    for mu1, block, values in engine(exps, delta, rows, t0, t1):
+        assert values.shape[:3] == (len(block), 2, t1 - t0)
+        blocks.setdefault(mu1, []).append((block, values))
+    assert list(blocks) == list(rows)
+    for mu1, row in blocks.items():
+        assert [mu for block, _ in row for mu in block] == list(range(mu1, k))
+    return {mu1: np.concatenate([v for _, v in row]) for mu1, row in blocks.items()}
+
+
+def _accf_table(codes):
+    """``table[mu1, mu2, tau + N - 1]`` = ``code_accf(codes[mu1], codes[mu2], tau).coeffs``."""
+    n = len(codes[0].sequences[0])
+    return np.array([[[code_accf(a, b, tau).coeffs for tau in range(-n + 1, n)] for b in codes] for a in codes])
+
+
+def _expected(table, mu1, t0, t1):
+    """Row mu1 of the table over the codes mu2 >= mu1 at shifts +tau and -tau."""
+    n = (table.shape[2] + 1) // 2
+    taus = np.arange(t0, t1)
+    return table[mu1, mu1:][:, np.stack([n - 1 + taus, n - 1 - taus])]
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
@@ -58,18 +84,20 @@ def test_batched_histograms_match_code_accf(name, seed, no_fallback):
         cs = corrupt_seeded(cs, seed)
     codes, pp = cs.codes, cs.params
     n = pp.N
+    table = _accf_table(codes)
     rng = np.random.default_rng(seed)
+    upper = _upper(cs.exponents, pp.delta, 0, n)
     for mu1 in range(pp.K):
-        row = _row(cs.exponents, pp.delta, mu1, 0, n)
+        assert np.array_equal(upper[mu1], _expected(table, mu1, 0, n))
         t0 = int(rng.integers(n))
         t1 = int(rng.integers(t0 + 1, n + 1))
-        assert np.array_equal(_row(cs.exponents, pp.delta, mu1, t0, t1), row[:, t0:t1])
+        window = _upper(cs.exponents, pp.delta, t0, t1, rows=range(mu1, pp.K))
+        assert np.array_equal(window[mu1], upper[mu1][:, :, t0:t1])
         for mu2 in range(pp.K):
             both = pair_histograms(codes[mu1], codes[mu2])
             assert both.shape == (2 * n - 1, pp.delta)
-            assert np.array_equal(both[n - 1 :], row[mu2])
-            for tau in range(-n + 1, n):
-                assert np.array_equal(both[tau + n - 1], code_accf(codes[mu1], codes[mu2], tau).coeffs)
+            assert np.array_equal(both, code_pair_histograms(cs.exponents, pp.delta, mu1, mu2))
+            assert np.array_equal(both, table[mu1, mu2])
 
 
 @pytest.mark.parametrize("block_bytes", [correlate.BLOCK_BYTES, 1])
@@ -81,16 +109,69 @@ def test_reductions_match_reduced_code_accf(name, seed, block_bytes, no_fallback
     cs = ENGINE_SETS[name]()
     if seed is not None:
         cs = corrupt_seeded(cs, seed)
-    codes, pp = cs.codes, cs.params
-    reduce = reduction_matrix(pp.delta)
+    pp = cs.params
+    table = _accf_table(cs.codes) @ reduction_matrix(pp.delta)
     rng = np.random.default_rng(seed)
+    upper = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
     for mu1 in range(pp.K):
-        row = _row(cs.exponents, pp.delta, mu1, 0, pp.N, code_reductions)
-        ref = np.array([[code_accf(codes[mu1], b, tau).coeffs for tau in range(pp.N)] for b in codes]) @ reduce
-        assert row.dtype == np.int64 and np.array_equal(row, ref)
-        t0 = int(rng.integers(pp.N))
+        assert upper[mu1].dtype == np.int64
+        assert np.array_equal(upper[mu1], _expected(table, mu1, 0, pp.N))
+    for _ in range(3):
+        t0 = int(rng.integers(1, pp.N))
         t1 = int(rng.integers(t0 + 1, pp.N + 1))
-        assert np.array_equal(_row(cs.exponents, pp.delta, mu1, t0, t1, code_reductions), ref[:, t0:t1])
+        first = int(rng.integers(pp.K))
+        window = _upper(cs.exponents, pp.delta, t0, t1, code_reductions, range(first, pp.K))
+        for mu1 in range(first, pp.K):
+            assert np.array_equal(window[mu1], _expected(table, mu1, t0, t1))
+
+
+@pytest.mark.parametrize("span, step", [(None, 1), (None, 2), (None, 3), (1, 1), (2, 1)])
+@pytest.mark.parametrize("engine", [code_histograms, code_reductions])
+def test_aligned_blocks_and_harmonic_chunks(engine, span, step, no_fallback, monkeypatch):
+    cs = corrupt_seeded(ENGINE_SETS["zccs_14x2x28_delta28"](), 4)
+    pp = cs.params
+    if engine is code_histograms:
+        harmonics, reduce = np.arange(pp.delta // 2 + 1), np.eye(pp.delta, dtype=np.int64)
+    else:
+        harmonics, reduce = harmonic_reduction(pp.delta)[0], reduction_matrix(pp.delta)
+    # The budget that gives blocks of `step` codes, or chunks of `span`
+    # harmonics, over the full window.
+    per_harmonic = 16 * pp.M * correlate._fft_length(2 * pp.N - 1)
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or len(harmonics)) * step)
+    table = _accf_table(cs.codes) @ reduce
+    blocks = [(mu1, block) for mu1, block, _ in engine(cs.exponents, pp.delta, range(pp.K), 0, pp.N)]
+    for mu1, block in blocks:
+        assert block.start == mu1 or block.start % step == 0
+        assert block.stop == pp.K or block.stop % step == 0
+        assert 1 <= len(block) <= step
+    for t0, t1, first in ((0, pp.N, 0), (0, 5, 3), (4, 9, 0), (13, pp.N, 5)):
+        window = _upper(cs.exponents, pp.delta, t0, t1, engine, range(first, pp.K))
+        for mu1 in range(first, pp.K):
+            assert np.array_equal(window[mu1], _expected(table, mu1, t0, t1))
+
+
+@pytest.mark.parametrize("span", [None, 2])
+def test_one_block_scan_takes_one_forward_fft_per_chunk(span, monkeypatch):
+    cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
+    pp = cs.params
+    harmonics, _ = harmonic_reduction(pp.delta)
+    if span is not None:
+        # A one-code set whose harmonics come in chunks of `span`.
+        cs = CodeSet(cs.exponents[:1], cs.labels[:1], replace(pp, K=1))
+        per_harmonic = 16 * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
+        monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * span)
+    calls = []
+    fft = np.fft.fft
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    assert check_zccs(cs, pp.Z).ok
+    chunks = 1 if span is None else -(-len(harmonics) // span)
+    assert chunks == (1 if span is None else 3)
+    assert len(calls) == chunks
 
 
 def test_reductions_of_a_root_order_1024_ccc(no_fallback):
@@ -100,10 +181,10 @@ def test_reductions_of_a_root_order_1024_ccc(no_fallback):
     # The spectra of one code, 512 primitive harmonics of 2 sequences at
     # FFT length 2048, outgrow BLOCK_BYTES, so its harmonics are split.
     assert 16 * 512 * pp.M * 2048 > correlate.BLOCK_BYTES
+    upper = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
     for mu1 in range(pp.K):
-        row = _row(cs.exponents, pp.delta, mu1, 0, pp.N, code_reductions)
-        hist = RECOUNT(cs.exponents, pp.delta, mu1, range(pp.K), 0, pp.N)
-        assert np.array_equal(row, reduced_forms(hist))
+        hist = RECOUNT(cs.exponents, pp.delta, mu1, range(mu1, pp.K), 0, pp.N)
+        assert np.array_equal(upper[mu1], reduced_forms(hist))
     tracemalloc.start()
     try:
         report = verify_code_set(cs, compute_max=True)
@@ -111,8 +192,25 @@ def test_reductions_of_a_root_order_1024_ccc(no_fallback):
     finally:
         tracemalloc.stop()
     assert report.is_ccc and report.max_zcz == pp.N
-    # About 32 MB with the split, 103 MB without it.
+    # About 41 MB with the split.
     assert peak < 48e6
+
+
+def test_complex_values_of_a_profile_stay_small():
+    cs = build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), [])
+    hist = code_pair_histograms(cs.exponents, cs.params.delta, 0, 1)
+    tracemalloc.start()
+    try:
+        values = _complex_values(hist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The unchunked product is a (2N - 1) x delta complex array, 33 MB.
+    assert peak < 2e6
+    # Each row is summed as before, so the digits are the same.
+    roots = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    assert np.array_equal(values, (hist * roots).sum(axis=1))
+    assert values[1023] == CycInt(1024, hist[1023]).to_complex()
 
 
 def test_out_of_bound_reductions_are_recounted(monkeypatch):
@@ -121,16 +219,25 @@ def test_out_of_bound_reductions_are_recounted(monkeypatch):
     harmonic_sums = correlate._harmonic_sums
 
     def shifted(*args):
-        for block, sums in harmonic_sums(*args):
-            yield block, sums + float(1 << 24)
+        for mu1, block, sums in harmonic_sums(*args):
+            yield mu1, block, sums + float(1 << 24)
 
     cs = corrupt_seeded(ENGINE_SETS["zccs_10x2x20_delta20"](), 2)
     pp = cs.params
-    fast = [_row(cs.exponents, pp.delta, mu1, 0, pp.N, code_reductions) for mu1 in range(pp.K)]
+    fast = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
     assert 1 << 24 > 5 * MAX_TERMS
+    recounted = []
+
+    def counting(*args):
+        recounted.append(args)
+        return RECOUNT(*args)
+
     monkeypatch.setattr(correlate, "_harmonic_sums", shifted)
+    monkeypatch.setattr(correlate, "_recount", counting)
+    slow = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
+    assert len(recounted) >= pp.K
     for mu1 in range(pp.K):
-        assert np.array_equal(_row(cs.exponents, pp.delta, mu1, 0, pp.N, code_reductions), fast[mu1])
+        assert np.array_equal(slow[mu1], fast[mu1])
 
 
 def test_empty_or_outside_window_is_refused():
@@ -138,7 +245,7 @@ def test_empty_or_outside_window_is_refused():
     for engine in (code_histograms, code_reductions):
         for t0, t1 in ((3, 3), (0, 25), (-1, 2)):
             with pytest.raises(ValueError):
-                list(engine(cs.exponents, cs.params.delta, 0, range(2), t0, t1))
+                list(engine(cs.exponents, cs.params.delta, range(2), t0, t1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -150,24 +257,28 @@ def test_histograms_of_random_exponent_arrays(data):
     n = data.draw(st.integers(1, 24), label="N")
     exps = data.draw(arrays(np.int64, (k, m, n), elements=st.integers(0, delta - 1)), label="exponents")
     codes = [Code(tuple(RootSequence(delta, seq) for seq in code), CodeLabel("C", 0)) for code in exps]
-    mu1 = data.draw(st.integers(0, k - 1), label="mu1")
+    first = data.draw(st.integers(0, k - 1), label="first row")
     t0 = data.draw(st.integers(0, n - 1), label="t0")
     t1 = data.draw(st.integers(t0 + 1, n), label="t1")
+    mu1 = data.draw(st.integers(0, k - 1), label="mu1")
+    mu2 = data.draw(st.integers(0, k - 1), label="mu2")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlate, "_recount", _refuse)
-        row = _row(exps, delta, mu1, t0, t1)
-        reduced = _row(exps, delta, mu1, t0, t1, code_reductions)
-        other = data.draw(st.integers(0, k - 1), label="other")
-        both = pair_histograms(codes[mu1], codes[other])
-    assert np.array_equal(reduced, row @ reduction_matrix(delta))
-    zero = ~reduced.any(axis=-1)
-    for mu2 in range(k):
-        for tau in range(t0, t1):
-            ref = code_accf(codes[mu1], codes[mu2], tau)
-            assert np.array_equal(row[mu2, tau - t0], ref.coeffs)
-            assert zero[mu2, tau - t0] == ref.is_zero()
+        upper = _upper(exps, delta, t0, t1, rows=range(first, k))
+        reduced = _upper(exps, delta, t0, t1, code_reductions, range(first, k))
+        both = code_pair_histograms(exps, delta, mu1, mu2)
+    for row in range(first, k):
+        assert np.array_equal(reduced[row], upper[row] @ reduction_matrix(delta))
+        zero = ~reduced[row].any(axis=-1)
+        for col in range(row, k):
+            for side in (1, -1):
+                for tau in range(t0, t1):
+                    ref = code_accf(codes[row], codes[col], side * tau)
+                    cell = (col - row, (1 - side) // 2, tau - t0)
+                    assert np.array_equal(upper[row][cell], ref.coeffs)
+                    assert zero[cell] == ref.is_zero()
     for tau in range(-n + 1, n):
-        assert np.array_equal(both[tau + n - 1], code_accf(codes[mu1], codes[other], tau).coeffs)
+        assert np.array_equal(both[tau + n - 1], code_accf(codes[mu1], codes[mu2], tau).coeffs)
 
 
 def _reports_and_rows(cs, path):

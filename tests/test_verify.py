@@ -1,9 +1,11 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from zccs.boolfn import parse_gbf
 from zccs.construct import CodeSet, CodeSetParams, build_ccc, build_zccs
+from zccs.correlate import code_accf
 from zccs.errors import InvalidZ, NotAZccs, ShapeError
 from zccs.verify import check_ccc, check_optimal, check_zccs, max_zcz, verify_code_set
 
@@ -172,3 +174,50 @@ def test_report_matches_float_oracle(name, seed):
             assert report.max_zcz == (width if compute_max else None)
             assert report.is_ccc == (pp.K == pp.M and width == pp.N)
             assert report.peak == peak
+
+
+def corrupt_later_rows(cs: CodeSet, seed: int) -> CodeSet:
+    """Shift one to four seeded exponents of codes 1..K-1."""
+    pp = cs.params
+    rng = np.random.default_rng(seed)
+    exps = cs.exponents.copy()
+    for _ in range(rng.integers(1, 5)):
+        mu, nu, pos = rng.integers(1, pp.K), rng.integers(pp.M), rng.integers(pp.N)
+        exps[mu, nu, pos] = (exps[mu, nu, pos] + rng.integers(1, pp.delta)) % pp.delta
+    return CodeSet(exps, cs.labels, pp)
+
+
+# Found by a seeded search against first_violation.  In both sets row 0
+# is clean and the first failure (2, mu2, 1) is the mirror of the ideal
+# cell (mu2, 2, 1) at shift -1, which row mu2 finds; row 2 also fails in
+# its own upper part, later in order.  In the second set rows 0 and 1
+# both find a mirror failure in row 2, and the first one must win.
+@pytest.mark.parametrize("name, seed, witness", [("zccs_8x4x8", 1857, (2, 1, 1)), ("ccc_4x4x8", 1131, (2, 0, 1))])
+def test_first_failure_in_a_mirror_cell(name, seed, witness):
+    cs = corrupt_later_rows(CROSS_CHECK_SETS[name](), seed)
+    codes, pp = cs.codes, cs.params
+    mu1, mu2, tau = witness
+    assert first_violation(cs, 2) == witness
+    assert code_accf(codes[mu2], codes[mu1], tau).is_zero()
+    assert not code_accf(codes[mu2], codes[mu1], -tau).is_zero()
+    assert any(not code_accf(codes[mu1], codes[c], 1).is_zero() for c in range(mu1, pp.K))
+    if mu2 == 0:
+        assert not code_accf(codes[1], codes[mu1], -1).is_zero()
+    assert check_zccs(cs, 2) == (False, witness)
+    report = verify_code_set(cs, 2, compute_max=True)
+    assert report.witness == witness
+    assert report.max_zcz == float_zcz_width(cs)
+
+
+def test_max_zcz_counts_the_mirror_cells():
+    # Code 1 of a CCC moved by one position: every cell (mu1 <= mu2, tau)
+    # is ideal at shift 1, so the width 1 shows only at shift -1 of a
+    # correlation with mu1 < mu2.
+    cs = CROSS_CHECK_SETS["ccc_4x4x8"]()
+    exps = cs.exponents.copy()
+    exps[1] = np.roll(exps[1], 1, axis=1)
+    cs = CodeSet(exps, cs.labels, cs.params)
+    codes = cs.codes
+    assert all(code_accf(a, b, 1).is_zero() for i, a in enumerate(codes) for b in codes[i:])
+    assert max_zcz(cs) == float_zcz_width(cs) == 1
+    assert check_zccs(cs, 2).witness == first_violation(cs, 2)
