@@ -17,7 +17,6 @@ set survives serialization bit-exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from math import lcm
@@ -106,12 +105,13 @@ def _label_from_dict(entry: dict, pp: CodeSetParams) -> CodeLabel:
 
 def code_set_from_dict(doc: dict) -> CodeSet:
     try:
-        if doc["format_version"] != FORMAT_VERSION:
+        # type() first: True, 1.0 and 6.0 compare equal to the integers.
+        if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
             raise FileFormatError(f"unsupported format_version {doc['format_version']}")
         params = CodeSetParams(**{name: doc["params"][name] for name in _PARAM_FIELDS})
         _check_params(params)
         delta = doc["delta"]
-        if delta != params.delta:
+        if type(delta) is not int or delta != params.delta:
             raise FileFormatError("top-level delta disagrees with params")
         labels, rows = [], []
         for entry in doc["codes"]:
@@ -206,18 +206,16 @@ def cmd_corr(args) -> int:
     hist = code_pair_histograms(cs.exponents, delta, mu1, mu2)
     zero = ~reduced_forms(hist).any(axis=1)
     values = _complex_values(hist)
+    # The rows csv.writer would write: no field needs quoting, and lines
+    # end in CRLF.
+    rows = ["tau,re,im,abs,exact_zero"]
+    rows += [
+        f"{tau},{z.real:.12g},{z.imag:.12g},{abs(z):.12g},{str(exact_zero).lower()}"
+        for tau, z, exact_zero in zip(range(-n + 1, n), values.tolist(), zero.tolist())
+    ]
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
-        writer = csv.writer(out)
-        writer.writerow(["tau", "re", "im", "abs", "exact_zero"])
-        for tau, z, exact_zero in zip(range(-n + 1, n), values.tolist(), zero.tolist()):
-            writer.writerow([
-                tau,
-                f"{z.real:.12g}",
-                f"{z.imag:.12g}",
-                f"{abs(z):.12g}",
-                str(exact_zero).lower(),
-            ])
+        out.write("\r\n".join(rows) + "\r\n")
     finally:
         if args.csv:
             out.close()

@@ -9,8 +9,11 @@ Zero tests are deferred to the caller and are bit-exact.
 reference.  The batched engine works on the (K, M, N) exponent array of
 a code set and correlates each unordered pair of codes once: row mu1
 takes only the codes mu2 >= mu1.  It maps each exponent e to the
-harmonics w^(-r*e), correlates the row with a whole block of codes by
-FFTs along the sequence and sums over the M members.  One cyclic
+harmonics w^(-r*e), correlates the row with a whole slice of codes by
+FFTs along the sequence and sums over the M members.  When the spectra
+of every code fit CACHE_BYTES, a scan computes each code's once, block
+by block as the rows first reach them; else it keeps only the row's own
+block and computes the later ones again for each row.  One cyclic
 correlation of length >= N + t1 - 1 holds both theta(mu1, mu2)(tau) and
 theta(mu1, mu2)(-tau) for every tau < t1, and the second gives the mirror
 cell, since theta(mu2, mu1)(tau) = conj(theta(mu1, mu2)(-tau)).  Two
@@ -46,9 +49,12 @@ from .errors import InvalidParams, ShapeError
 
 # Largest |h - rint(h)| accepted from the FFT before a block is recounted.
 RESIDUAL_TOL = 0.25
-# Byte budget of a block's spectra, the largest transient array; a block
-# holds as many codes as fit, and at least one.
+# Byte budget of a block's spectra and of a slice's member sums, the
+# transient arrays; a block holds as many codes as fit, and at least one.
 BLOCK_BYTES = 1 << 18
+# Byte budget of the spectra of a whole code set: a scan keeps every
+# code's spectra when they fit, else only those of the row's own block.
+CACHE_BYTES = 1 << 21
 
 
 def _check_pair(a: RootSequence, b: RootSequence):
@@ -120,65 +126,112 @@ def _harmonic_sums(
 ) -> Iterator[tuple[int, range, np.ndarray]]:
     """The harmonics of the histograms of each row code against the codes from it on.
 
-    For each mu1 in rows, yields block by block of the codes mu2 >= mu1
-    in cols (default: all of them) ``(mu1, block, sums)`` with
+    For each mu1 in rows, yields slice by slice of the codes mu2 >= mu1
+    in cols (default: all of them) ``(mu1, block, sums)``, with block
+    the slice's codes and
     ``sums[j, 0, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r = harmonics[i]
     and h the histogram of code mu1 with code block[j] at shift tau, and
     ``sums[j, 1, tau - t0, i]`` the same at shift -tau.  Each exponent e
     maps to w^(-r*e); the harmonics of mu1 are correlated with a whole
-    block by FFTs along the sequence and summed over the M members.
+    slice of codes by FFTs along the sequence and summed over the M
+    members.
 
-    Blocks hold as many codes as fit BLOCK_BYTES of spectra and start at
-    multiples of that many codes.  The row's spectra are a slice of those
-    of its own block, which are kept for the next rows inside it, so a
-    set that fits one block takes one forward FFT per harmonic chunk for
-    the whole scan.  When one code does not fit, the harmonics are taken
-    in chunks that do, every block of a row in turn, and a block is
-    yielded once its last chunk is in.
+    Spectra are computed in blocks of as many codes as fit BLOCK_BYTES,
+    starting at multiples of that many codes; when one code does not
+    fit, its harmonics are taken in chunks that do.  When the spectra of
+    every code at every harmonic fit CACHE_BYTES, the scan keeps them
+    all, conjugated.  The row's codes are then taken in slices whose
+    member sum, one value per harmonic, code and lag, fits BLOCK_BYTES.
+    A slice's M-fold product is summed in one step when it fits
+    BLOCK_BYTES too, else member by member into a kept accumulator.  A
+    block is computed when a slice first reaches it; row mu1 reads only
+    the codes from mu1 on, so the computed blocks are a prefix and one
+    watermark tracks them.  A slice that reaches past them ends with the
+    first block it computes, so a scan that stops at a witness has
+    computed no block it did not read.  Otherwise the scan keeps only
+    the row's own block, for the next rows inside it, and the slices are
+    the blocks; later blocks are computed again for each row, and a
+    slice is yielded once the last chunk of its harmonics is in.
     """
     k, m, n = exps.shape
     if not 0 <= t0 < t1 <= n:
         raise ValueError(f"need 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
     cols = range(k) if cols is None else cols
-    width = t1 - t0
+    width, nh = t1 - t0, len(harmonics)
     # A cyclic length of n + t1 - 1 keeps every shift |tau| < t1 free of
     # wrap-around: +tau sits at index tau and -tau at index length - tau.
     length = _fft_length(n + t1 - 1)
     taus = np.arange(t0, t1)
     ends = np.concatenate([taus, -taus % length])
     per_harmonic = 16 * m * length
-    span = max(1, min(len(harmonics), BLOCK_BYTES // per_harmonic))
+    span = max(1, min(nh, BLOCK_BYTES // per_harmonic))
     step = max(1, BLOCK_BYTES // (per_harmonic * span))
+    if k * nh * per_harmonic <= CACHE_BYTES:
+        # The cache holds every code at every harmonic, so a row takes all
+        # harmonics at once, in slices whose member sums fit a block.
+        chunks = [range(nh)]
+        held, per_slice = k, min(k, max(1, BLOCK_BYTES // (16 * nh * length)))
+    else:
+        chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
+        held = per_slice = step
+    # The conjugated spectra of codes base..base + held at the harmonics
+    # of one chunk, computed up to code `filled`; np.empty only reserves
+    # the pages, which are touched as blocks are computed.
+    cache = np.empty((len(chunks[0]), held, m, length), dtype=complex)
+    key, filled = None, 0
+    # Buffers to sum the members one by one, for slices whose M-fold
+    # product outgrows a block.
+    if 16 * len(chunks[0]) * per_slice * m * length > BLOCK_BYTES:
+        acc, term = np.empty((2, len(chunks[0]), per_slice, length), dtype=complex)
 
-    def spectra(block: range, chunk: slice) -> np.ndarray:
-        table = np.exp(-2j * np.pi * (np.outer(harmonics[chunk], np.arange(delta)) % delta) / delta)
-        return np.fft.fft(table[:, exps[block.start : block.stop]], length)
+    def spectra(block: range, chunk: range, out: np.ndarray | None = None) -> np.ndarray:
+        table = np.exp(-2j * np.pi * (np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta) / delta)
+        spec = np.fft.fft(np.take(table, exps[block.start : block.stop], axis=1), length)
+        return np.conjugate(spec, out=spec if out is None else out)
 
-    kept = None  # (own block, chunk start, its spectra)
+    def fill(base: int, chunk: range, stop: int) -> None:
+        nonlocal filled
+        while filled < stop:
+            block = range(filled, min(filled - filled % step + step, k))
+            for lo in range(chunk.start, chunk.stop, span):
+                part = range(lo, min(lo + span, chunk.stop))
+                spectra(block, part, cache[lo - chunk.start : part.stop - chunk.start, block.start - base : block.stop - base])
+            filled = block.stop
+
     for mu1 in rows:
         first = max(mu1, cols.start)
-        own = range(mu1 - mu1 % step, k)[:step]
+        base = mu1 - mu1 % held
         pending: dict[int, np.ndarray] = {}
-        for lo in range(0, len(harmonics), span):
-            chunk = slice(lo, lo + span)
-            if kept is None or kept[:2] != (own, lo):
-                kept = (own, lo, spectra(own, chunk))
-            mine = kept[2]
-            row = mine[:, mu1 - own.start]
-            for start in range(first - first % step, cols.stop, step):
-                block = range(max(start, first), min(start + step, cols.stop))
-                if start == own.start:
-                    product = mine[:, block.start - own.start : block.stop - own.start].conj()
+        for chunk in chunks:
+            if key != (base, chunk.start):
+                key, filled = (base, chunk.start), base
+            fill(base, chunk, mu1 + 1)
+            row = cache[: len(chunk), mu1 - base].conj()
+            start = first
+            while start < cols.stop:
+                stop = min(start - start % per_slice + per_slice, cols.stop)
+                if stop > filled:
+                    stop = min(stop, start - start % step + step)
+                block = range(start, stop)
+                start = stop
+                if block.stop <= base + held:
+                    fill(base, chunk, block.stop)
+                    spec, out = cache[: len(chunk), block.start - base : block.stop - base], None
                 else:
-                    product = spectra(block, chunk)
-                    np.conjugate(product, out=product)
-                product *= row[:, None]
-                halves = np.fft.ifft(product.sum(axis=2))[..., ends]
-                if lo == 0:
-                    pending[start] = np.empty((len(block), 2, width, len(harmonics)), dtype=complex)
-                pending[start][..., chunk] = halves.reshape(-1, len(block), 2, width).transpose(1, 2, 3, 0)
-                if chunk.stop >= len(harmonics):
-                    yield mu1, block, pending.pop(start)
+                    spec = out = spectra(block, chunk)
+                if spec.nbytes <= BLOCK_BYTES:
+                    sums = np.multiply(spec, row[:, None], out=out).sum(axis=2)
+                else:
+                    sums = acc[: len(chunk), : len(block)]
+                    np.multiply(spec[:, :, 0], row[:, None, 0], out=sums)
+                    for nu in range(1, m):
+                        sums += np.multiply(spec[:, :, nu], row[:, None, nu], out=term[: len(chunk), : len(block)])
+                halves = np.fft.ifft(sums)[..., ends]
+                if chunk.start == 0:
+                    pending[block.start] = np.empty((len(block), 2, width, nh), dtype=complex)
+                pending[block.start][..., chunk.start : chunk.stop] = halves.reshape(-1, len(block), 2, width).transpose(1, 2, 3, 0)
+                if chunk.stop == nh:
+                    yield mu1, block, pending.pop(block.start)
 
 
 def code_histograms(
@@ -188,7 +241,7 @@ def code_histograms(
 
     ``exps`` is a (K, M, N) array of exponents mod delta, such as
     ``CodeSet.exponents``.  For each mu1 in rows and shifts t0 <= tau < t1
-    (0 <= t0 < t1 <= N) yields, block by block of the codes mu2 >= mu1 in
+    (0 <= t0 < t1 <= N) yields, slice by slice of the codes mu2 >= mu1 in
     cols (default: all of them), ``(mu1, block, h)`` with h an int64 array
     of shape (len(block), 2, t1 - t0, delta): ``h[i, 0, tau - t0]`` and
     ``h[i, 1, tau - t0]`` are the coefficients of the correlation of code
@@ -220,8 +273,8 @@ def code_reductions(
 ) -> Iterator[tuple[int, range, np.ndarray]]:
     """Reduced forms of the correlations of each row code against the codes from it on.
 
-    Takes the arguments of :func:`code_histograms` and yields, block by
-    block, ``(mu1, block, c)`` with c an int64 array of shape (len(block),
+    Takes the arguments of :func:`code_histograms` and yields, slice by
+    slice, ``(mu1, block, c)`` with c an int64 array of shape (len(block),
     2, t1 - t0, phi(delta)) equal to ``h @ reduction_matrix(delta)`` for
     the histograms h that :func:`code_histograms` yields: ``c[i, side,
     tau - t0]`` is zero iff that correlation is.  Only the primitive

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import time
 from math import lcm
@@ -10,6 +11,7 @@ from zccs.algebra import MAX_DELTA
 from zccs.boolfn import parse_gbf
 from zccs.cli import code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import build_ccc, build_zccs
+from zccs.correlate import profile
 from zccs.errors import FileFormatError
 
 
@@ -137,6 +139,26 @@ class TestCorr:
             if abs(int(row["tau"])) < 8:
                 assert row["exact_zero"] == "true"
                 assert abs(float(row["abs"])) < 1e-9
+
+    def test_bytes_match_csv_writer(self, flagship_file, tmp_path, capsys):
+        cs = read_code_set(str(flagship_file))
+        codes, n = cs.codes, cs.params.N
+        prof = profile(codes[0], codes[4])
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        writer.writerow(["tau", "re", "im", "abs", "exact_zero"])
+        for tau in range(-n + 1, n):
+            value = prof.values[tau]
+            z = value.to_complex()
+            writer.writerow([tau, f"{z.real:.12g}", f"{z.imag:.12g}", f"{abs(z):.12g}", str(value.is_zero()).lower()])
+        rows = list(csv.DictReader(io.StringIO(ref.getvalue())))
+        assert any(row["exact_zero"] == "true" for row in rows)
+        assert any(row["re"].startswith("-") for row in rows) and any(row["im"].startswith("-") for row in rows)
+        out = tmp_path / "prof.csv"
+        assert main(["corr", "--in", str(flagship_file), "--pair", "0,4", "--csv", str(out)]) == 0
+        assert out.read_bytes() == ref.getvalue().encode()
+        assert main(["corr", "--in", str(flagship_file), "--pair", "0,4"]) == 0
+        assert capsys.readouterr().out == ref.getvalue()
 
     def test_pair_out_of_range(self, flagship_file, capsys):
         rc = main(["corr", "--in", str(flagship_file), "--pair", "0,12"])
@@ -269,6 +291,10 @@ MALFORMED = {
     "delta_not_lcm": ("zccs", _set_delta(12)),
     "delta_not_q": ("ccc", _set_delta(4)),
     "top_level_delta_differs": ("zccs", _set("delta", 12)),
+    # values that compare equal to the integer they stand for
+    "integral_float_delta": ("zccs", _set("delta", 6.0)),
+    "bool_format_version": ("zccs", _set("format_version", True)),
+    "float_format_version": ("zccs", _set("format_version", 1.0)),
     "zero_z": ("zccs", _set("params", "Z", 0)),
     "z_above_n": ("zccs", _set("params", "Z", 25)),
     "code_count": ("zccs", _drop_code),
@@ -321,6 +347,17 @@ def test_reader_refuses_malformed_document(case, documents):
     mutate(doc)
     with pytest.raises(FileFormatError):
         code_set_from_dict(doc)
+
+
+@pytest.mark.parametrize("case", ["integral_float_delta", "bool_format_version", "float_format_version"])
+def test_top_level_field_of_another_type_exits_2(case, documents, tmp_path, capsys):
+    kind, mutate = MALFORMED[case]
+    doc = json.loads(json.dumps(documents[kind]))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_root_order_above_limit_exits_at_once(tmp_path, capsys):

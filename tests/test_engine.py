@@ -32,6 +32,9 @@ ENGINE_SETS = {
 }
 
 
+# Cache budgets that keep only each row's own block, and every code's spectra.
+CACHE_REGIMES = (0, 1 << 40)
+
 # The exact counter, kept before any test patches it away.
 RECOUNT = correlate._recount
 
@@ -78,26 +81,28 @@ def _expected(table, mu1, t0, t1):
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
 @pytest.mark.parametrize("name", sorted(ENGINE_SETS))
-def test_batched_histograms_match_code_accf(name, seed, no_fallback):
+def test_batched_histograms_match_code_accf(name, seed, no_fallback, monkeypatch):
     cs = ENGINE_SETS[name]()
     if seed is not None:
         cs = corrupt_seeded(cs, seed)
     codes, pp = cs.codes, cs.params
     n = pp.N
     table = _accf_table(codes)
-    rng = np.random.default_rng(seed)
-    upper = _upper(cs.exponents, pp.delta, 0, n)
-    for mu1 in range(pp.K):
-        assert np.array_equal(upper[mu1], _expected(table, mu1, 0, n))
-        t0 = int(rng.integers(n))
-        t1 = int(rng.integers(t0 + 1, n + 1))
-        window = _upper(cs.exponents, pp.delta, t0, t1, rows=range(mu1, pp.K))
-        assert np.array_equal(window[mu1], upper[mu1][:, :, t0:t1])
-        for mu2 in range(pp.K):
-            both = pair_histograms(codes[mu1], codes[mu2])
-            assert both.shape == (2 * n - 1, pp.delta)
-            assert np.array_equal(both, code_pair_histograms(cs.exponents, pp.delta, mu1, mu2))
-            assert np.array_equal(both, table[mu1, mu2])
+    for cache_bytes in CACHE_REGIMES:
+        monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
+        rng = np.random.default_rng(seed)
+        upper = _upper(cs.exponents, pp.delta, 0, n)
+        for mu1 in range(pp.K):
+            assert np.array_equal(upper[mu1], _expected(table, mu1, 0, n))
+            t0 = int(rng.integers(n))
+            t1 = int(rng.integers(t0 + 1, n + 1))
+            window = _upper(cs.exponents, pp.delta, t0, t1, rows=range(mu1, pp.K))
+            assert np.array_equal(window[mu1], upper[mu1][:, :, t0:t1])
+            for mu2 in range(pp.K):
+                both = pair_histograms(codes[mu1], codes[mu2])
+                assert both.shape == (2 * n - 1, pp.delta)
+                assert np.array_equal(both, code_pair_histograms(cs.exponents, pp.delta, mu1, mu2))
+                assert np.array_equal(both, table[mu1, mu2])
 
 
 @pytest.mark.parametrize("block_bytes", [correlate.BLOCK_BYTES, 1])
@@ -111,18 +116,20 @@ def test_reductions_match_reduced_code_accf(name, seed, block_bytes, no_fallback
         cs = corrupt_seeded(cs, seed)
     pp = cs.params
     table = _accf_table(cs.codes) @ reduction_matrix(pp.delta)
-    rng = np.random.default_rng(seed)
-    upper = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
-    for mu1 in range(pp.K):
-        assert upper[mu1].dtype == np.int64
-        assert np.array_equal(upper[mu1], _expected(table, mu1, 0, pp.N))
-    for _ in range(3):
-        t0 = int(rng.integers(1, pp.N))
-        t1 = int(rng.integers(t0 + 1, pp.N + 1))
-        first = int(rng.integers(pp.K))
-        window = _upper(cs.exponents, pp.delta, t0, t1, code_reductions, range(first, pp.K))
-        for mu1 in range(first, pp.K):
-            assert np.array_equal(window[mu1], _expected(table, mu1, t0, t1))
+    for cache_bytes in CACHE_REGIMES:
+        monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
+        rng = np.random.default_rng(seed)
+        upper = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
+        for mu1 in range(pp.K):
+            assert upper[mu1].dtype == np.int64
+            assert np.array_equal(upper[mu1], _expected(table, mu1, 0, pp.N))
+        for _ in range(3):
+            t0 = int(rng.integers(1, pp.N))
+            t1 = int(rng.integers(t0 + 1, pp.N + 1))
+            first = int(rng.integers(pp.K))
+            window = _upper(cs.exponents, pp.delta, t0, t1, code_reductions, range(first, pp.K))
+            for mu1 in range(first, pp.K):
+                assert np.array_equal(window[mu1], _expected(table, mu1, t0, t1))
 
 
 @pytest.mark.parametrize("span, step", [(None, 1), (None, 2), (None, 3), (1, 1), (2, 1)])
@@ -139,15 +146,39 @@ def test_aligned_blocks_and_harmonic_chunks(engine, span, step, no_fallback, mon
     per_harmonic = 16 * pp.M * correlate._fft_length(2 * pp.N - 1)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or len(harmonics)) * step)
     table = _accf_table(cs.codes) @ reduce
-    blocks = [(mu1, block) for mu1, block, _ in engine(cs.exponents, pp.delta, range(pp.K), 0, pp.N)]
-    for mu1, block in blocks:
-        assert block.start == mu1 or block.start % step == 0
-        assert block.stop == pp.K or block.stop % step == 0
-        assert 1 <= len(block) <= step
-    for t0, t1, first in ((0, pp.N, 0), (0, 5, 3), (4, 9, 0), (13, pp.N, 5)):
-        window = _upper(cs.exponents, pp.delta, t0, t1, engine, range(first, pp.K))
-        for mu1 in range(first, pp.K):
-            assert np.array_equal(window[mu1], _expected(table, mu1, t0, t1))
+    assert pp.K * len(harmonics) * per_harmonic <= correlate.CACHE_BYTES
+    for cache_bytes in CACHE_REGIMES:
+        monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
+        # Without the cache a row's slices are the blocks.  With it they are
+        # as wide as a member sum over all harmonics lets them, M blocks
+        # when every harmonic fits a block, else one code, and aligned to
+        # that width; but a slice that computes blocks takes one only, so
+        # the first row goes block by block.
+        wide = step if cache_bytes == 0 else pp.M * step if span is None else 1
+        blocks = [(mu1, block) for mu1, block, _ in engine(cs.exponents, pp.delta, range(pp.K), 0, pp.N)]
+        for mu1, block in blocks:
+            assert block.start == mu1 or block.start % step == 0
+            assert block.stop == pp.K or block.stop % step == 0
+            assert 1 <= len(block) <= (step if mu1 == 0 else wide)
+            assert block.start // wide == (block.stop - 1) // wide
+        assert max(len(block) for _, block in blocks) == min(wide, pp.K - 1)
+        for t0, t1, first in ((0, pp.N, 0), (0, 5, 3), (4, 9, 0), (13, pp.N, 5)):
+            window = _upper(cs.exponents, pp.delta, t0, t1, engine, range(first, pp.K))
+            for mu1 in range(first, pp.K):
+                assert np.array_equal(window[mu1], _expected(table, mu1, t0, t1))
+
+
+def _counting_fft(monkeypatch) -> list:
+    """Record the shape of every array np.fft.fft is called on."""
+    calls = []
+    fft = np.fft.fft
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    return calls
 
 
 @pytest.mark.parametrize("span", [None, 2])
@@ -160,18 +191,68 @@ def test_one_block_scan_takes_one_forward_fft_per_chunk(span, monkeypatch):
         cs = CodeSet(cs.exponents[:1], cs.labels[:1], replace(pp, K=1))
         per_harmonic = 16 * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
         monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * span)
-    calls = []
-    fft = np.fft.fft
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return fft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counting)
+    calls = _counting_fft(monkeypatch)
     assert check_zccs(cs, pp.Z).ok
     chunks = 1 if span is None else -(-len(harmonics) // span)
     assert chunks == (1 if span is None else 3)
     assert len(calls) == chunks
+
+
+@pytest.mark.parametrize("span", [None, 2])
+def test_cached_scan_takes_one_forward_fft_per_block_and_chunk(span, monkeypatch):
+    cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
+    pp = cs.params
+    harmonics, _ = harmonic_reduction(pp.delta)
+    # Blocks of 3 codes, or of one code whose harmonics come in chunks of `span`.
+    per_harmonic = 16 * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or 3 * len(harmonics)))
+    assert pp.K * len(harmonics) * per_harmonic <= correlate.CACHE_BYTES
+    blocks, chunks = (5, 1) if span is None else (pp.K, 3)
+    calls = _counting_fft(monkeypatch)
+    assert check_zccs(cs, pp.Z).ok
+    assert len(calls) == blocks * chunks
+    # Each row's own block alone takes more.
+    monkeypatch.setattr(correlate, "CACHE_BYTES", 0)
+    calls.clear()
+    assert check_zccs(cs, pp.Z).ok
+    assert len(calls) > 2 * blocks * chunks
+
+
+@pytest.mark.parametrize("code", [0, 5])
+def test_row_0_witness_computes_no_later_block(code, monkeypatch):
+    cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
+    pp = cs.params
+    exps = cs.exponents.copy()
+    exps[code, 0, 0] = (exps[code, 0, 0] + 1) % pp.delta
+    cs = CodeSet(exps, cs.labels, pp)
+    harmonics, _ = harmonic_reduction(pp.delta)
+    # Blocks of 2 codes; full slices would hold 2 * M.
+    per_harmonic = 16 * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * len(harmonics) * 2)
+    calls = _counting_fft(monkeypatch)
+    ok, witness = check_zccs(cs, pp.Z)
+    assert not ok and witness[:2] == (0, code)
+    # The blocks up to the witness's: codes 0-1, and 2-3 and 4-5 for code 5.
+    assert len(calls) == code // 2 + 1
+
+
+def test_cached_verification_memory():
+    cs = build_zccs(parse_gbf("2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5", 6, 4), [0], 1, p=5)
+    pp = cs.params
+    assert (pp.K, pp.M, pp.N, pp.Z, pp.delta) == (20, 4, 320, 64, 20)
+    # The spectra of 4 primitive harmonics of every code at FFT length 384
+    # fit the cache but span many blocks.
+    spectra = 16 * 4 * pp.K * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
+    assert 4 * correlate.BLOCK_BYTES < spectra <= correlate.CACHE_BYTES
+    tracemalloc.start()
+    try:
+        report = verify_code_set(cs, compute_max=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.is_zccs_at_claimed_z and report.max_zcz == pp.Z
+    # About 3.2 MB: the 1.97 MB cache, one slice's accumulators and sums.
+    assert peak < 4e6
 
 
 def test_reductions_of_a_root_order_1024_ccc(no_fallback):
@@ -262,8 +343,10 @@ def test_histograms_of_random_exponent_arrays(data):
     t1 = data.draw(st.integers(t0 + 1, n), label="t1")
     mu1 = data.draw(st.integers(0, k - 1), label="mu1")
     mu2 = data.draw(st.integers(0, k - 1), label="mu2")
+    cache_bytes = data.draw(st.sampled_from(CACHE_REGIMES), label="CACHE_BYTES")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlate, "_recount", _refuse)
+        patch.setattr(correlate, "CACHE_BYTES", cache_bytes)
         upper = _upper(exps, delta, t0, t1, rows=range(first, k))
         reduced = _upper(exps, delta, t0, t1, code_reductions, range(first, k))
         both = code_pair_histograms(exps, delta, mu1, mu2)
