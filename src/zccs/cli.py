@@ -143,7 +143,8 @@ def _parse_var(token: str) -> int:
     token = token.strip()
     if token.startswith("x"):
         token = token[1:]
-    if not token.isdigit():
+    # isdigit() also passes superscripts such as "²", which int() refuses.
+    if not token.isdecimal():
         raise ZccsError(f"expected a variable like x0, got {token!r}")
     return int(token)
 

@@ -9,11 +9,10 @@ Zero tests are deferred to the caller and are bit-exact.
 reference.  The batched engine works on the (K, M, N) exponent array of
 a code set and correlates each unordered pair of codes once: row mu1
 takes only the codes mu2 >= mu1.  It maps each exponent e to the
-harmonics w^(-r*e), correlates the row with a whole slice of codes by
-FFTs along the sequence and sums over the M members.  When the spectra
-of every code fit CACHE_BYTES, a scan computes each code's once, block
-by block as the rows first reach them; else it keeps only the row's own
-block and computes the later ones again for each row.  One cyclic
+harmonics w^(-r*e), correlates the row with a whole block of codes by
+FFTs along the sequence and sums over the M members.  A scan keeps each
+block's spectra once computed while they fit CACHE_BYTES: every code's
+when the set fits, else those of the first blocks it reads.  One cyclic
 correlation of length >= N + t1 - 1 holds both theta(mu1, mu2)(tau) and
 theta(mu1, mu2)(-tau) for every tau < t1, and the second gives the mirror
 cell, since theta(mu2, mu1)(tau) = conj(theta(mu1, mu2)(-tau)).  Two
@@ -49,11 +48,11 @@ from .errors import InvalidParams, ShapeError
 
 # Largest |h - rint(h)| accepted from the FFT before a block is recounted.
 RESIDUAL_TOL = 0.25
-# Byte budget of a block's spectra and of a slice's member sums, the
-# transient arrays; a block holds as many codes as fit, and at least one.
+# Byte budget of a block's member sums, one complex value per harmonic,
+# code and lag; a block holds as many codes as fit, and at least one.
 BLOCK_BYTES = 1 << 18
-# Byte budget of the spectra of a whole code set: a scan keeps every
-# code's spectra when they fit, else only those of the row's own block.
+# Byte budget of the spectra a scan keeps: every code's when they fit,
+# else those of the blocks it computes first.
 CACHE_BYTES = 1 << 21
 
 
@@ -126,32 +125,24 @@ def _harmonic_sums(
 ) -> Iterator[tuple[int, range, np.ndarray]]:
     """The harmonics of the histograms of each row code against the codes from it on.
 
-    For each mu1 in rows, yields slice by slice of the codes mu2 >= mu1
-    in cols (default: all of them) ``(mu1, block, sums)``, with block
-    the slice's codes and
+    For each mu1 in rows, yields block by block of the codes mu2 >= mu1
+    in cols (default: all of them) ``(mu1, block, sums)``, with
     ``sums[j, 0, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r = harmonics[i]
     and h the histogram of code mu1 with code block[j] at shift tau, and
     ``sums[j, 1, tau - t0, i]`` the same at shift -tau.  Each exponent e
     maps to w^(-r*e); the harmonics of mu1 are correlated with a whole
-    slice of codes by FFTs along the sequence and summed over the M
+    block of codes by FFTs along the sequence and summed over the M
     members.
 
-    Spectra are computed in blocks of as many codes as fit BLOCK_BYTES,
-    starting at multiples of that many codes; when one code does not
-    fit, its harmonics are taken in chunks that do.  When the spectra of
-    every code at every harmonic fit CACHE_BYTES, the scan keeps them
-    all, conjugated.  The row's codes are then taken in slices whose
-    member sum, one value per harmonic, code and lag, fits BLOCK_BYTES.
-    A slice's M-fold product is summed in one step when it fits
-    BLOCK_BYTES too, else member by member into a kept accumulator.  A
-    block is computed when a slice first reaches it; row mu1 reads only
-    the codes from mu1 on, so the computed blocks are a prefix and one
-    watermark tracks them.  A slice that reaches past them ends with the
-    first block it computes, so a scan that stops at a witness has
-    computed no block it did not read.  Otherwise the scan keeps only
-    the row's own block, for the next rows inside it, and the slices are
-    the blocks; later blocks are computed again for each row, and a
-    slice is yielded once the last chunk of its harmonics is in.
+    A block holds as many codes as have member sums, one value per
+    harmonic and lag, that fit BLOCK_BYTES, starting at multiples of that
+    many codes; when one code's do not fit, its harmonics are taken in
+    chunks that do, and a block is yielded once its last chunk is in.
+    The conjugated spectra of a block at a chunk are computed the first
+    time a row reads them and kept while the kept total fits CACHE_BYTES:
+    the whole set when it fits, else the blocks the first rows read.  A
+    row computes no block before it reads it, so a scan that stops at a
+    witness has computed no block it did not read.
     """
     k, m, n = exps.shape
     if not 0 <= t0 < t1 <= n:
@@ -163,69 +154,40 @@ def _harmonic_sums(
     length = _fft_length(n + t1 - 1)
     taus = np.arange(t0, t1)
     ends = np.concatenate([taus, -taus % length])
-    per_harmonic = 16 * m * length
-    span = max(1, min(nh, BLOCK_BYTES // per_harmonic))
-    step = max(1, BLOCK_BYTES // (per_harmonic * span))
-    if k * nh * per_harmonic <= CACHE_BYTES:
-        # The cache holds every code at every harmonic, so a row takes all
-        # harmonics at once, in slices whose member sums fit a block.
-        chunks = [range(nh)]
-        held, per_slice = k, min(k, max(1, BLOCK_BYTES // (16 * nh * length)))
-    else:
-        chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
-        held = per_slice = step
-    # The conjugated spectra of codes base..base + held at the harmonics
-    # of one chunk, computed up to code `filled`; np.empty only reserves
-    # the pages, which are touched as blocks are computed.
-    cache = np.empty((len(chunks[0]), held, m, length), dtype=complex)
-    key, filled = None, 0
-    # Buffers to sum the members one by one, for slices whose M-fold
-    # product outgrows a block.
-    if 16 * len(chunks[0]) * per_slice * m * length > BLOCK_BYTES:
-        acc, term = np.empty((2, len(chunks[0]), per_slice, length), dtype=complex)
+    span = max(1, min(nh, BLOCK_BYTES // (16 * length)))
+    step = max(1, BLOCK_BYTES // (16 * length * span))
+    chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
+    store: dict[tuple[int, int], np.ndarray] = {}
+    kept = 0
 
-    def spectra(block: range, chunk: range, out: np.ndarray | None = None) -> np.ndarray:
-        table = np.exp(-2j * np.pi * (np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta) / delta)
-        spec = np.fft.fft(np.take(table, exps[block.start : block.stop], axis=1), length)
-        return np.conjugate(spec, out=spec if out is None else out)
-
-    def fill(base: int, chunk: range, stop: int) -> None:
-        nonlocal filled
-        while filled < stop:
-            block = range(filled, min(filled - filled % step + step, k))
-            for lo in range(chunk.start, chunk.stop, span):
-                part = range(lo, min(lo + span, chunk.stop))
-                spectra(block, part, cache[lo - chunk.start : part.stop - chunk.start, block.start - base : block.stop - base])
-            filled = block.stop
+    def spectra(chunk: range, start: int) -> np.ndarray:
+        nonlocal kept
+        spec = store.get((chunk.start, start))
+        if spec is None:
+            table = np.exp(-2j * np.pi * (np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta) / delta)
+            codes = exps[start : start + step]
+            # Each code's roots go into the zero-padded array, which is
+            # transformed in place, so a block's spectra take one array.
+            spec = np.empty((len(chunk), len(codes), m, length), dtype=complex)
+            spec[..., n:] = 0
+            for j, code in enumerate(codes):
+                spec[:, j, :, :n] = np.take(table, code, axis=1)
+            np.conjugate(np.fft.fft(spec, out=spec), out=spec)
+            if kept + spec.nbytes <= CACHE_BYTES:
+                store[chunk.start, start] = spec
+                kept += spec.nbytes
+        return spec
 
     for mu1 in rows:
-        first = max(mu1, cols.start)
-        base = mu1 - mu1 % held
+        first, own = max(mu1, cols.start), mu1 - mu1 % step
         pending: dict[int, np.ndarray] = {}
         for chunk in chunks:
-            if key != (base, chunk.start):
-                key, filled = (base, chunk.start), base
-            fill(base, chunk, mu1 + 1)
-            row = cache[: len(chunk), mu1 - base].conj()
-            start = first
-            while start < cols.stop:
-                stop = min(start - start % per_slice + per_slice, cols.stop)
-                if stop > filled:
-                    stop = min(stop, start - start % step + step)
-                block = range(start, stop)
-                start = stop
-                if block.stop <= base + held:
-                    fill(base, chunk, block.stop)
-                    spec, out = cache[: len(chunk), block.start - base : block.stop - base], None
-                else:
-                    spec = out = spectra(block, chunk)
-                if spec.nbytes <= BLOCK_BYTES:
-                    sums = np.multiply(spec, row[:, None], out=out).sum(axis=2)
-                else:
-                    sums = acc[: len(chunk), : len(block)]
-                    np.multiply(spec[:, :, 0], row[:, None, 0], out=sums)
-                    for nu in range(1, m):
-                        sums += np.multiply(spec[:, :, nu], row[:, None, nu], out=term[: len(chunk), : len(block)])
+            mine = spectra(chunk, own)
+            row = mine[:, mu1 - own].conj()
+            for lo in range(first - first % step, cols.stop, step):
+                block = range(max(lo, first), min(lo + step, cols.stop))
+                spec = mine if lo == own else spectra(chunk, lo)
+                sums = np.einsum("hjnl,hnl->hjl", spec[:, block.start - lo : block.stop - lo], row)
                 halves = np.fft.ifft(sums)[..., ends]
                 if chunk.start == 0:
                     pending[block.start] = np.empty((len(block), 2, width, nh), dtype=complex)
@@ -241,7 +203,7 @@ def code_histograms(
 
     ``exps`` is a (K, M, N) array of exponents mod delta, such as
     ``CodeSet.exponents``.  For each mu1 in rows and shifts t0 <= tau < t1
-    (0 <= t0 < t1 <= N) yields, slice by slice of the codes mu2 >= mu1 in
+    (0 <= t0 < t1 <= N) yields, block by block of the codes mu2 >= mu1 in
     cols (default: all of them), ``(mu1, block, h)`` with h an int64 array
     of shape (len(block), 2, t1 - t0, delta): ``h[i, 0, tau - t0]`` and
     ``h[i, 1, tau - t0]`` are the coefficients of the correlation of code
@@ -273,8 +235,8 @@ def code_reductions(
 ) -> Iterator[tuple[int, range, np.ndarray]]:
     """Reduced forms of the correlations of each row code against the codes from it on.
 
-    Takes the arguments of :func:`code_histograms` and yields, slice by
-    slice, ``(mu1, block, c)`` with c an int64 array of shape (len(block),
+    Takes the arguments of :func:`code_histograms` and yields, block by
+    block, ``(mu1, block, c)`` with c an int64 array of shape (len(block),
     2, t1 - t0, phi(delta)) equal to ``h @ reduction_matrix(delta)`` for
     the histograms h that :func:`code_histograms` yields: ``c[i, side,
     tau - t0]`` is zero iff that correlation is.  Only the primitive

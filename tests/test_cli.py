@@ -68,6 +68,15 @@ class TestGenerate:
         assert rc != 0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--gamma", "x²"], ["--delete", "x0,x²"]])
+    def test_non_decimal_variable_exits_2(self, option, tmp_path, capsys):
+        rc = main([
+            "generate", "--kind", "ccc", "--q", "2", "--m", "3",
+            "--f", "x0*x1 + x1*x2", *option, "--out", str(tmp_path / "x.json"),
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passing_file(self, flagship_file, capsys):

@@ -32,7 +32,7 @@ ENGINE_SETS = {
 }
 
 
-# Cache budgets that keep only each row's own block, and every code's spectra.
+# Cache budgets that keep no block's spectra, and every code's.
 CACHE_REGIMES = (0, 1 << 40)
 
 # The exact counter, kept before any test patches it away.
@@ -142,26 +142,21 @@ def test_aligned_blocks_and_harmonic_chunks(engine, span, step, no_fallback, mon
     else:
         harmonics, reduce = harmonic_reduction(pp.delta)[0], reduction_matrix(pp.delta)
     # The budget that gives blocks of `step` codes, or chunks of `span`
-    # harmonics, over the full window.
-    per_harmonic = 16 * pp.M * correlate._fft_length(2 * pp.N - 1)
+    # harmonics, over the full window: a code's member sums take 16 * L
+    # bytes a harmonic.
+    per_harmonic = 16 * correlate._fft_length(2 * pp.N - 1)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or len(harmonics)) * step)
     table = _accf_table(cs.codes) @ reduce
-    assert pp.K * len(harmonics) * per_harmonic <= correlate.CACHE_BYTES
+    assert pp.K * len(harmonics) * pp.M * per_harmonic <= correlate.CACHE_BYTES
     for cache_bytes in CACHE_REGIMES:
         monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
-        # Without the cache a row's slices are the blocks.  With it they are
-        # as wide as a member sum over all harmonics lets them, M blocks
-        # when every harmonic fits a block, else one code, and aligned to
-        # that width; but a slice that computes blocks takes one only, so
-        # the first row goes block by block.
-        wide = step if cache_bytes == 0 else pp.M * step if span is None else 1
         blocks = [(mu1, block) for mu1, block, _ in engine(cs.exponents, pp.delta, range(pp.K), 0, pp.N)]
         for mu1, block in blocks:
             assert block.start == mu1 or block.start % step == 0
             assert block.stop == pp.K or block.stop % step == 0
-            assert 1 <= len(block) <= (step if mu1 == 0 else wide)
-            assert block.start // wide == (block.stop - 1) // wide
-        assert max(len(block) for _, block in blocks) == min(wide, pp.K - 1)
+            assert 1 <= len(block) <= step
+            assert block.start // step == (block.stop - 1) // step
+        assert max(len(block) for _, block in blocks) == min(step, pp.K - 1)
         for t0, t1, first in ((0, pp.N, 0), (0, 5, 3), (4, 9, 0), (13, pp.N, 5)):
             window = _upper(cs.exponents, pp.delta, t0, t1, engine, range(first, pp.K))
             for mu1 in range(first, pp.K):
@@ -189,7 +184,7 @@ def test_one_block_scan_takes_one_forward_fft_per_chunk(span, monkeypatch):
     if span is not None:
         # A one-code set whose harmonics come in chunks of `span`.
         cs = CodeSet(cs.exponents[:1], cs.labels[:1], replace(pp, K=1))
-        per_harmonic = 16 * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
+        per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
         monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * span)
     calls = _counting_fft(monkeypatch)
     assert check_zccs(cs, pp.Z).ok
@@ -204,18 +199,38 @@ def test_cached_scan_takes_one_forward_fft_per_block_and_chunk(span, monkeypatch
     pp = cs.params
     harmonics, _ = harmonic_reduction(pp.delta)
     # Blocks of 3 codes, or of one code whose harmonics come in chunks of `span`.
-    per_harmonic = 16 * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
+    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or 3 * len(harmonics)))
-    assert pp.K * len(harmonics) * per_harmonic <= correlate.CACHE_BYTES
+    assert pp.K * len(harmonics) * pp.M * per_harmonic <= correlate.CACHE_BYTES
     blocks, chunks = (5, 1) if span is None else (pp.K, 3)
     calls = _counting_fft(monkeypatch)
     assert check_zccs(cs, pp.Z).ok
     assert len(calls) == blocks * chunks
-    # Each row's own block alone takes more.
+    # Keeping no spectra takes more.
     monkeypatch.setattr(correlate, "CACHE_BYTES", 0)
     calls.clear()
     assert check_zccs(cs, pp.Z).ok
     assert len(calls) > 2 * blocks * chunks
+
+
+def test_set_past_the_cap_keeps_a_prefix_of_its_blocks(no_fallback, monkeypatch):
+    cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
+    pp = cs.params
+    harmonics, _ = harmonic_reduction(pp.delta)
+    # Blocks of 3 codes, 5 in all; the cap holds the spectra of two.
+    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * 3 * len(harmonics))
+    calls = _counting_fft(monkeypatch)
+    counts, forms = [], []
+    for cache_bytes in (0, 2 * pp.M * correlate.BLOCK_BYTES, 1 << 40):
+        monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
+        calls.clear()
+        assert check_zccs(cs, pp.Z).ok
+        counts.append(len(calls))
+        forms.append(_upper(cs.exponents, pp.delta, 0, pp.Z, code_reductions))
+    assert counts[0] > counts[1] > counts[2] == 5
+    for upper in forms[1:]:
+        assert all(np.array_equal(upper[mu1], forms[0][mu1]) for mu1 in range(pp.K))
 
 
 @pytest.mark.parametrize("code", [0, 5])
@@ -226,8 +241,8 @@ def test_row_0_witness_computes_no_later_block(code, monkeypatch):
     exps[code, 0, 0] = (exps[code, 0, 0] + 1) % pp.delta
     cs = CodeSet(exps, cs.labels, pp)
     harmonics, _ = harmonic_reduction(pp.delta)
-    # Blocks of 2 codes; full slices would hold 2 * M.
-    per_harmonic = 16 * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
+    # Blocks of 2 codes.
+    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * len(harmonics) * 2)
     calls = _counting_fft(monkeypatch)
     ok, witness = check_zccs(cs, pp.Z)
@@ -241,7 +256,7 @@ def test_cached_verification_memory():
     pp = cs.params
     assert (pp.K, pp.M, pp.N, pp.Z, pp.delta) == (20, 4, 320, 64, 20)
     # The spectra of 4 primitive harmonics of every code at FFT length 384
-    # fit the cache but span many blocks.
+    # fit the cache and outgrow four BLOCK_BYTES budgets.
     spectra = 16 * 4 * pp.K * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
     assert 4 * correlate.BLOCK_BYTES < spectra <= correlate.CACHE_BYTES
     tracemalloc.start()
@@ -251,7 +266,7 @@ def test_cached_verification_memory():
     finally:
         tracemalloc.stop()
     assert report.is_zccs_at_claimed_z and report.max_zcz == pp.Z
-    # About 3.2 MB: the 1.97 MB cache, one slice's accumulators and sums.
+    # About 2.9 MB: the 1.97 MB of kept spectra, one block's sums and forms.
     assert peak < 4e6
 
 
