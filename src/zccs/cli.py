@@ -13,12 +13,25 @@ Code sets are stored as a single JSON document (format_version 1):
 
 Sequences are stored as integer exponent vectors, never as floats, so a
 set survives serialization bit-exactly.
+
+The reader treats a document as hostile: ``code_set_from_dict`` checks
+the params against each other, then the counts of codes, sequences and
+entries against K, M and N, and only then converts each sequence once,
+with ``array("q", seq)``, which refuses floats, strings, null, lists and
+ints past int64.  Bools, numpy ints and int subclasses pass that
+conversion, so it first checks that every exponent is exactly an int.
+``read_code_set`` shares that path but skips the walk when the file's
+text holds neither ``true`` nor ``false``: ``json.loads`` makes every
+other integer exactly an int.  ``main`` builds its argument parser once
+per process.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from array import array
+from functools import cache
 from math import lcm
 
 import numpy as np
@@ -103,7 +116,28 @@ def _label_from_dict(entry: dict, pp: CodeSetParams) -> CodeLabel:
     return label
 
 
-def code_set_from_dict(doc: dict) -> CodeSet:
+def _exponents(codes, pp: CodeSetParams, exact_types: bool) -> np.ndarray:
+    """The (K, M, N) exponents of the code entries: the counts checked
+    first, then each sequence converted once (see the module docstring)."""
+    if len(codes) != pp.K:
+        raise FileFormatError(f"{len(codes)} codes, params.K={pp.K}")
+    seqs = []
+    for entry in codes:
+        members = entry["sequences"]
+        if len(members) != pp.M:
+            raise FileFormatError(f"a code of {len(members)} sequences, params.M={pp.M}")
+        seqs += members
+    if any(len(seq) != pp.N for seq in seqs):
+        raise FileFormatError(f"a sequence whose length is not params.N={pp.N}")
+    if exact_types and any(set(map(type, seq)) != {int} for seq in seqs):
+        raise FileFormatError("exponents must be integers")
+    flat = array("q")
+    for seq in seqs:
+        flat += array("q", seq)
+    return np.frombuffer(flat, dtype=np.int64).reshape(pp.K, pp.M, pp.N)
+
+
+def _code_set(doc: dict, exact_types: bool) -> CodeSet:
     try:
         # type() first: True, 1.0 and 6.0 compare equal to the integers.
         if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
@@ -113,14 +147,8 @@ def code_set_from_dict(doc: dict) -> CodeSet:
         delta = doc["delta"]
         if type(delta) is not int or delta != params.delta:
             raise FileFormatError("top-level delta disagrees with params")
-        labels, rows = [], []
-        for entry in doc["codes"]:
-            labels.append(_label_from_dict(entry["label"], params))
-            for seq in entry["sequences"]:
-                if set(map(type, seq)) != {int}:
-                    raise FileFormatError("exponents must be integers")
-            rows.append(entry["sequences"])
-        exps = np.array(rows, dtype=np.int64)
+        labels = [_label_from_dict(entry["label"], params) for entry in doc["codes"]]
+        exps = _exponents(doc["codes"], params, exact_types)
         if exps.min() < 0 or exps.max() >= delta:
             raise FileFormatError("exponent outside [0, delta)")
         return CodeSet(exps, labels, params)
@@ -128,15 +156,26 @@ def code_set_from_dict(doc: dict) -> CodeSet:
         raise FileFormatError(f"malformed code-set document: {exc}") from None
 
 
+def code_set_from_dict(doc: dict) -> CodeSet:
+    """The code set of a document, refusing any exponent that is not
+    exactly an int: a bool, a numpy int or an int subclass."""
+    return _code_set(doc, exact_types=True)
+
+
 def read_code_set(path: str) -> CodeSet:
     # UnicodeDecodeError (a ValueError) comes from bytes that are not
     # UTF-8, RecursionError from arrays or objects nested too deep.
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
-    return code_set_from_dict(doc)
+    # json.loads makes ints exactly int; the one other value that
+    # array("q") takes, a bool, comes only from a true or false token.
+    exact_types = "true" in text or "false" in text
+    del text  # freed before the exponents are converted
+    return _code_set(doc, exact_types)
 
 
 def _parse_var(token: str) -> int:
@@ -256,8 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args fills a new namespace each call, so one parser serves
+    # every call in a process.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ZccsError, IndexError, OSError) as exc:

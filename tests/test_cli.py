@@ -5,11 +5,13 @@ import json
 import time
 from math import lcm
 
+import numpy as np
 import pytest
 
+from zccs import cli
 from zccs.algebra import MAX_DELTA
 from zccs.boolfn import parse_gbf
-from zccs.cli import code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
+from zccs.cli import build_parser, code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import build_ccc, build_zccs
 from zccs.correlate import profile
 from zccs.errors import FileFormatError
@@ -124,6 +126,41 @@ class TestVerify:
         bad.write_bytes(content)
         assert main(["verify", "--in", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_builds_one_parser_for_every_call(flagship_file, tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(build_parser())
+        return built[-1]
+
+    path = str(flagship_file)
+    calls = [
+        ["verify", "--in", path, "--max-zcz"],
+        ["verify", "--in", path],
+        ["corr", "--in", path, "--pair", "0,1"],
+        ["verify", "--in", path, "--zcz", "4", "--max-zcz"],
+        ["generate", "--kind", "ccc", "--q", "2", "--m", "2", "--f", "x0*x1", "--out", str(tmp_path / "ccc.json")],
+        ["verify", "--in", path],
+    ]
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        back_to_back = []
+        for argv in calls:
+            back_to_back.append((main(argv), capsys.readouterr()))
+            with pytest.raises(SystemExit):  # a refused command line leaves no state
+                main(["verify", "--zcz", "3"])
+            capsys.readouterr()
+        assert len(built) == 1
+        assert "max_zcz: 8" in back_to_back[0][1].out and "max_zcz" not in back_to_back[1][1].out
+        assert "max_zcz" not in back_to_back[5][1].out
+        for argv, result in zip(calls, back_to_back):
+            cli._parser.cache_clear()
+            assert (main(argv), capsys.readouterr()) == result
+    finally:
+        cli._parser.cache_clear()
 
 
 class TestCorr:
@@ -355,6 +392,50 @@ def test_reader_refuses_malformed_document(case, documents):
     code_set_from_dict(doc)  # the unmutated copy reads back
     mutate(doc)
     with pytest.raises(FileFormatError):
+        code_set_from_dict(doc)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_file_reader_refuses_malformed_document(case, documents, tmp_path):
+    kind, mutate = MALFORMED[case]
+    doc = json.loads(json.dumps(documents[kind]))
+    mutate(doc)
+    if isinstance(doc["codes"], _Untouchable):
+        doc["codes"] = []  # a file holds only its params' claim
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError):
+        read_code_set(str(path))
+
+
+def test_bool_exponent_in_a_file_exits_2(documents, tmp_path, capsys):
+    doc = json.loads(json.dumps(documents["zccs"]))
+    _set(*FIRST_EXPONENT, True)(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert '[true, ' in path.read_text()
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("where", ["top", "label"])
+def test_true_inside_a_string_reads_the_same_set(where, documents, tmp_path):
+    doc = json.loads(json.dumps(documents["zccs"]))
+    (doc if where == "top" else doc["codes"][0]["label"])["note"] = "true"
+    path = tmp_path / "note.json"
+    path.write_text(json.dumps(doc))
+    assert read_code_set(str(path)) == code_set_from_dict(documents["zccs"])
+
+
+class _IntSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [np.int64(1), _IntSubclass(1), True], ids=["numpy_int", "int_subclass", "bool"])
+def test_dict_reader_refuses_exponents_that_are_not_exactly_int(value, documents):
+    doc = json.loads(json.dumps(documents["zccs"]))
+    _set(*FIRST_EXPONENT, value)(doc)
+    with pytest.raises(FileFormatError, match="exponents must be integers"):
         code_set_from_dict(doc)
 
 
