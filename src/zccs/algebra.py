@@ -32,7 +32,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import DeltaMismatch
+from .errors import DeltaMismatch, ZccsError
 
 MAX_TERMS = 1 << 20
 """Largest M*N (unit terms in one code correlation) a code set may have."""
@@ -156,7 +156,8 @@ def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     gain, the largest column 1-norm of ``basis`` (13.1 at most, at
     delta = 935).  FFT round-off in a sum of MAX_TERMS unit terms is of
     order MAX_TERMS * 2**-52 times a log factor (Percival, Math. Comp. 72,
-    2003), and the assert keeps gain times that far below 1/2.
+    2003), and a check raises ZccsError unless gain times that stays far
+    below 1/2.
 
     >>> harmonics, basis = harmonic_reduction(6)
     >>> harmonics.tolist()
@@ -170,7 +171,8 @@ def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     spectrum = np.fft.rfft(reduction_matrix(delta), axis=0)[harmonics].conj()
     basis = weights[:, None] * spectrum / delta
     gain = float(np.abs(basis).sum(axis=0).max())
-    assert gain * MAX_TERMS * 2.0**-52 < 2.0**-20
+    if gain * MAX_TERMS * 2.0**-52 >= 2.0**-20:
+        raise ZccsError(f"delta={delta}: harmonic error gain {gain:.4g} leaves no room for FFT round-off")
     harmonics.flags.writeable = False
     basis.flags.writeable = False
     return harmonics, basis

@@ -4,6 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from zccs import algebra
 from zccs.algebra import (
     MAX_DELTA,
     MAX_TERMS,
@@ -16,7 +17,7 @@ from zccs.algebra import (
     reduction_max,
 )
 from zccs.correlate import root_sum
-from zccs.errors import DeltaMismatch
+from zccs.errors import DeltaMismatch, ZccsError
 
 from oracles import poly_divmod, poly_mul
 
@@ -234,9 +235,18 @@ class TestHarmonicReduction:
             _, _, error, gain = harmonic_pass[delta]
             assert error < 1e-6
             worst_gain = max(worst_gain, gain)
-        # The error gain the docstring quotes; harmonic_reduction asserts
+        # The error gain the docstring quotes; harmonic_reduction checks
         # gain * MAX_TERMS * 2**-52 < 2**-20.
         assert 13.1 < worst_gain < 13.2
+
+    def test_a_broken_error_bound_raises(self, monkeypatch):
+        # At 2**30 terms the bound holds for delta = 6 (gain 1.15) and
+        # breaks for delta = 935 (gain 13.1).  The check is not an assert,
+        # so it also runs under python -O.
+        monkeypatch.setattr(algebra, "MAX_TERMS", 1 << 30)
+        assert harmonic_reduction.__wrapped__(6)[0].tolist() == [1]
+        with pytest.raises(ZccsError, match="delta=935: harmonic error gain 13.1 "):
+            harmonic_reduction.__wrapped__(935)
 
 
 class TestPrimeOrbitSums:

@@ -1,7 +1,10 @@
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
+import stat
 import time
 from math import lcm
 
@@ -210,6 +213,122 @@ class TestCorr:
         rc = main(["corr", "--in", str(flagship_file), "--pair", "0,12"])
         assert rc != 0
         assert "out of range" in capsys.readouterr().err
+
+
+@pytest.fixture(params=["generate", "corr"])
+def writer_argv(request, flagship_file):
+    """The argv of a command that writes its output to a path appended to it."""
+    if request.param == "generate":
+        return [
+            "generate", "--kind", "zccs", "--q", "2", "--p", "3", "--m", "3",
+            "--f", "x1*x2", "--delete", "x0", "--gamma", "x2", "--out",
+        ]
+    return ["corr", "--in", str(flagship_file), "--pair", "0,4", "--csv"]
+
+
+@pytest.fixture()
+def out_dir(tmp_path):
+    path = tmp_path / "out"
+    path.mkdir()
+    return path
+
+
+class _FullDisk:
+    """A file whose writes fail as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestOutputFiles:
+    def test_rewrite_matches_a_fresh_write(self, writer_argv, out_dir):
+        fresh, target = out_dir / "fresh", out_dir / "target"
+        target.write_bytes(b"x" * 300_000)
+        assert main([*writer_argv, str(fresh)]) == 0
+        for _ in range(2):
+            assert main([*writer_argv, str(target)]) == 0
+            assert target.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(out_dir)) == ["fresh", "target"]
+
+    @pytest.mark.parametrize("failing", ["write", "move_aside", "move_in"])
+    def test_failed_write_keeps_the_old_file(self, writer_argv, failing, out_dir, monkeypatch, capsys):
+        # Writing in place truncates the old file before the failing write.
+        target = out_dir / "target"
+        target.write_bytes(b"old bytes\n")
+        if failing == "write":
+            monkeypatch.setattr(cli, "open", lambda *a, **kw: _FullDisk(open(*a, **kw)), raising=False)
+        else:
+            # The first rename moves the old file aside, the second moves
+            # the new one in, and a third would move the old one back.
+            rename, calls = os.rename, []
+
+            def failing_rename(src, dst):
+                calls.append(dst)
+                if len(calls) == ("move_aside", "move_in").index(failing) + 1:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                rename(src, dst)
+
+            monkeypatch.setattr(os, "rename", failing_rename)
+        assert main([*writer_argv, str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert target.read_bytes() == b"old bytes\n"
+        assert os.listdir(out_dir) == ["target"]
+
+    def test_dev_null(self, writer_argv):
+        assert main([*writer_argv, os.devnull]) == 0
+
+    def test_symlink_stays_a_symlink(self, writer_argv, out_dir):
+        fresh, real, link = out_dir / "fresh", out_dir / "real", out_dir / "link"
+        real.write_bytes(b"old bytes\n")
+        link.symlink_to("real")
+        assert main([*writer_argv, str(fresh)]) == 0
+        assert main([*writer_argv, str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == "real"
+        assert real.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(out_dir)) == ["fresh", "link", "real"]
+
+    def test_existing_file_keeps_its_mode(self, writer_argv, out_dir):
+        target = out_dir / "target"
+        target.write_bytes(b"old bytes\n")
+        target.chmod(0o640)
+        assert main([*writer_argv, str(target)]) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_new_file_mode_follows_the_umask(self, writer_argv, out_dir):
+        umask = os.umask(0o002)
+        try:
+            assert main([*writer_argv, str(out_dir / "new")]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((out_dir / "new").stat().st_mode) == 0o664
+
+    @pytest.mark.parametrize("where", ["missing/target", "."])
+    def test_path_that_cannot_be_a_file_exits_2(self, writer_argv, where, out_dir, capsys):
+        assert main([*writer_argv, str(out_dir / where)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_file_is_refused(self, writer_argv, out_dir, capsys):
+        target = out_dir / "target"
+        target.write_bytes(b"old bytes\n")
+        target.chmod(0o444)
+        assert main([*writer_argv, str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert target.read_bytes() == b"old bytes\n"
+        assert os.listdir(out_dir) == ["target"]
 
 
 class TestFileFormat:
