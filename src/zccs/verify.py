@@ -3,15 +3,15 @@
 A cell (mu1, mu2, tau) is ideal when it is a code's own zero shift, which
 is M*N for every code a CodeSet admits, or when its correlation reduces
 to zero modulo the delta-th cyclotomic polynomial; no verdict depends on
-a floating-point tolerance.  The scan goes row by row in mu1: calls of
-:func:`~zccs.correlate.code_reductions` give the exact reduced forms,
-modulo Phi_delta, of the correlations of each row with the codes
-mu2 >= mu1 over a window of shifts, and a cell is ideal when its form
-is all zero.  Each correlation gives the shifts tau and -tau, and the
-cells below the diagonal come from theta(B, A)(tau) = conj(theta(A,
-B)(-tau)), so each unordered pair is correlated once.  A report decides
-each cell once: the zone rows up to z, then, when the maximal width is
-wanted, the shifts from z up to the first failure found.
+a floating-point tolerance.  Every answer is read from a K x K map of
+each ordered pair's first non-ideal shift in the window scanned, N when
+there is none.  One scan lowers it row by row in mu1 from the exact
+reduced forms, modulo Phi_delta, that :func:`~zccs.correlate.code_reductions`
+gives of the correlations of row mu1 with the codes mu2 >= mu1 at tau
+and -tau.  The -tau half is the mirror pair's, as theta(B, A)(tau) =
+conj(theta(A, B)(-tau)), so each unordered pair is correlated once.  The
+zone check's witness, the maximal width (the map's minimum) and a
+report's width scan, which goes on from the check's map, all read it.
 """
 from __future__ import annotations
 
@@ -31,64 +31,58 @@ class ZccsCheck(NamedTuple):
     witness: tuple[int, int, int] | None
 
 
-def _ideal_blocks(cs: CodeSet, rows: range, t0: int, t1: int) -> Iterator[tuple[int, range, np.ndarray]]:
-    """Yields ``(mu1, block, ideal)`` for the rows' codes mu2 >= mu1, block
-    by block: ``ideal[j, 0, tau - t0]`` tells whether cell (mu1, block[j],
-    tau) is ideal and ``ideal[j, 1, tau - t0]`` whether its mirror
-    (block[j], mu1, tau) is."""
+def _lower(cs: CodeSet, first: np.ndarray, rows: range, t0: int, t1: int) -> Iterator[tuple[int, range]]:
+    """Lowers ``first`` to the first non-ideal shifts in [t0, t1) of the
+    rows' cells, yielding ``(mu1, block)`` after each block of codes."""
     for mu1, block, c in code_reductions(cs.exponents, cs.params.delta, rows, t0, t1):
-        ideal = ~c.any(axis=-1)
+        bad = c.any(axis=-1)
         if t0 == 0 and block.start == mu1:
-            ideal[0, :, 0] = True
-        yield mu1, block, ideal
+            bad[0, :, 0] = False
+        shift = np.where(bad.any(axis=-1), t0 + bad.argmax(axis=-1), cs.params.N)
+        cols = slice(block.start, block.stop)
+        np.minimum(first[mu1, cols], shift[:, 0], out=first[mu1, cols])
+        np.minimum(first[cols, mu1], shift[:, 1], out=first[cols, mu1])
+        yield mu1, block
 
 
-def _first_bad_shift(cs: CodeSet, start: int) -> int:
-    """First tau >= start with a non-ideal cell, N when there is none.
+def _check(cs: CodeSet, z: int, first: np.ndarray) -> ZccsCheck:
+    """:func:`check_zccs`, lowering ``first`` over the shifts below z."""
+    n = cs.params.N
+    if z < 1 or z > n:
+        raise InvalidZ(f"need 1 <= Z <= {n}, got {z}")
+    for mu1, block in _lower(cs, first, range(cs.params.K), 0, z):
+        bad = np.flatnonzero(first[mu1, : block.stop] < z)
+        if bad.size:
+            return ZccsCheck(False, (mu1, int(bad[0]), int(first[mu1, bad[0]])))
+    return ZccsCheck(True, None)
 
-    Scans the rows over the shifts from start up to the first failure
-    found so far; after a row that narrowed it, the scan goes on over
-    the narrower window, and it ends once a failure turns up at start
-    itself.
+
+def _width(cs: CodeSet, first: np.ndarray, z: int, witness: tuple[int, int, int] | None) -> int:
+    """First tau with a non-ideal cell, or N, going on from ``first`` as
+    a check at width z left it: from shift z, or from the witness row.
+
+    The rows are scanned over the shifts up to the map's minimum; after
+    a row that lowered it, the scan goes on over the narrower window,
+    and it ends once a cell fails at the window's first shift.
     """
-    k, first, row = cs.params.K, cs.params.N, 0
-    while row < k and first > start:
-        window = first
-        for mu1, block, ideal in _ideal_blocks(cs, range(row, k), start, window):
-            bad = np.flatnonzero(~ideal.all(axis=(0, 1)))
-            if bad.size:
-                first = min(first, start + int(bad[0]))
-            if first == start or (block.stop == k and first < window):
-                row = mu1 + 1
+    k = cs.params.K
+    start, row = (0, witness[0]) if witness else (z, 0)
+    while row < k and (window := int(first.min())) > start:
+        for mu1, block in _lower(cs, first, range(row, k), start, window):
+            if first.min() == start or (block.stop == k and first.min() < window):
                 break
-        else:
-            row = k
-    return first
+        row = mu1 + 1
+    return int(first.min())
 
 
 def check_zccs(cs: CodeSet, z: int) -> ZccsCheck:
     """Decide the zone conditions at width z.
 
     Every cell with 0 <= tau < z must be ideal.  On failure the witness
-    is the first non-ideal (mu1, mu2, tau) in lexicographic scan order.
-    Row mu1 correlates the codes mu2 >= mu1 only; a failure of its -tau
-    half at (mu2, mu1, tau) is kept as row mu2's pending witness, which
-    precedes every cell of the upper part of row mu2.
+    is the first non-ideal (mu1, mu2, tau) in lexicographic order; the
+    map's row mu1 is known up to a block's end once the block is scanned.
     """
-    n = cs.params.N
-    if z < 1 or z > n:
-        raise InvalidZ(f"need 1 <= Z <= {n}, got {z}")
-    pending: dict[int, tuple[int, int, int]] = {}
-    for mu1, block, ideal in _ideal_blocks(cs, range(cs.params.K), 0, z):
-        if mu1 in pending:
-            return ZccsCheck(False, pending[mu1])
-        bad = np.argwhere(~ideal[:, 0])
-        if bad.size:
-            j, tau = bad[0]
-            return ZccsCheck(False, (mu1, block[j], int(tau)))
-        for j in np.flatnonzero(~ideal[:, 1].all(axis=1)):
-            pending.setdefault(block[j], (block[j], mu1, int(np.argmin(ideal[j, 1]))))
-    return ZccsCheck(True, None)
+    return _check(cs, z, np.full((cs.params.K,) * 2, cs.params.N))
 
 
 def max_zcz(cs: CodeSet) -> int:
@@ -97,7 +91,7 @@ def max_zcz(cs: CodeSet) -> int:
     already fail (no width qualifies).  The scan costs at most K(K+1)/2
     FFT correlations of the M members, each of length about 2N.
     """
-    return _first_bad_shift(cs, 0)
+    return _width(cs, np.full((cs.params.K,) * 2, cs.params.N), 0, None)
 
 
 def check_optimal(cs: CodeSet, z: int) -> bool:
@@ -131,14 +125,15 @@ class VerificationReport:
 def verify_code_set(cs: CodeSet, z: int | None = None, compute_max: bool = False) -> VerificationReport:
     """Full report against a claimed zone width (default: the built-in one).
 
-    The maximal width, needed for ``compute_max`` and for is_ccc when
-    K = M, resumes the scan at z when the zone holds.
+    The maximal width, needed for ``compute_max`` and, when the zone holds
+    and K = M, for is_ccc, goes on from the check's map.
     """
     pp = cs.params
     if z is None:
         z = pp.Z
-    ok, witness = check_zccs(cs, z)
-    width = _first_bad_shift(cs, z if ok else 0) if compute_max or pp.K == pp.M else None
+    first = np.full((pp.K, pp.K), pp.N)
+    ok, witness = _check(cs, z, first)
+    width = _width(cs, first, z, witness) if compute_max or (ok and pp.K == pp.M) else None
     return VerificationReport(
         claimed_z=z,
         is_zccs_at_claimed_z=ok,

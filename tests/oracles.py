@@ -129,6 +129,17 @@ def corrupt_seeded(cs: CodeSet, seed: int) -> CodeSet:
     return CodeSet(exps, cs.labels, pp)
 
 
+def corrupt_later_rows(cs: CodeSet, seed: int) -> CodeSet:
+    """Shift one to four seeded exponents of codes 1..K-1."""
+    pp = cs.params
+    rng = np.random.default_rng(seed)
+    exps = cs.exponents.copy()
+    for _ in range(rng.integers(1, 5)):
+        mu, nu, pos = rng.integers(1, pp.K), rng.integers(pp.M), rng.integers(pp.N)
+        exps[mu, nu, pos] = (exps[mu, nu, pos] + rng.integers(1, pp.delta)) % pp.delta
+    return CodeSet(exps, cs.labels, pp)
+
+
 def _bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> i) & 1 for i in range(width))
 

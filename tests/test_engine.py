@@ -21,9 +21,9 @@ from zccs.boolfn import RootSequence, parse_gbf
 from zccs.cli import _complex_values, main, write_code_set
 from zccs.construct import Code, CodeLabel, CodeSet, build_ccc, build_zccs
 from zccs.correlate import code_accf, code_histograms, code_pair_histograms, code_reductions, pair_histograms
-from zccs.verify import check_zccs, verify_code_set
+from zccs.verify import check_zccs, max_zcz, verify_code_set
 
-from oracles import corrupt_seeded
+from oracles import corrupt_later_rows, corrupt_seeded, float_zcz_width
 
 ENGINE_SETS = {
     "zccs_12x4x24_delta6": lambda: build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3, s=2),
@@ -249,6 +249,37 @@ def test_row_0_witness_computes_no_later_block(code, monkeypatch):
     assert not ok and witness[:2] == (0, code)
     # The blocks up to the witness's: codes 0-1, and 2-3 and 4-5 for code 5.
     assert len(calls) == code // 2 + 1
+
+
+def test_report_resumes_the_width_scan_at_the_witness_row(monkeypatch):
+    # Rows 0 and 1 are clean at z = 2; the first failure is the mirror
+    # cell (2, 1, 1), as in test_verify's test_first_failure_in_a_mirror_cell.
+    cs = corrupt_later_rows(build_zccs(parse_gbf("x0*x1", 2, 2), [], 0, p=2), 1857)
+    # No spectra kept and one code per block, so every row scanned costs FFTs.
+    monkeypatch.setattr(correlate, "CACHE_BYTES", 0)
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", 1)
+    calls = _counting_fft(monkeypatch)
+    assert check_zccs(cs, 2) == (False, (2, 1, 1))
+    width = max_zcz(cs)
+    alone = len(calls)
+    calls.clear()
+    report = verify_code_set(cs, 2, compute_max=True)
+    assert report.witness == (2, 1, 1)
+    assert report.max_zcz == width == float_zcz_width(cs)
+    assert len(calls) < alone
+
+
+def test_failed_ccc_check_scans_nothing_more(monkeypatch):
+    cs = corrupt_seeded(build_ccc(parse_gbf("x1*x2", 3, 2), [0], 2), 0)
+    pp = cs.params
+    assert pp.K == pp.M and pp.Z == pp.N
+    calls = _counting_fft(monkeypatch)
+    assert not check_zccs(cs, pp.N).ok
+    alone = len(calls)
+    calls.clear()
+    report = verify_code_set(cs)
+    assert len(calls) == alone
+    assert not report.is_ccc and report.max_zcz is None
 
 
 def test_cached_verification_memory():
