@@ -116,22 +116,27 @@ def reduction_max(delta: int) -> np.ndarray:
 
 
 def reduced_forms(h: np.ndarray) -> np.ndarray:
-    """``h @ reduction_matrix(delta)`` for integer vectors h of shape (..., delta).
+    """``h @ reduction_matrix(delta)`` for int64 vectors h of shape (..., delta).
 
     This is the one reduction modulo Phi_delta: ``CycInt``, ``zccs corr``
     and the verifier's exact recount all go through it.  While
     sum|h| * max|R| < 2**52 for every vector, every partial sum is an
     integer below 2**53, so the product is taken in float64, where numpy
-    uses BLAS, and cast back to int64 exactly.  Past that bound it is
-    taken in Python ints and returned as an object array.
+    uses BLAS, and cast back to int64 exactly.  Past that bound h is split
+    into 32-bit limbs, each reduced the same way, and the limbs' forms are
+    recombined in Python ints into an object array.
     """
-    reduce = reduction_matrix(h.shape[-1])
+    reduce = reduction_matrix(h.shape[-1]).astype(np.float64)
     flt = h.astype(np.float64)
     # The float sum is within a factor 1 + 2**-40 of the exact one, so the
     # exact bound is below 2**53 whenever this one is below 2**52.
     if np.abs(flt).sum(axis=-1).max(initial=0) * reduction_max(h.shape[-1]).max() < 2.0**52:
-        return (flt @ reduce.astype(np.float64)).astype(np.int64)
-    return h.astype(object) @ reduce.astype(object)
+        return (flt @ reduce).astype(np.int64)
+    # h = hi * 2**32 + lo with 32-bit limbs.  Each limb has sum|limb| * max|R|
+    # <= MAX_DELTA * 2**32 * 5 < 2**52, so it is reduced exactly in float64.
+    h = h.astype(np.int64)
+    lo, hi = ((limb.astype(np.float64) @ reduce).astype(np.int64).astype(object) for limb in (h & 0xFFFFFFFF, h >> 32))
+    return hi * (1 << 32) + lo
 
 
 @lru_cache(maxsize=32)
@@ -176,6 +181,26 @@ def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     harmonics.flags.writeable = False
     basis.flags.writeable = False
     return harmonics, basis
+
+
+@lru_cache(maxsize=32)
+def conjugate_roots(delta: int) -> np.ndarray:
+    """The delta roots w^(-e), e = 0..delta-1, from which the harmonics
+    w^(-r*e) of an exponent e are read as w^(-(r*e mod delta))."""
+    out = np.exp(-2j * np.pi * np.arange(delta) / delta)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
+def interleaved_basis(delta: int) -> np.ndarray:
+    """The basis B of :func:`harmonic_reduction` as one real matrix: the
+    rows Re B_r and -Im B_r interleaved, so that Re(S @ B) is S viewed as
+    interleaved (Re, Im) float pairs times this matrix."""
+    _, basis = harmonic_reduction(delta)
+    out = np.stack((basis.real, -basis.imag), axis=1).reshape(-1, basis.shape[1])
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)

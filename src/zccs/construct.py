@@ -227,10 +227,9 @@ def build_zccs_by_concatenation(
     cert, gamma = _prepare(f, deleted, gamma)
     k = len(cert.deleted)
     pp = _extended_params(f, k, p)
-    base = build_ccc(f, cert.deleted, gamma).exponents
     delta, n = pp.delta, 1 << f.m
     # axes (family, lam, t, nu, entry); block i of a sequence is entries i*n..
-    source = (delta // f.q) * base.reshape(2, 1, 1 << k, 2 << k, n)
+    source = (delta // f.q) * _member_exponents(f, cert.deleted, gamma)[:, None]
     sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1)
     lam = np.arange(p).reshape(1, p, 1, 1, 1)
     ramp = sign * (delta // p) * lam * np.repeat(np.arange(p), n)

@@ -7,16 +7,13 @@ Zero tests are deferred to the caller and are bit-exact.
 
 :func:`code_accf` builds one histogram by direct counting; it is the
 reference.  The batched engine works on the (K, M, N) exponent array of
-a code set and correlates each unordered pair of codes once: row mu1
-takes only the codes mu2 >= mu1.  It maps each exponent e to the
-harmonics w^(-r*e), correlates the row with a whole block of codes by
-FFTs along the sequence and sums over the M members.  A scan keeps each
-block's spectra once computed while they fit CACHE_BYTES: every code's
-when the set fits, else those of the first blocks it reads.  One cyclic
-correlation of length >= N + t1 - 1 holds both theta(mu1, mu2)(tau) and
-theta(mu1, mu2)(-tau) for every tau < t1, and the second gives the mirror
-cell, since theta(mu2, mu1)(tau) = conj(theta(mu1, mu2)(-tau)).  Two
-recoveries share that core, and each checks both halves:
+a code set and correlates each unordered pair of codes once: a tile of
+rows, which doubles in height while the rest of the set is one block,
+takes the codes from its first row on.  One cyclic correlation of
+length >= N + t1 - 1 holds theta(mu1, mu2)(tau) and theta(mu1, mu2)(-tau)
+for every tau < t1, and the second gives the mirror cell, since
+theta(mu2, mu1)(tau) = conj(theta(mu1, mu2)(-tau)).  Two recoveries
+share that core, and each checks both halves:
 
 * :func:`code_histograms` takes every harmonic r = 0..delta/2 and
   inverts the harmonic transform to the histograms.  It accepts a block
@@ -31,17 +28,18 @@ recoveries share that core, and each checks both halves:
 
 The values are integers of at most 5*MAX_TERMS, so double-precision
 round-off is far below 1/2 (Percival, Math. Comp. 72, 2003).  Any block
-that fails a check is recounted exactly by the counter behind
-:func:`code_accf`, so no result rests on a floating tolerance.
+that fails a check is recounted exactly, row by row, by the counter
+behind :func:`code_accf`, so no result rests on a floating tolerance.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import CycInt, harmonic_reduction, is_prime, reduced_forms, reduction_max
+from .algebra import CycInt, conjugate_roots, harmonic_reduction, interleaved_basis, is_prime, reduced_forms, reduction_max
 from .boolfn import RootSequence
 from .construct import Code
 from .errors import InvalidParams, ShapeError
@@ -100,6 +98,7 @@ def code_accf(a: Code, b: Code, tau: int) -> CycInt:
     return CycInt(delta, _count(exps[0], exps[1], delta, tau))
 
 
+@lru_cache(maxsize=64)
 def _fft_length(n: int) -> int:
     """Smallest 5-smooth integer >= n, a length the FFT handles quickly."""
     while True:
@@ -112,37 +111,39 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _recount(exps: np.ndarray, delta: int, mu1: int, block: range, t0: int, t1: int) -> np.ndarray:
-    """The histograms of a block at shifts +tau and -tau counted exactly, cell by cell."""
+def _recount(exps: np.ndarray, delta: int, tile: range, block: range, t0: int, t1: int) -> np.ndarray:
+    """The histograms of a tile and block at shifts +tau and -tau counted exactly, row by row and cell by cell."""
     return np.array([
-        [[_count(exps[mu1], exps[mu2], delta, side * tau) for tau in range(t0, t1)] for side in (1, -1)]
-        for mu2 in block
+        [[[_count(exps[mu1], exps[mu2], delta, side * tau) for tau in range(t0, t1)] for side in (1, -1)] for mu2 in block]
+        for mu1 in tile
     ])
 
 
 def _harmonic_sums(
     exps: np.ndarray, delta: int, harmonics: np.ndarray, rows: range, t0: int, t1: int, cols: range | None = None
-) -> Iterator[tuple[int, range, np.ndarray]]:
-    """The harmonics of the histograms of each row code against the codes from it on.
+) -> Iterator[tuple[range, range, np.ndarray]]:
+    """The harmonics of the histograms of tiles of row codes against the codes from each tile on.
 
-    For each mu1 in rows, yields block by block of the codes mu2 >= mu1
-    in cols (default: all of them) ``(mu1, block, sums)``, with
-    ``sums[j, 0, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r = harmonics[i]
-    and h the histogram of code mu1 with code block[j] at shift tau, and
-    ``sums[j, 1, tau - t0, i]`` the same at shift -tau.  Each exponent e
-    maps to w^(-r*e); the harmonics of mu1 are correlated with a whole
-    block of codes by FFTs along the sequence and summed over the M
-    members.
+    For each tile of the rows, yields block by block of the codes mu2 >=
+    tile.start in cols (default: all of them) ``(tile, block, sums)``:
+    ``sums[t, j, 0, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r =
+    harmonics[i] and h the histogram of code tile[t] with code block[j]
+    at shift tau, and ``sums[t, j, 1, tau - t0, i]`` the same at -tau.
+    Each exponent e maps to w^(-r*e); one einsum correlates the tile with
+    a block by FFTs along the sequence and sums over the M members.  The
+    cells below the diagonal, block[j] < tile[t], are computed too.
 
     A block holds as many codes as have member sums, one value per
     harmonic and lag, that fit BLOCK_BYTES, starting at multiples of that
     many codes; when one code's do not fit, its harmonics are taken in
-    chunks that do, and a block is yielded once its last chunk is in.
-    The conjugated spectra of a block at a chunk are computed the first
-    time a row reads them and kept while the kept total fits CACHE_BYTES:
-    the whole set when it fits, else the blocks the first rows read.  A
-    row computes no block before it reads it, so a scan that stops at a
-    witness has computed no block it did not read.
+    chunks that do, and a block is yielded once its last chunk is in.  A
+    scan's first tile is one row; while the codes from a tile's start on
+    form one block, each tile read through doubles the next one's height,
+    capped so that its member sums fit BLOCK_BYTES, else a tile is one
+    row.  The conjugated spectra of a block at a chunk are computed when a
+    tile first reads them and kept while the kept total fits CACHE_BYTES:
+    the whole set when it fits, else the blocks the first tiles read.  So
+    a scan that stops at a witness has computed no block it did not read.
     """
     k, m, n = exps.shape
     if not 0 <= t0 < t1 <= n:
@@ -157,6 +158,7 @@ def _harmonic_sums(
     span = max(1, min(nh, BLOCK_BYTES // (16 * length)))
     step = max(1, BLOCK_BYTES // (16 * length * span))
     chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
+    roots = conjugate_roots(delta)
     store: dict[tuple[int, int], np.ndarray] = {}
     kept = 0
 
@@ -164,7 +166,7 @@ def _harmonic_sums(
         nonlocal kept
         spec = store.get((chunk.start, start))
         if spec is None:
-            table = np.exp(-2j * np.pi * (np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta) / delta)
+            table = roots[np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta]
             codes = exps[start : start + step]
             # Each code's roots go into the zero-padded array, which is
             # transformed in place, so a block's spectra take one array.
@@ -178,91 +180,91 @@ def _harmonic_sums(
                 kept += spec.nbytes
         return spec
 
-    for mu1 in rows:
+    mu1, height = rows.start, 1
+    while mu1 < rows.stop:
         first, own = max(mu1, cols.start), mu1 - mu1 % step
+        # More rows than one only when the codes from mu1 on form one
+        # block, and only as many as keep the tile's member sums in BLOCK_BYTES.
+        cap = BLOCK_BYTES // (16 * length * span * max(1, cols.stop - first))
+        height = max(1, min(height, cap)) if own + step >= k else 1
+        tile = range(mu1, min(mu1 + height, rows.stop))
         pending: dict[int, np.ndarray] = {}
         for chunk in chunks:
             mine = spectra(chunk, own)
-            row = mine[:, mu1 - own].conj()
+            tile_spec = mine[:, tile.start - own : tile.stop - own].conj()
             for lo in range(first - first % step, cols.stop, step):
                 block = range(max(lo, first), min(lo + step, cols.stop))
                 spec = mine if lo == own else spectra(chunk, lo)
-                sums = np.einsum("hjnl,hnl->hjl", spec[:, block.start - lo : block.stop - lo], row)
-                halves = np.fft.ifft(sums)[..., ends]
+                sums = np.einsum("htnl,hjnl->htjl", tile_spec, spec[:, block.start - lo : block.stop - lo])
+                halves = np.fft.ifft(sums, out=sums)[..., ends]
                 if chunk.start == 0:
-                    pending[block.start] = np.empty((len(block), 2, width, nh), dtype=complex)
-                pending[block.start][..., chunk.start : chunk.stop] = halves.reshape(-1, len(block), 2, width).transpose(1, 2, 3, 0)
+                    pending[block.start] = np.empty((len(tile), len(block), 2, width, nh), dtype=complex)
+                pending[block.start][..., chunk.start : chunk.stop] = halves.reshape(
+                    len(chunk), len(tile), len(block), 2, width).transpose(1, 2, 3, 4, 0)
                 if chunk.stop == nh:
-                    yield mu1, block, pending.pop(block.start)
+                    yield tile, block, pending.pop(block.start)
+        mu1, height = tile.stop, 2 * len(tile)
 
 
 def code_histograms(
     exps: np.ndarray, delta: int, rows: range, t0: int, t1: int, cols: range | None = None
-) -> Iterator[tuple[int, range, np.ndarray]]:
-    """Exact correlation histograms of each row code against the codes from it on.
+) -> Iterator[tuple[range, range, np.ndarray]]:
+    """Exact correlation histograms of tiles of row codes against the codes from each tile on.
 
     ``exps`` is a (K, M, N) array of exponents mod delta, such as
-    ``CodeSet.exponents``.  For each mu1 in rows and shifts t0 <= tau < t1
-    (0 <= t0 < t1 <= N) yields, block by block of the codes mu2 >= mu1 in
-    cols (default: all of them), ``(mu1, block, h)`` with h an int64 array
-    of shape (len(block), 2, t1 - t0, delta): ``h[i, 0, tau - t0]`` and
-    ``h[i, 1, tau - t0]`` are the coefficients of the correlation of code
-    mu1 with code block[i] at shifts tau and -tau, as :func:`code_accf`
-    gives them.  The cells below the diagonal follow from
-    theta(B, A)(tau) = conj(theta(A, B)(-tau)).  It recovers h from all
-    the harmonics r = 0..delta/2 with an inverse real FFT.
+    ``CodeSet.exponents``.  For shifts t0 <= tau < t1 (0 <= t0 < t1 <= N)
+    yields, tile by tile of the rows and block by block of the codes mu2
+    >= tile.start in cols (default: all of them), ``(tile, block, h)``
+    with h an int64 array of shape (len(tile), len(block), 2, t1 - t0,
+    delta): ``h[t, j, 0, tau - t0]`` and ``h[t, j, 1, tau - t0]`` are the
+    coefficients of the correlation of code tile[t] with code block[j] at
+    shifts tau and -tau, as :func:`code_accf` gives them.  It recovers h
+    from all the harmonics r = 0..delta/2 with an inverse real FFT.
     """
     _, m, n = exps.shape
     harmonics = np.arange(delta // 2 + 1)
     terms = m * (n - np.arange(t0, t1))
-    for mu1, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1, cols):
+    for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1, cols):
         approx = np.fft.irfft(sums, delta)
         del sums  # the checks run in place, as in code_reductions
         hist = np.rint(approx).astype(np.int64)
         approx -= hist
-        if (
-            np.abs(approx, out=approx).max() < RESIDUAL_TOL
-            and (hist >= 0).all()
-            and (hist.sum(axis=-1) == terms).all()
-        ):
-            yield mu1, block, hist
+        if np.abs(approx, out=approx).max() < RESIDUAL_TOL and (hist >= 0).all() and (hist.sum(-1) == terms).all():
+            yield tile, block, hist
         else:
-            yield mu1, block, _recount(exps, delta, mu1, block, t0, t1)
+            yield tile, block, _recount(exps, delta, tile, block, t0, t1)
 
 
 def code_reductions(
     exps: np.ndarray, delta: int, rows: range, t0: int, t1: int
-) -> Iterator[tuple[int, range, np.ndarray]]:
-    """Reduced forms of the correlations of each row code against the codes from it on.
+) -> Iterator[tuple[range, range, np.ndarray]]:
+    """Reduced forms of the correlations of tiles of row codes against the codes from each tile on.
 
-    Takes the arguments of :func:`code_histograms` and yields, block by
-    block, ``(mu1, block, c)`` with c an int64 array of shape (len(block),
-    2, t1 - t0, phi(delta)) equal to ``h @ reduction_matrix(delta)`` for
-    the histograms h that :func:`code_histograms` yields: ``c[i, side,
-    tau - t0]`` is zero iff that correlation is.  Only the primitive
-    harmonics of :func:`~zccs.algebra.harmonic_reduction` are correlated,
-    and c = Re(sums @ basis).
+    Takes the arguments of :func:`code_histograms` and yields, tile by
+    tile and block by block, ``(tile, block, c)`` with c an int64 array of
+    shape (len(tile), len(block), 2, t1 - t0, phi(delta)) equal to ``h @
+    reduction_matrix(delta)`` for the histograms h that
+    :func:`code_histograms` yields: ``c[t, j, side, tau - t0]`` is zero iff
+    that correlation is.  Only the primitive harmonics of
+    :func:`~zccs.algebra.harmonic_reduction` are correlated, and c =
+    Re(sums @ basis).
     """
     _, m, n = exps.shape
-    harmonics, basis = harmonic_reduction(delta)
-    # Re(S @ B) as one real product: S viewed as interleaved (Re, Im)
-    # pairs times the rows Re B_r, -Im B_r interleaved the same way.
-    interleaved = np.stack((basis.real, -basis.imag), axis=1).reshape(-1, basis.shape[1])
+    harmonics, interleaved = harmonic_reduction(delta)[0], interleaved_basis(delta)
     # |c[., tau, i]| <= sum_d h[d] |R[d, i]| <= M * (N - |tau|) * max_d |R[d, i]|.
     bound = m * (n - np.arange(t0, t1))[:, None] * reduction_max(delta)
-    for mu1, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1):
+    for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1):
         approx = sums.view(np.float64) @ interleaved
-        # The checks run in place: with the harmonics in chunks a row holds
-        # all its blocks until the last chunk, and a copy of a block would
-        # outgrow them.
+        # The checks run in place: with the harmonics in chunks a tile holds
+        # all its blocks until the last chunk, and a copy would outgrow them.
         del sums
         reduced = np.rint(approx)
         approx -= reduced
         if np.abs(approx, out=approx).max() < RESIDUAL_TOL and (np.abs(reduced, out=approx) <= bound).all():
             del approx
-            yield mu1, block, reduced.astype(np.int64)
+            yield tile, block, reduced.astype(np.int64)
         else:
-            yield mu1, block, reduced_forms(_recount(exps, delta, mu1, block, t0, t1))
+            yield tile, block, reduced_forms(_recount(exps, delta, tile, block, t0, t1))
 
 
 def code_pair_histograms(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np.ndarray:
@@ -273,7 +275,7 @@ def code_pair_histograms(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np
     pair = exps[[mu1]] if mu1 == mu2 else exps[[mu1, mu2]]
     n = exps.shape[-1]
     ((_, _, h),) = code_histograms(pair, delta, range(1), 0, n, range(len(pair) - 1, len(pair)))
-    return np.concatenate([h[0, 1, :0:-1], h[0, 0]])
+    return np.concatenate([h[0, 0, 1, :0:-1], h[0, 0, 0]])
 
 
 def pair_histograms(a: Code, b: Code) -> np.ndarray:

@@ -5,13 +5,12 @@ is M*N for every code a CodeSet admits, or when its correlation reduces
 to zero modulo the delta-th cyclotomic polynomial; no verdict depends on
 a floating-point tolerance.  Every answer is read from a K x K map of
 each ordered pair's first non-ideal shift in the window scanned, N when
-there is none.  One scan lowers it row by row in mu1 from the exact
-reduced forms, modulo Phi_delta, that :func:`~zccs.correlate.code_reductions`
-gives of the correlations of row mu1 with the codes mu2 >= mu1 at tau
-and -tau.  The -tau half is the mirror pair's, as theta(B, A)(tau) =
-conj(theta(A, B)(-tau)), so each unordered pair is correlated once.  The
-zone check's witness, the maximal width (the map's minimum) and a
-report's width scan, which goes on from the check's map, all read it.
+there is none.  One scan lowers it, tile by tile of rows, from the exact
+reduced forms that :func:`~zccs.correlate.code_reductions` gives of the
+correlations of each row with the codes from its tile on, at tau and
+-tau; the -tau half is the mirror pair's.  The zone check's witness, the
+maximal width (the map's minimum) and a report's width scan, which goes
+on from the check's map, all read it.
 """
 from __future__ import annotations
 
@@ -31,18 +30,20 @@ class ZccsCheck(NamedTuple):
     witness: tuple[int, int, int] | None
 
 
-def _lower(cs: CodeSet, first: np.ndarray, rows: range, t0: int, t1: int) -> Iterator[tuple[int, range]]:
+def _lower(cs: CodeSet, first: np.ndarray, rows: range, t0: int, t1: int) -> Iterator[tuple[range, range]]:
     """Lowers ``first`` to the first non-ideal shifts in [t0, t1) of the
-    rows' cells, yielding ``(mu1, block)`` after each block of codes."""
-    for mu1, block, c in code_reductions(cs.exponents, cs.params.delta, rows, t0, t1):
+    rows' cells, yielding ``(tile, block)`` after each tile and block."""
+    taus = np.arange(t0, t1)
+    for tile, block, c in code_reductions(cs.exponents, cs.params.delta, rows, t0, t1):
         bad = c.any(axis=-1)
-        if t0 == 0 and block.start == mu1:
-            bad[0, :, 0] = False
-        shift = np.where(bad.any(axis=-1), t0 + bad.argmax(axis=-1), cs.params.N)
-        cols = slice(block.start, block.stop)
-        np.minimum(first[mu1, cols], shift[:, 0], out=first[mu1, cols])
-        np.minimum(first[cols, mu1], shift[:, 1], out=first[cols, mu1])
-        yield mu1, block
+        if t0 == 0:
+            for mu in range(max(tile.start, block.start), min(tile.stop, block.stop)):
+                bad[mu - tile.start, mu - block.start, :, 0] = False
+        shift = np.where(bad, taus, cs.params.N).min(axis=-1)
+        t, b = slice(tile.start, tile.stop), slice(block.start, block.stop)
+        np.minimum(first[t, b], shift[..., 0], out=first[t, b])
+        np.minimum(first[b, t], shift[..., 1].T, out=first[b, t])
+        yield tile, block
 
 
 def _check(cs: CodeSet, z: int, first: np.ndarray) -> ZccsCheck:
@@ -50,28 +51,26 @@ def _check(cs: CodeSet, z: int, first: np.ndarray) -> ZccsCheck:
     n = cs.params.N
     if z < 1 or z > n:
         raise InvalidZ(f"need 1 <= Z <= {n}, got {z}")
-    for mu1, block in _lower(cs, first, range(cs.params.K), 0, z):
-        bad = np.flatnonzero(first[mu1, : block.stop] < z)
-        if bad.size:
-            return ZccsCheck(False, (mu1, int(bad[0]), int(first[mu1, bad[0]])))
+    for tile, block in _lower(cs, first, range(cs.params.K), 0, z):
+        bad = first[tile.start : tile.stop, : block.stop] < z
+        if bad.any():
+            mu1, mu2 = divmod(int(bad.argmax()), block.stop)
+            return ZccsCheck(False, (tile.start + mu1, mu2, int(first[tile.start + mu1, mu2])))
     return ZccsCheck(True, None)
 
 
 def _width(cs: CodeSet, first: np.ndarray, z: int, witness: tuple[int, int, int] | None) -> int:
-    """First tau with a non-ideal cell, or N, going on from ``first`` as
-    a check at width z left it: from shift z, or from the witness row.
-
-    The rows are scanned over the shifts up to the map's minimum; after
-    a row that lowered it, the scan goes on over the narrower window,
-    and it ends once a cell fails at the window's first shift.
-    """
+    """First tau with a non-ideal cell, or N, going on from ``first`` as a
+    check at width z left it: from shift z, or from the witness row.  Rows
+    are scanned up to the map's minimum, a new scan going on over the
+    narrower window after a tile lowers it, until a cell fails at its start."""
     k = cs.params.K
     start, row = (0, witness[0]) if witness else (z, 0)
     while row < k and (window := int(first.min())) > start:
-        for mu1, block in _lower(cs, first, range(row, k), start, window):
+        for tile, block in _lower(cs, first, range(row, k), start, window):
             if first.min() == start or (block.stop == k and first.min() < window):
                 break
-        row = mu1 + 1
+        row = tile.stop
     return int(first.min())
 
 
@@ -79,8 +78,8 @@ def check_zccs(cs: CodeSet, z: int) -> ZccsCheck:
     """Decide the zone conditions at width z.
 
     Every cell with 0 <= tau < z must be ideal.  On failure the witness
-    is the first non-ideal (mu1, mu2, tau) in lexicographic order; the
-    map's row mu1 is known up to a block's end once the block is scanned.
+    is the first non-ideal (mu1, mu2, tau) in lexicographic order; a
+    tile's map rows are known up to a block's end once it is scanned.
     """
     return _check(cs, z, np.full((cs.params.K,) * 2, cs.params.N))
 
@@ -129,8 +128,7 @@ def verify_code_set(cs: CodeSet, z: int | None = None, compute_max: bool = False
     and K = M, for is_ccc, goes on from the check's map.
     """
     pp = cs.params
-    if z is None:
-        z = pp.Z
+    z = pp.Z if z is None else z
     first = np.full((pp.K, pp.K), pp.N)
     ok, witness = _check(cs, z, first)
     width = _width(cs, first, z, witness) if compute_max or (ok and pp.K == pp.M) else None

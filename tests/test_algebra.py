@@ -200,6 +200,19 @@ class TestReductionMatrix:
                 _, rem = poly_divmod(tuple(h.tolist()), phi)
                 assert tuple(c.tolist()) == rem + (0,) * (len(phi) - 1 - len(rem))
 
+    @pytest.mark.parametrize("delta", [2, 6, 20, 935, 1024])
+    def test_reduced_forms_in_limbs_match_the_python_int_product(self, delta):
+        reduce = reduction_matrix(delta).astype(object)
+        rng = np.random.default_rng(delta)
+        hist = rng.integers(-(2**62), 2**62, size=(4, delta), endpoint=True)
+        hist[0] = 2**62  # the largest coefficients, all of one sign
+        hist[1, ::2] = -(2**62)
+        hist = np.concatenate([hist, rng.integers(2**51, 2**53, size=(2, delta))])
+        assert (np.abs(hist.astype(float)).sum(axis=1) * np.abs(reduce).max() >= 2.0**52).all()
+        forms = reduced_forms(hist)
+        assert forms.dtype == object and forms.shape == (len(hist), reduce.shape[1])
+        assert (forms == hist.astype(object) @ reduce).all()
+
 
 @pytest.fixture(scope="class")
 def harmonic_pass():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zccs import correlate
+from zccs import correlate, verify
 from zccs.algebra import MAX_TERMS, CycInt, harmonic_reduction, reduced_forms, reduction_matrix
 from zccs.boolfn import RootSequence, parse_gbf
 from zccs.cli import _complex_values, main, write_code_set
@@ -35,8 +35,9 @@ ENGINE_SETS = {
 # Cache budgets that keep no block's spectra, and every code's.
 CACHE_REGIMES = (0, 1 << 40)
 
-# The exact counter, kept before any test patches it away.
+# The exact counter and the block budget, kept before any test patches them.
 RECOUNT = correlate._recount
+BLOCK_BYTES = correlate.BLOCK_BYTES
 
 
 def _refuse(*args):
@@ -49,21 +50,35 @@ def no_fallback(monkeypatch):
     monkeypatch.setattr(correlate, "_recount", _refuse)
 
 
-def _upper(exps, delta, t0, t1, engine=code_histograms, rows=None):
-    """The engine's values for each row mu1, over the codes mu2 >= mu1.
+def _tiles(exps, delta, t0, t1, engine=code_histograms, rows=None):
+    """The engine's ``(tile, block, values)`` over the rows, checked for shape.
 
-    Checks that the blocks of each row come in order and cover exactly
-    the codes from mu1 on."""
+    The tiles must come in order and cover the rows, the first one a
+    single row, and each tile's blocks must come in order and cover
+    exactly the codes from its first row on."""
     k = len(exps)
     rows = range(k) if rows is None else rows
-    blocks = {}
-    for mu1, block, values in engine(exps, delta, rows, t0, t1):
-        assert values.shape[:3] == (len(block), 2, t1 - t0)
-        blocks.setdefault(mu1, []).append((block, values))
-    assert list(blocks) == list(rows)
-    for mu1, row in blocks.items():
-        assert [mu for block, _ in row for mu in block] == list(range(mu1, k))
-    return {mu1: np.concatenate([v for _, v in row]) for mu1, row in blocks.items()}
+    out = list(engine(exps, delta, rows, t0, t1))
+    tiles = list(dict.fromkeys(tile for tile, _, _ in out))
+    assert [mu for tile in tiles for mu in tile] == list(rows)
+    assert len(tiles[0]) == 1
+    for tile in tiles:
+        blocks = [block for t, block, _ in out if t == tile]
+        assert [mu for block in blocks for mu in block] == list(range(tile.start, k))
+    for tile, block, values in out:
+        assert values.shape[:4] == (len(tile), len(block), 2, t1 - t0)
+    return out
+
+
+def _upper(exps, delta, t0, t1, engine=code_histograms, rows=None):
+    """The engine's values for each row mu1, over the codes mu2 >= mu1."""
+    out = _tiles(exps, delta, t0, t1, engine, rows)
+    upper = {}
+    for tile in dict.fromkeys(tile for tile, _, _ in out):
+        values = np.concatenate([v for t, _, v in out if t == tile], axis=1)
+        for i, mu1 in enumerate(tile):
+            upper[mu1] = values[i, i:]
+    return upper
 
 
 def _accf_table(codes):
@@ -132,27 +147,33 @@ def test_reductions_match_reduced_code_accf(name, seed, block_bytes, no_fallback
                 assert np.array_equal(window[mu1], _expected(table, mu1, t0, t1))
 
 
+def _engine_setup(engine, cs):
+    """The harmonics an engine correlates and the table it must reproduce."""
+    delta = cs.params.delta
+    if engine is code_histograms:
+        harmonics, reduce = np.arange(delta // 2 + 1), np.eye(delta, dtype=np.int64)
+    else:
+        harmonics, reduce = harmonic_reduction(delta)[0], reduction_matrix(delta)
+    return harmonics, _accf_table(cs.codes) @ reduce
+
+
 @pytest.mark.parametrize("span, step", [(None, 1), (None, 2), (None, 3), (1, 1), (2, 1)])
 @pytest.mark.parametrize("engine", [code_histograms, code_reductions])
 def test_aligned_blocks_and_harmonic_chunks(engine, span, step, no_fallback, monkeypatch):
     cs = corrupt_seeded(ENGINE_SETS["zccs_14x2x28_delta28"](), 4)
     pp = cs.params
-    if engine is code_histograms:
-        harmonics, reduce = np.arange(pp.delta // 2 + 1), np.eye(pp.delta, dtype=np.int64)
-    else:
-        harmonics, reduce = harmonic_reduction(pp.delta)[0], reduction_matrix(pp.delta)
+    harmonics, table = _engine_setup(engine, cs)
     # The budget that gives blocks of `step` codes, or chunks of `span`
     # harmonics, over the full window: a code's member sums take 16 * L
     # bytes a harmonic.
     per_harmonic = 16 * correlate._fft_length(2 * pp.N - 1)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or len(harmonics)) * step)
-    table = _accf_table(cs.codes) @ reduce
     assert pp.K * len(harmonics) * pp.M * per_harmonic <= correlate.CACHE_BYTES
     for cache_bytes in CACHE_REGIMES:
         monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
-        blocks = [(mu1, block) for mu1, block, _ in engine(cs.exponents, pp.delta, range(pp.K), 0, pp.N)]
-        for mu1, block in blocks:
-            assert block.start == mu1 or block.start % step == 0
+        blocks = [(tile, block) for tile, block, _ in engine(cs.exponents, pp.delta, range(pp.K), 0, pp.N)]
+        for tile, block in blocks:
+            assert block.start == tile.start or block.start % step == 0
             assert block.stop == pp.K or block.stop % step == 0
             assert 1 <= len(block) <= step
             assert block.start // step == (block.stop - 1) // step
@@ -161,6 +182,103 @@ def test_aligned_blocks_and_harmonic_chunks(engine, span, step, no_fallback, mon
             window = _upper(cs.exponents, pp.delta, t0, t1, engine, range(first, pp.K))
             for mu1 in range(first, pp.K):
                 assert np.array_equal(window[mu1], _expected(table, mu1, t0, t1))
+
+
+def _check_cells(out, table, t0, t1):
+    """Every cell the engine yields, those below a tile's diagonal too,
+    against ``table`` of :func:`_accf_table` (reduced or not)."""
+    n = (table.shape[2] + 1) // 2
+    sides = np.stack([n - 1 + np.arange(t0, t1), n - 1 - np.arange(t0, t1)])
+    for tile, block, values in out:
+        for t, mu1 in enumerate(tile):
+            for j, mu2 in enumerate(block):
+                assert np.array_equal(values[t, j], table[mu1, mu2][sides]), (tile, block, mu1, mu2)
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("engine", [code_histograms, code_reductions])
+def test_tiles_match_code_accf_cell_by_cell(engine, height, no_fallback, monkeypatch):
+    cs = corrupt_seeded(ENGINE_SETS["zccs_14x2x28_delta28"](), 4)
+    pp = cs.params
+    harmonics, table = _engine_setup(engine, cs)
+    for t0, t1, first in ((0, pp.N, 0), (0, 5, 3), (4, 9, 0), (13, pp.N, 5)):
+        # The budget of `height` rows' member sums against every code: one
+        # block, and tiles capped at `height` rows while many codes remain.
+        per_code = 16 * correlate._fft_length(pp.N + t1 - 1) * len(harmonics)
+        monkeypatch.setattr(correlate, "BLOCK_BYTES", per_code * pp.K * height)
+        out = _tiles(cs.exponents, pp.delta, t0, t1, engine, range(first, pp.K))
+        heights = [len(tile) for tile in dict.fromkeys(tile for tile, _, _ in out)]
+        assert all(b <= 2 * a for a, b in zip(heights, heights[1:]))
+        if first == 0:
+            assert heights[:3] == [1, min(2, height), min(4, height)]
+        for tile, block, _ in out:
+            assert block == range(tile.start, pp.K)
+            assert len(tile) * len(block) * per_code <= correlate.BLOCK_BYTES
+        _check_cells(out, table, t0, t1)
+
+
+@pytest.mark.parametrize("engine", [code_histograms, code_reductions])
+def test_tiles_start_where_the_column_blocks_end(engine, no_fallback, monkeypatch):
+    cs = corrupt_seeded(ENGINE_SETS["zccs_14x2x28_delta28"](), 5)
+    pp = cs.params
+    harmonics, table = _engine_setup(engine, cs)
+    # Blocks of 6 codes: rows 0-11 take single-row tiles over several
+    # blocks, though the budget alone would give row 11 two rows, and
+    # rows 12-13, whose codes form the last block, one tile.
+    per_code = 16 * correlate._fft_length(2 * pp.N - 1) * len(harmonics)
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_code * 6)
+    for cache_bytes in CACHE_REGIMES:
+        monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
+        out = _tiles(cs.exponents, pp.delta, 0, pp.N, engine)
+        tiles = list(dict.fromkeys(tile for tile, _, _ in out))
+        assert tiles == [range(mu1, mu1 + 1) for mu1 in range(12)] + [range(12, 14)]
+        assert [block for tile, block, _ in out if tile.start == 9] == [range(9, 12), range(12, 14)]
+        _check_cells(out, table, 0, pp.N)
+
+
+def _recording_tiles(monkeypatch) -> list:
+    """Record the tile of every block the verifier reads."""
+    tiles = []
+    reductions = verify.code_reductions
+
+    def recording(*args):
+        for tile, block, c in reductions(*args):
+            tiles.append(tile)
+            yield tile, block, c
+
+    monkeypatch.setattr(verify, "code_reductions", recording)
+    return tiles
+
+
+def test_passing_scan_doubles_its_tiles(no_fallback, monkeypatch):
+    cs = build_zccs(parse_gbf("2*x1*x2", 3, 4), [0], p=5)
+    pp = cs.params
+    assert (pp.K, pp.M, pp.N, pp.Z) == (20, 4, 40, 8)
+    # A budget that caps no tile: ceil(log2(K + 1)) = 5 tiles of 1, 2, 4, 8 and 5 rows.
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", 1 << 40)
+    tiles = _recording_tiles(monkeypatch)
+    assert check_zccs(cs, pp.Z).ok
+    assert tiles == [range(0, 1), range(1, 3), range(3, 7), range(7, 15), range(15, 20)]
+    # The default budget caps the fourth tile at 6 rows.
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", BLOCK_BYTES)
+    tiles.clear()
+    assert check_zccs(cs, pp.Z).ok
+    assert [len(tile) for tile in tiles] == [1, 2, 4, 6, 7]
+
+
+def test_built_sets_are_never_recounted(no_fallback):
+    sets = [build() for build in ENGINE_SETS.values()] + [
+        build_ccc(parse_gbf("x1*x2", 3, 2), [0], 2),
+        build_ccc(parse_gbf("2*x0*x1 + 2*x1*x2 + 2*x2*x3", 4, 4), [0, 3]),
+        build_zccs(parse_gbf("2*x1*x2", 3, 4), [0], p=5),
+        build_zccs(parse_gbf("2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5", 6, 4), [0], 1, p=5),
+    ]
+    for cs in sets:
+        pp = cs.params
+        report = verify_code_set(cs, compute_max=True)
+        assert report.is_zccs_at_claimed_z and report.max_zcz >= pp.Z
+        assert report.is_ccc == (pp.K == pp.M)
+        assert max_zcz(cs) == report.max_zcz
 
 
 def _counting_fft(monkeypatch) -> list:
@@ -233,22 +351,43 @@ def test_set_past_the_cap_keeps_a_prefix_of_its_blocks(no_fallback, monkeypatch)
         assert all(np.array_equal(upper[mu1], forms[0][mu1]) for mu1 in range(pp.K))
 
 
+def _corrupt_code_0_or_5(code):
+    """The 14x2x28 set with code 0's or code 5's first entry shifted: the
+    witness is then in row 0, at code 0 or 5."""
+    cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
+    exps = cs.exponents.copy()
+    exps[code, 0, 0] = (exps[code, 0, 0] + 1) % cs.params.delta
+    return CodeSet(exps, cs.labels, cs.params)
+
+
 @pytest.mark.parametrize("code", [0, 5])
 def test_row_0_witness_computes_no_later_block(code, monkeypatch):
-    cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
+    cs = _corrupt_code_0_or_5(code)
     pp = cs.params
-    exps = cs.exponents.copy()
-    exps[code, 0, 0] = (exps[code, 0, 0] + 1) % pp.delta
-    cs = CodeSet(exps, cs.labels, pp)
     harmonics, _ = harmonic_reduction(pp.delta)
     # Blocks of 2 codes.
     per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * len(harmonics) * 2)
     calls = _counting_fft(monkeypatch)
+    tiles = _recording_tiles(monkeypatch)
     ok, witness = check_zccs(cs, pp.Z)
     assert not ok and witness[:2] == (0, code)
-    # The blocks up to the witness's: codes 0-1, and 2-3 and 4-5 for code 5.
+    # Row 0 only, over the blocks up to the witness's: codes 0-1, and 2-3
+    # and 4-5 for code 5.
+    assert set(tiles) == {range(0, 1)}
     assert len(calls) == code // 2 + 1
+
+
+@pytest.mark.parametrize("code", [0, 5])
+def test_row_0_witness_in_one_block_computes_one_row(code, monkeypatch):
+    cs = _corrupt_code_0_or_5(code)
+    calls = _counting_fft(monkeypatch)
+    tiles = _recording_tiles(monkeypatch)
+    ok, witness = check_zccs(cs, cs.params.Z)
+    assert not ok and witness[:2] == (0, code)
+    # All 14 codes are one block, of which the scan reads row 0 only.
+    assert tiles == [range(0, 1)]
+    assert len(calls) == 1
 
 
 def test_report_resumes_the_width_scan_at_the_witness_row(monkeypatch):
@@ -310,7 +449,7 @@ def test_reductions_of_a_root_order_1024_ccc(no_fallback):
     assert 16 * 512 * pp.M * 2048 > correlate.BLOCK_BYTES
     upper = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
     for mu1 in range(pp.K):
-        hist = RECOUNT(cs.exponents, pp.delta, mu1, range(mu1, pp.K), 0, pp.N)
+        (hist,) = RECOUNT(cs.exponents, pp.delta, range(mu1, mu1 + 1), range(mu1, pp.K), 0, pp.N)
         assert np.array_equal(upper[mu1], reduced_forms(hist))
     tracemalloc.start()
     try:
@@ -346,8 +485,8 @@ def test_out_of_bound_reductions_are_recounted(monkeypatch):
     harmonic_sums = correlate._harmonic_sums
 
     def shifted(*args):
-        for mu1, block, sums in harmonic_sums(*args):
-            yield mu1, block, sums + float(1 << 24)
+        for tile, block, sums in harmonic_sums(*args):
+            yield tile, block, sums + float(1 << 24)
 
     cs = corrupt_seeded(ENGINE_SETS["zccs_10x2x20_delta20"](), 2)
     pp = cs.params
@@ -362,7 +501,8 @@ def test_out_of_bound_reductions_are_recounted(monkeypatch):
     monkeypatch.setattr(correlate, "_harmonic_sums", shifted)
     monkeypatch.setattr(correlate, "_recount", counting)
     slow = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
-    assert len(recounted) >= pp.K
+    # Every block is recounted, row by row of its tile.
+    assert sorted(mu1 for args in recounted for mu1 in args[2]) == list(range(pp.K))
     for mu1 in range(pp.K):
         assert np.array_equal(slow[mu1], fast[mu1])
 
@@ -379,7 +519,7 @@ def test_empty_or_outside_window_is_refused():
 @given(st.data())
 def test_histograms_of_random_exponent_arrays(data):
     delta = data.draw(st.integers(1, 30), label="delta")
-    k = data.draw(st.integers(1, 3), label="K")
+    k = data.draw(st.integers(1, 5), label="K")
     m = data.draw(st.integers(1, 4), label="M")
     n = data.draw(st.integers(1, 24), label="N")
     exps = data.draw(arrays(np.int64, (k, m, n), elements=st.integers(0, delta - 1)), label="exponents")
@@ -390,9 +530,12 @@ def test_histograms_of_random_exponent_arrays(data):
     mu1 = data.draw(st.integers(0, k - 1), label="mu1")
     mu2 = data.draw(st.integers(0, k - 1), label="mu2")
     cache_bytes = data.draw(st.sampled_from(CACHE_REGIMES), label="CACHE_BYTES")
+    # Budgets of a harmonic of a code a block, of a few codes, and the default.
+    block_bytes = data.draw(st.sampled_from((1, 2048, BLOCK_BYTES)), label="BLOCK_BYTES")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlate, "_recount", _refuse)
         patch.setattr(correlate, "CACHE_BYTES", cache_bytes)
+        patch.setattr(correlate, "BLOCK_BYTES", block_bytes)
         upper = _upper(exps, delta, t0, t1, rows=range(first, k))
         reduced = _upper(exps, delta, t0, t1, code_reductions, range(first, k))
         both = code_pair_histograms(exps, delta, mu1, mu2)
