@@ -16,6 +16,7 @@ from .boolfn import (
     check_path_after_deletion,
     codeword_function,
     graph_of,
+    min_blocks_exponent,
     parse_gbf,
     pbf_sequence,
     sequence_of,
@@ -28,7 +29,6 @@ from .construct import (
     build_ccc,
     build_zccs,
     build_zccs_by_concatenation,
-    min_blocks_exponent,
 )
 from .correlate import CorrelationProfile, accf, code_accf, profile, root_sum
 from .verify import (
@@ -54,6 +54,7 @@ __all__ = [
     "check_path_after_deletion",
     "codeword_function",
     "graph_of",
+    "min_blocks_exponent",
     "parse_gbf",
     "pbf_sequence",
     "sequence_of",
@@ -64,7 +65,6 @@ __all__ = [
     "build_ccc",
     "build_zccs",
     "build_zccs_by_concatenation",
-    "min_blocks_exponent",
     "CorrelationProfile",
     "accf",
     "code_accf",

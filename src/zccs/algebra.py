@@ -142,23 +142,23 @@ def reduced_forms(h: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     """``(harmonics, basis)``: the primitive harmonics of Z_delta and the
-    matrix that maps them to reduced forms.
+    real matrix that maps them to reduced forms.
 
     A histogram h over Z_delta has the harmonics H_r = sum_d h[d] w^(-r*d),
     and h[d] = sum_r w_r * Re(H_r w^(r*d)) / delta over r = 0..delta/2,
     with w_r = 1 when 2r = 0 mod delta and 2 otherwise.  Reduction mod
-    Phi_delta is linear, so c = h @ R = Re(H @ basis) with row r of
-    ``basis`` = w_r * sum_d w^(r*d) R[d] / delta.  That row is zero unless
+    Phi_delta is linear, so c = h @ R = Re(H @ B) with row r of B =
+    w_r * sum_d w^(r*d) R[d] / delta.  That row is zero unless
     gcd(r, delta) = 1: sum_d w^(r*d) x^d vanishes at every primitive
     delta-th root of unity when r is not a unit mod delta, so it lies in
     the ideal (Phi_delta).  ``harmonics`` keeps the r <= delta/2 with
-    gcd(r, delta) = 1, phi/2 of them for delta >= 3, and for every
-    histogram
+    gcd(r, delta) = 1, phi/2 of them for delta >= 3, and ``basis`` holds
+    the rows Re B_r and -Im B_r interleaved, so that for every histogram
 
-        h @ reduction_matrix(delta) == Re(H[harmonics] @ basis).
+        h @ reduction_matrix(delta) == H[harmonics].view(float) @ basis.
 
     An error e in every harmonic moves c by at most e times the error
-    gain, the largest column 1-norm of ``basis`` (13.1 at most, at
+    gain, the largest column sum of |B_r| (13.1 at most, at
     delta = 935).  FFT round-off in a sum of MAX_TERMS unit terms is of
     order MAX_TERMS * 2**-52 times a log factor (Percival, Math. Comp. 72,
     2003), and a check raises ZccsError unless gain times that stays far
@@ -168,14 +168,15 @@ def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     >>> harmonics.tolist()
     [1]
     >>> basis.shape
-    (1, 2)
+    (2, 2)
     """
     harmonics = np.array([r for r in range(delta // 2 + 1) if gcd(r, delta) == 1])
     weights = np.where(2 * harmonics % delta == 0, 1.0, 2.0)
-    # R is real, so sum_d w^(r*d) R[d] is the conjugate of rfft(R)[r].
-    spectrum = np.fft.rfft(reduction_matrix(delta), axis=0)[harmonics].conj()
-    basis = weights[:, None] * spectrum / delta
-    gain = float(np.abs(basis).sum(axis=0).max())
+    # R is real, so sum_d w^(r*d) R[d] is the conjugate of rfft(R)[r]:
+    # spectrum[r] is the conjugate of B_r, whose parts are Re B_r and -Im B_r.
+    spectrum = weights[:, None] * np.fft.rfft(reduction_matrix(delta), axis=0)[harmonics] / delta
+    basis = np.stack((spectrum.real, spectrum.imag), axis=1).reshape(-1, spectrum.shape[1])
+    gain = float(np.hypot(basis[0::2], basis[1::2]).sum(axis=0).max())
     if gain * MAX_TERMS * 2.0**-52 >= 2.0**-20:
         raise ZccsError(f"delta={delta}: harmonic error gain {gain:.4g} leaves no room for FFT round-off")
     harmonics.flags.writeable = False
@@ -188,17 +189,6 @@ def conjugate_roots(delta: int) -> np.ndarray:
     """The delta roots w^(-e), e = 0..delta-1, from which the harmonics
     w^(-r*e) of an exponent e are read as w^(-(r*e mod delta))."""
     out = np.exp(-2j * np.pi * np.arange(delta) / delta)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
-def interleaved_basis(delta: int) -> np.ndarray:
-    """The basis B of :func:`harmonic_reduction` as one real matrix: the
-    rows Re B_r and -Im B_r interleaved, so that Re(S @ B) is S viewed as
-    interleaved (Re, Im) float pairs times this matrix."""
-    _, basis = harmonic_reduction(delta)
-    out = np.stack((basis.real, -basis.imag), axis=1).reshape(-1, basis.shape[1])
     out.flags.writeable = False
     return out
 

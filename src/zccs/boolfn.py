@@ -13,7 +13,7 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import is_prime
+from .algebra import MAX_DELTA, is_prime
 from .errors import (
     ArityError,
     InvalidGamma,
@@ -311,6 +311,27 @@ def sequence_of(f: GeneralizedBooleanFunction) -> RootSequence:
     return RootSequence(f.q, acc % f.q)
 
 
+def min_blocks_exponent(p: int) -> int:
+    """Smallest s >= 1 with 2**s >= p."""
+    return max(1, (p - 1).bit_length())
+
+
+def extension_exponent(p: int, q: int, s: int | None = None) -> int:
+    """The s of a rational extension by p of a function over Z_q, checked:
+    s >= 1 with 2**s >= p (default: the smallest such s), delta = lcm(p, q)
+    in [1, MAX_DELTA], and p prime.  s is compared with p's bit length
+    before any shift, and delta bounds p before the primality test, so no
+    hostile value makes either slow."""
+    s = min_blocks_exponent(p) if s is None else s
+    if s < 1 or (s < p.bit_length() and 1 << s < p):
+        raise InvalidParams(f"need s >= 1 and 2**s >= p, got p={p}, s={s}")
+    if not 1 <= (delta := lcm(p, q)) <= MAX_DELTA:
+        raise InvalidParams(f"delta = lcm(p, q) must lie in [1, {MAX_DELTA}], got {delta}")
+    if not is_prime(p):
+        raise InvalidParams(f"p must be prime, got {p}")
+    return s
+
+
 @dataclass(frozen=True)
 class PbfSpec:
     """Parameters of the rational extension of a Boolean function.
@@ -327,14 +348,7 @@ class PbfSpec:
     family: str = "F"
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvalidParams(f"p must be prime, got {self.p}")
-        if self.s < 1:
-            raise InvalidParams("s must be a positive integer")
-        # s is compared with p's bit length first, so no shift count is huge.
-        if self.s < self.p.bit_length() and 1 << self.s < self.p:
-            # p in (2**s, 2**(s+1)) would make the truncation length negative
-            raise InvalidParams(f"need 2 <= p <= 2**s, got p={self.p}, s={self.s}")
+        extension_exponent(self.p, self.f.q, self.s)
         if not 0 <= self.lam < self.p:
             raise InvalidParams(f"lambda must lie in [0, p), got {self.lam}")
         if self.family not in ("F", "G"):

@@ -15,8 +15,11 @@ Sequences are stored as integer exponent vectors, never as floats, so a
 set survives serialization bit-exactly.
 
 The reader treats a document as hostile: ``code_set_from_dict`` checks
-the params against each other, then the counts of codes, sequences and
-entries against K, M and N, and only then converts each sequence once,
+that every param is exactly an int and that 1 <= Z <= N; the family
+rules it leaves to :func:`~zccs.construct.family_params`, which the
+builders call too, and it refuses params other than those it gives for
+(q, m, k, p, s), Z aside.  It then checks the counts of codes, sequences
+and entries against K, M and N, and only then converts each sequence once,
 with ``array("q", seq)``, which refuses floats, strings, null, lists and
 ints past int64.  Bools, numpy ints and int subclasses pass that
 conversion, so it first checks that every exponent is exactly an int.
@@ -47,14 +50,14 @@ import os
 import stat
 import sys
 from array import array
+from dataclasses import replace
 from functools import cache
-from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_DELTA, MAX_TERMS, is_prime, reduced_forms
+from .algebra import reduced_forms
 from .boolfn import parse_gbf
-from .construct import CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs
+from .construct import CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs, family_params
 from .correlate import BLOCK_BYTES, code_pair_histograms
 from .errors import FileFormatError, InvalidParams, ShapeError, ZccsError
 from .verify import verify_code_set
@@ -129,33 +132,12 @@ def _check_params(pp: CodeSetParams) -> None:
         value = getattr(pp, name)
         if type(value) is not int and not (value is None and name in ("p", "s")):
             raise FileFormatError(f"params.{name} must be an integer, got {value!r}")
-    if pp.K < 1 or pp.M < 1:
-        raise FileFormatError("params.K and params.M must be positive")
-    if pp.M * pp.N > MAX_TERMS:
-        raise FileFormatError(f"params.M*N={pp.M * pp.N} exceeds the limit {MAX_TERMS}")
-    if not 1 <= pp.delta <= MAX_DELTA:
-        raise FileFormatError(f"params.delta={pp.delta} outside [1, {MAX_DELTA}]")
-    if pp.delta != (pp.q if pp.p is None else lcm(pp.p, pp.q)):
-        raise FileFormatError("params.delta is neither lcm(p, q) nor q with p null")
-    # delta now bounds |p| and |q|, so the primality test is short.
-    if pp.q < 2 or pp.q % 2:
-        raise FileFormatError(f"params.q={pp.q} is not even and >= 2")
-    if pp.p is not None and not is_prime(pp.p):
-        raise FileFormatError(f"params.p={pp.p} is not prime")
     if not 1 <= pp.Z <= pp.N:
         raise FileFormatError(f"params.Z={pp.Z} outside [1, N={pp.N}]")
-    # The range tests come first so that no shift count is huge.
-    if not (0 <= pp.k < pp.M.bit_length() and pp.M == 2 << pp.k):
-        raise FileFormatError(f"params.M={pp.M} is not 2^(k+1) with k={pp.k}")
-    blocks = 1 if pp.p is None else pp.p
-    if not (0 <= pp.m < pp.N.bit_length() and pp.N == blocks << pp.m):
-        raise FileFormatError(f"params.N={pp.N} is not {blocks}*2^m with m={pp.m}")
-    if pp.K != blocks * pp.M:
-        raise FileFormatError(f"params.K={pp.K} is not {blocks}*M")
-    if (pp.s is None) != (pp.p is None):
-        raise FileFormatError("params.s and params.p must be both null or both set")
-    if pp.s is not None and (pp.s < 0 or (pp.s < pp.p.bit_length() and 1 << pp.s < pp.p)):
-        raise FileFormatError(f"params.s={pp.s} does not give 2^s >= p={pp.p}")
+    family = replace(family_params(pp.q, pp.m, pp.k, pp.p, pp.s), Z=pp.Z)
+    if pp != family:
+        differ = [f"{name}={getattr(pp, name)}" for name in _PARAM_FIELDS if getattr(pp, name) != getattr(family, name)]
+        raise FileFormatError(f"params {', '.join(differ)} disagree with (q, m, k, p, s)")
 
 
 def _label_from_dict(entry: dict, pp: CodeSetParams) -> CodeLabel:

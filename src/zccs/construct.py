@@ -10,6 +10,10 @@ carry a rational linear part, the members are read only at their p*2**m
 kept entries (so s is recorded but costs nothing), and the p*2**(k+1)
 codes have a zero-correlation zone of 2**m.  The same set can equivalently be
 assembled by concatenating p phase-rotated copies of the base codes.
+
+:func:`family_params` holds the family's rules, the one check of (q, m,
+k, p, s) that every builder runs before the path check and that the
+file reader runs on a document's params.
 """
 from __future__ import annotations
 
@@ -19,8 +23,8 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_DELTA, MAX_TERMS, is_prime
-from .boolfn import GeneralizedBooleanFunction, RootSequence, check_path_after_deletion, graph_of, sequence_of
+from .algebra import MAX_DELTA, MAX_TERMS
+from .boolfn import GeneralizedBooleanFunction, RootSequence, check_path_after_deletion, extension_exponent, graph_of, sequence_of
 from .errors import InvalidGamma, InvalidParams, ShapeError
 
 
@@ -70,6 +74,26 @@ def _within_limits(pp: CodeSetParams) -> CodeSetParams:
     return pp
 
 
+def family_params(q: int, m: int, k: int, p: int | None = None, s: int | None = None) -> CodeSetParams:
+    """The params of the base set of a (q, m, k) function (p None) or of
+    its prime extension by p with s extension variables, checked before
+    anything is built: q even, then m and k bounded before any shift, then
+    (p, s) by :func:`~zccs.boolfn.extension_exponent`, which fills in the
+    default s and bounds delta before p's primality test."""
+    if q < 2 or q % 2:
+        raise InvalidParams(f"q must be even and >= 2, got {q}")
+    if m < 0 or k < 0 or k + 1 + m >= MAX_TERMS.bit_length():
+        raise InvalidParams(f"need m, k >= 0 and 2**(k+1+m) <= {MAX_TERMS}, got m={m}, k={k}")
+    if p is None:
+        if s is not None:
+            raise InvalidParams("s needs a prime p")
+        return _within_limits(CodeSetParams(K=2 << k, M=2 << k, N=1 << m, Z=1 << m, q=q, m=m, k=k, delta=q))
+    s = extension_exponent(p, q, s)
+    return _within_limits(CodeSetParams(
+        K=p * (2 << k), M=2 << k, N=p << m, Z=1 << m, q=q, m=m, k=k, delta=lcm(p, q), p=p, s=s,
+    ))
+
+
 @dataclass(frozen=True, eq=False)
 class CodeSet:
     """K codes of M sequences of length N over delta-th roots of unity,
@@ -106,13 +130,17 @@ class CodeSet:
         return same and np.array_equal(self.exponents, other.exponents)
 
 
-def _prepare(f: GeneralizedBooleanFunction, deleted, gamma: int | None):
+def _prepare(f: GeneralizedBooleanFunction, deleted, gamma: int | None, p: int | None = None, s: int | None = None):
+    """The set's params, the deleted vertices and gamma.  The params come
+    first, so no huge m or k reaches the path check."""
+    deleted = tuple(deleted)
+    pp = family_params(f.q, f.m, len(deleted), p, s)
     cert = check_path_after_deletion(graph_of(f), deleted, f.q)
     if gamma is None:
         gamma = min(cert.end_vertices)
     elif gamma not in cert.end_vertices:
         raise InvalidGamma(f"x{gamma} is not an end vertex of the path")
-    return cert, gamma
+    return pp, cert.deleted, gamma
 
 
 def _member_exponents(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], gamma: int) -> np.ndarray:
@@ -148,41 +176,16 @@ def build_ccc(
     Codes 0..2**k-1 come from the function itself (family "C"); the next
     2**k codes are the conjugated complement family ("Cbar").
     """
-    cert, gamma = _prepare(f, deleted, gamma)
-    k, n = len(cert.deleted), 1 << f.m
-    params = _within_limits(CodeSetParams(K=2 << k, M=2 << k, N=n, Z=n, q=f.q, m=f.m, k=k, delta=f.q))
-    exps = _member_exponents(f, cert.deleted, gamma).reshape(2 << k, 2 << k, n)
-    labels = [CodeLabel(family, t) for family in ("C", "Cbar") for t in range(1 << k)]
-    return CodeSet(exps, labels, params)
-
-
-def _extended_params(f: GeneralizedBooleanFunction, k: int, p: int, s: int | None = None) -> CodeSetParams:
-    """Params of the prime-extension set, checked before anything is built;
-    s is compared with p's bit length first, so no shift count is huge, and
-    p is tested for primality only once delta = lcm(p, q) is in bounds."""
-    s = min_blocks_exponent(p) if s is None else s
-    if s < 1 or (s < p.bit_length() and 1 << s < p):
-        raise InvalidParams(f"need s >= 1 and 2**s >= p, got p={p}, s={s}")
-    pp = _within_limits(CodeSetParams(
-        K=p * (2 << k), M=2 << k, N=p << f.m, Z=1 << f.m, q=f.q, m=f.m, k=k, delta=lcm(p, f.q), p=p, s=s,
-    ))
-    if not is_prime(p):
-        raise InvalidParams(f"p must be prime, got {p}")
-    return pp
+    pp, deleted, gamma = _prepare(f, deleted, gamma)
+    exps = _member_exponents(f, deleted, gamma).reshape(pp.K, pp.M, pp.N)
+    labels = [CodeLabel(family, t) for family in ("C", "Cbar") for t in range(1 << pp.k)]
+    return CodeSet(exps, labels, pp)
 
 
 def _extended_set(exps: np.ndarray, pp: CodeSetParams) -> CodeSet:
     """The prime-extension set of exponents exps: "U" codes, then "V", each in lam-major order."""
     labels = [CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(pp.p) for t in range(1 << pp.k)]
     return CodeSet(exps.reshape(pp.K, pp.M, pp.N), labels, pp)
-
-
-def min_blocks_exponent(p: int) -> int:
-    """Smallest s with 2**s >= p."""
-    s = 1
-    while (1 << s) < p:
-        s += 1
-    return s
 
 
 def build_zccs(
@@ -202,11 +205,10 @@ def build_zccs(
     Code mu = lam*2**k + t is the "U" family; the "V" family follows in the
     same order, conjugated.
     """
-    cert, gamma = _prepare(f, deleted, gamma)
-    pp = _extended_params(f, len(cert.deleted), p, s)
+    pp, deleted, gamma = _prepare(f, deleted, gamma, p, s)
     # axes (family, lam, t, nu, w, r): kept entry r + 2**m*w, w < p, reads
     # g at r; "V" takes the conjugate phase ramp
-    base = _member_exponents(f, cert.deleted, gamma)[:, None, :, :, None, :]
+    base = _member_exponents(f, deleted, gamma)[:, None, :, :, None, :]
     sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1, 1)
     lam, w = np.arange(p).reshape(1, p, 1, 1, 1, 1), np.arange(p).reshape(p, 1)
     exps = (pp.delta // f.q) * base + sign * (pp.delta // p) * lam * w
@@ -224,12 +226,10 @@ def build_zccs_by_concatenation(
     i-th block phase-rotated by w_p^(lam*i); each "V" code concatenates the
     conjugated complement-family sequences rotated by w_p^(-lam*i).
     """
-    cert, gamma = _prepare(f, deleted, gamma)
-    k = len(cert.deleted)
-    pp = _extended_params(f, k, p)
+    pp, deleted, gamma = _prepare(f, deleted, gamma, p)
     delta, n = pp.delta, 1 << f.m
     # axes (family, lam, t, nu, entry); block i of a sequence is entries i*n..
-    source = (delta // f.q) * _member_exponents(f, cert.deleted, gamma)[:, None]
+    source = (delta // f.q) * _member_exponents(f, deleted, gamma)[:, None]
     sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1)
     lam = np.arange(p).reshape(1, p, 1, 1, 1)
     ramp = sign * (delta // p) * lam * np.repeat(np.arange(p), n)

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import CycInt, conjugate_roots, harmonic_reduction, interleaved_basis, is_prime, reduced_forms, reduction_max
+from .algebra import MAX_DELTA, CycInt, conjugate_roots, harmonic_reduction, is_prime, reduced_forms, reduction_max
 from .boolfn import RootSequence
 from .construct import Code
 from .errors import InvalidParams, ShapeError
@@ -246,15 +246,15 @@ def code_reductions(
     reduction_matrix(delta)`` for the histograms h that
     :func:`code_histograms` yields: ``c[t, j, side, tau - t0]`` is zero iff
     that correlation is.  Only the primitive harmonics of
-    :func:`~zccs.algebra.harmonic_reduction` are correlated, and c =
-    Re(sums @ basis).
+    :func:`~zccs.algebra.harmonic_reduction` are correlated, and c is
+    the sums, viewed as interleaved (Re, Im) float pairs, times its basis.
     """
     _, m, n = exps.shape
-    harmonics, interleaved = harmonic_reduction(delta)[0], interleaved_basis(delta)
+    harmonics, basis = harmonic_reduction(delta)
     # |c[., tau, i]| <= sum_d h[d] |R[d, i]| <= M * (N - |tau|) * max_d |R[d, i]|.
     bound = m * (n - np.arange(t0, t1))[:, None] * reduction_max(delta)
     for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1):
-        approx = sums.view(np.float64) @ interleaved
+        approx = sums.view(np.float64) @ basis
         # The checks run in place: with the harmonics in chunks a tile holds
         # all its blocks until the last chunk, and a copy would outgrow them.
         del sums
@@ -278,12 +278,6 @@ def code_pair_histograms(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np
     return np.concatenate([h[0, 0, 1, :0:-1], h[0, 0, 0]])
 
 
-def pair_histograms(a: Code, b: Code) -> np.ndarray:
-    """Histograms of the correlation of a with b at every shift in (-N, N);
-    row tau + N - 1 equals ``code_accf(a, b, tau).coeffs``."""
-    return code_pair_histograms(_stacked(a, b), a.sequences[0].delta, 0, 1)
-
-
 @dataclass(frozen=True)
 class CorrelationProfile:
     """Code-level correlation at every shift in (-N, N)."""
@@ -293,14 +287,18 @@ class CorrelationProfile:
 
 
 def profile(a: Code, b: Code) -> CorrelationProfile:
-    h = pair_histograms(a, b)
-    n = len(a.sequences[0])
-    delta = h.shape[1]
+    exps = _stacked(a, b)
+    n, delta = exps.shape[-1], a.sequences[0].delta
+    h = code_pair_histograms(exps, delta, 0, 1)
     return CorrelationProfile(n, {tau: CycInt(delta, h[tau + n - 1]) for tau in range(-n + 1, n)})
 
 
 def root_sum(p: int, c: int) -> CycInt:
     """Sum of w_p^(c*alpha) over alpha = 0..p-1; zero unless p divides c."""
+    # CycInt refuses a root order past MAX_DELTA; refusing it first also
+    # bounds the primality test.
+    if p > MAX_DELTA:
+        raise ValueError(f"p must be at most {MAX_DELTA}, got {p}")
     if not is_prime(p):
         raise InvalidParams(f"p must be prime, got {p}")
     exps = (c * np.arange(p, dtype=np.int64)) % p

@@ -217,16 +217,17 @@ class TestReductionMatrix:
 @pytest.fixture(scope="class")
 def harmonic_pass():
     # One cold pass over every delta builds each R and B once; both tests of
-    # TestHarmonicReduction read what it keeps: the harmonics, B's shape, the
-    # error of the reduced forms B gives and B's largest column sum.
+    # TestHarmonicReduction read what it keeps: the harmonics, the shape of
+    # B's interleaved rows, the error of the reduced forms B gives and the
+    # largest column sum of |B_r|.
     rng = np.random.default_rng(23)
     kept = {}
     for delta in range(1, MAX_DELTA + 1):
         harmonics, basis = harmonic_reduction(delta)
         hist = rng.integers(0, 1000, size=(3, delta))
-        approx = (np.fft.rfft(hist)[:, harmonics] @ basis).real
+        approx = np.ascontiguousarray(np.fft.rfft(hist)[:, harmonics]).view(np.float64) @ basis
         error = float(np.abs(approx - hist @ reduction_matrix(delta)).max())
-        gain = float(np.abs(basis).sum(axis=0).max())
+        gain = float(np.hypot(basis[0::2], basis[1::2]).sum(axis=0).max())
         kept[delta] = (harmonics.tolist(), basis.shape, error, gain)
     return kept
 
@@ -236,9 +237,9 @@ class TestHarmonicReduction:
         for delta in range(1, MAX_DELTA + 1):
             harmonics, shape, _, _ = harmonic_pass[delta]
             assert harmonics == [r for r in range(delta // 2 + 1) if gcd(r, delta) == 1]
-            assert shape == (len(harmonics), len(cyclotomic_poly(delta)) - 1)
+            assert shape == (2 * len(harmonics), len(cyclotomic_poly(delta)) - 1)
             if delta >= 3:
-                assert 2 * len(harmonics) == shape[1]
+                assert shape[0] == shape[1]
         assert harmonic_reduction(1)[0].tolist() == [0]
         assert harmonic_reduction(2)[0].tolist() == [1]
 

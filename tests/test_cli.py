@@ -6,6 +6,7 @@ import json
 import os
 import stat
 import time
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -13,11 +14,11 @@ import pytest
 
 from zccs import cli
 from zccs.algebra import MAX_DELTA
-from zccs.boolfn import parse_gbf
+from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
 from zccs.cli import build_parser, code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import build_ccc, build_zccs
 from zccs.correlate import profile
-from zccs.errors import FileFormatError
+from zccs.errors import FileFormatError, InvalidModulus, InvalidParams
 
 
 @pytest.fixture()
@@ -525,6 +526,58 @@ def test_file_reader_refuses_malformed_document(case, documents, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FileFormatError):
         read_code_set(str(path))
+
+
+def _claimed_document(q, m, k, p, s):
+    """A document claiming the set of (q, m, k, p, s) with Z = 2**m: the
+    params and, for a small claim, codes of the claimed shape and labels
+    with every exponent 0; a large claim gets codes the reader must not
+    look at."""
+    blocks = 1 if p is None else p
+    params = dict(
+        K=blocks * (2 << k), M=2 << k, N=blocks << m, Z=1 << m, q=q, m=m, k=k,
+        delta=q if p is None else lcm(p, q), p=p, s=s,
+    )
+    if params["K"] * params["M"] * params["N"] > 1 << 16:
+        codes = _Untouchable()
+    else:
+        families = [("C", None), ("Cbar", None)] if p is None else [(fam, lam) for fam in ("U", "V") for lam in range(p)]
+        codes = [
+            {"label": {"family": fam, "t": t, "lam": lam}, "sequences": [[0] * params["N"]] * params["M"]}
+            for fam, lam in families for t in range(1 << k)
+        ]
+    return {"format_version": 1, "delta": params["delta"], "params": params, "codes": codes}
+
+
+def test_reader_and_builders_agree_on_the_family_params():
+    # Boundary and hostile (q, m, k, p, s): what the builders refuse the
+    # reader refuses, at once; what they make round-trips; and a claimed
+    # document that both accept has the built set's params.
+    agreed = 0
+    for q, m, k, p, s in product((2, 3, 4), (2, 3, 10**5), (0, 1, 10**5), (None, 1, 2, 3, 4, 7, 2**61 - 1), (None, 0, 1, 10**9)):
+        try:
+            # a weight-q/2 path over the kept vertices; no terms for a huge m
+            f = GeneralizedBooleanFunction(m, q, {(i, i + 1): q // 2 for i in range(k, m - 1)} if m < 64 else {})
+            if p is None:
+                built = build_ccc(f, range(k)) if s is None else None  # no builder takes s without p
+            else:
+                built = build_zccs(f, range(k), p=p, s=s)
+        except (InvalidModulus, InvalidParams):
+            built = None
+        start = time.perf_counter()
+        try:
+            read = code_set_from_dict(_claimed_document(q, m, k, p, s))
+        except FileFormatError:
+            read = None
+        assert time.perf_counter() - start < 0.5, (q, m, k, p, s)
+        if built is None:
+            assert read is None, (q, m, k, p, s)
+            continue
+        assert code_set_from_dict(code_set_to_dict(built)) == built
+        if read is not None:
+            assert read.params == built.params, (q, m, k, p, s)
+            agreed += 1
+    assert agreed > 0
 
 
 def test_bool_exponent_in_a_file_exits_2(documents, tmp_path, capsys):

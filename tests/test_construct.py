@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zccs.boolfn import GeneralizedBooleanFunction, check_path_after_deletion, graph_of, parse_gbf
+from zccs.boolfn import GeneralizedBooleanFunction, PbfSpec, check_path_after_deletion, graph_of, min_blocks_exponent, parse_gbf
 from zccs.algebra import MAX_DELTA, MAX_TERMS
 from zccs.cli import code_set_from_dict, code_set_to_dict
 from zccs.construct import (
@@ -16,7 +16,6 @@ from zccs.construct import (
     build_ccc,
     build_zccs,
     build_zccs_by_concatenation,
-    min_blocks_exponent,
 )
 from zccs.errors import InvalidGamma, InvalidParams
 
@@ -141,6 +140,13 @@ class TestBuildZccs:
             builder(f, [0], 2, p=2**61 - 1)
         assert time.perf_counter() - start < 0.5
 
+    def test_pbf_spec_refuses_a_huge_prime_on_delta_before_the_primality_test(self):
+        f = parse_gbf("x1*x2", 3, 2)
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match="delta"):
+            PbfSpec(f, 2**61 - 1, 61, 0)
+        assert time.perf_counter() - start < 0.5
+
     def test_default_gamma_is_lower_endpoint(self):
         f = parse_gbf("x1*x2", 3, 2)
         assert build_zccs(f, [0], p=3) == build_zccs(f, [0], 1, p=3)
@@ -179,10 +185,12 @@ class TestConcatenationRoute:
 
 class TestMinBlocksExponent:
     def test_values(self):
+        assert min_blocks_exponent(1) == 1
         assert min_blocks_exponent(2) == 1
         assert min_blocks_exponent(3) == 2
         assert min_blocks_exponent(5) == 3
         assert min_blocks_exponent(8) == 3
+        assert min_blocks_exponent(9) == 4
 
 
 class TestPeak:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,14 @@ class TestRootSum:
     def test_requires_prime(self):
         with pytest.raises(InvalidParams):
             root_sum(6, 1)
+
+    def test_huge_prime_is_refused_before_the_primality_test(self):
+        # Trial division up to sqrt(2**61 - 1) would run for minutes;
+        # CycInt refuses a root order past MAX_DELTA anyway.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most"):
+            root_sum(2**61 - 1, 1)
+        assert time.perf_counter() - start < 0.5
 
     def test_zero_iff_stride_not_divisible(self):
         for p in (2, 3, 5, 7):
