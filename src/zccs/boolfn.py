@@ -13,7 +13,7 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_DELTA, is_prime
+from .algebra import MAX_DELTA, MAX_TERMS, is_prime
 from .errors import (
     ArityError,
     InvalidGamma,
@@ -338,7 +338,9 @@ class PbfSpec:
 
     The extension appends s fresh binary variables and adds
     (lam*q/p) * (x_m + 2*x_{m+1} + ... + 2**(s-1)*x_{m+s-1}) to the base
-    function (family "F") or to its input complement (family "G").
+    function (family "F") or to its input complement (family "G").  Its
+    2**(m+s) entries, all of which :func:`pbf_sequence` evaluates, may
+    number at most MAX_TERMS.
     """
 
     f: GeneralizedBooleanFunction
@@ -349,6 +351,8 @@ class PbfSpec:
 
     def __post_init__(self):
         extension_exponent(self.p, self.f.q, self.s)
+        if self.f.m + self.s >= MAX_TERMS.bit_length():
+            raise InvalidParams(f"need 2**(m+s) <= {MAX_TERMS} entries, got m={self.f.m}, s={self.s}")
         if not 0 <= self.lam < self.p:
             raise InvalidParams(f"lambda must lie in [0, p), got {self.lam}")
         if self.family not in ("F", "G"):
@@ -418,5 +422,5 @@ def pbf_sequence(
     base_exp = sequence_of(base).exponents
     scale = delta // f.q
     step = (delta // spec.p) * spec.lam
-    blocks = [(scale * base_exp + step * w) % delta for w in range(1 << spec.s)]
-    return RootSequence(delta, np.concatenate(blocks))
+    w = np.arange(1 << spec.s, dtype=np.int64)[:, None]
+    return RootSequence(delta, ((scale * base_exp + step * w) % delta).ravel())

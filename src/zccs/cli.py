@@ -282,13 +282,15 @@ def cmd_corr(args) -> int:
     zero = ~reduced_forms(hist).any(axis=1)
     values = _complex_values(hist)
     # The rows csv.writer would write: no field needs quoting, and lines
-    # end in CRLF.
-    rows = ["tau,re,im,abs,exact_zero"]
-    rows += [
-        f"{tau},{z.real:.12g},{z.imag:.12g},{abs(z):.12g},{str(exact_zero).lower()}"
-        for tau, z, exact_zero in zip(range(-n + 1, n), values.tolist(), zero.tolist())
-    ]
-    text = "\r\n".join(rows) + "\r\n"
+    # end in CRLF.  One format call takes the fields row by row.  abs is
+    # Python's: np.abs differs from it in the last bit of some values.
+    fields: list = [None] * (5 * (2 * n - 1))
+    fields[0::5] = range(-n + 1, n)
+    fields[1::5] = values.real.tolist()
+    fields[2::5] = values.imag.tolist()
+    fields[3::5] = map(abs, values.tolist())
+    fields[4::5] = np.where(zero, "true", "false").tolist()
+    text = "tau,re,im,abs,exact_zero\r\n" + "%d,%.12g,%.12g,%.12g,%s\r\n" * (2 * n - 1) % tuple(fields)
     if args.csv:
         _write_output(args.csv, text)
     else:

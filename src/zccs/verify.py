@@ -10,7 +10,9 @@ reduced forms that :func:`~zccs.correlate.code_reductions` gives of the
 correlations of each row with the codes from its tile on, at tau and
 -tau; the -tau half is the mirror pair's.  The zone check's witness, the
 maximal width (the map's minimum) and a report's width scan, which goes
-on from the check's map, all read it.
+on from the check's map, all read it.  The check at width z scans one
+shift past the zone, so when a cell fails at z, as one does in every set
+the builders make, a report takes the width z from the check's own map.
 """
 from __future__ import annotations
 
@@ -47,11 +49,13 @@ def _lower(cs: CodeSet, first: np.ndarray, rows: range, t0: int, t1: int) -> Ite
 
 
 def _check(cs: CodeSet, z: int, first: np.ndarray) -> ZccsCheck:
-    """:func:`check_zccs`, lowering ``first`` over the shifts below z."""
+    """:func:`check_zccs`, lowering ``first`` over the shifts up to z, or
+    below N: one shift past the zone, so a passing check leaves the
+    map's minimum exact when a cell fails at z."""
     n = cs.params.N
     if z < 1 or z > n:
         raise InvalidZ(f"need 1 <= Z <= {n}, got {z}")
-    for tile, block in _lower(cs, first, range(cs.params.K), 0, z):
+    for tile, block in _lower(cs, first, range(cs.params.K), 0, min(z + 1, n)):
         bad = first[tile.start : tile.stop, : block.stop] < z
         if bad.any():
             mu1, mu2 = divmod(int(bad.argmax()), block.stop)
@@ -59,13 +63,14 @@ def _check(cs: CodeSet, z: int, first: np.ndarray) -> ZccsCheck:
     return ZccsCheck(True, None)
 
 
-def _width(cs: CodeSet, first: np.ndarray, z: int, witness: tuple[int, int, int] | None) -> int:
-    """First tau with a non-ideal cell, or N, going on from ``first`` as a
-    check at width z left it: from shift z, or from the witness row.  Rows
-    are scanned up to the map's minimum, a new scan going on over the
-    narrower window after a tile lowers it, until a cell fails at its start."""
+def _width(cs: CodeSet, first: np.ndarray, start: int, witness: tuple[int, int, int] | None) -> int:
+    """First tau with a non-ideal cell, or N, going on from ``first``, which
+    is exact below ``start``: from that shift, or from shift 0 at the
+    witness row.  Rows are scanned up to the map's minimum, a new scan
+    going on over the narrower window after a tile lowers it, until a cell
+    fails at its start; a minimum at ``start`` needs no scan."""
     k = cs.params.K
-    start, row = (0, witness[0]) if witness else (z, 0)
+    start, row = (0, witness[0]) if witness else (start, 0)
     while row < k and (window := int(first.min())) > start:
         for tile, block in _lower(cs, first, range(row, k), start, window):
             if first.min() == start or (block.stop == k and first.min() < window):
@@ -125,13 +130,15 @@ def verify_code_set(cs: CodeSet, z: int | None = None, compute_max: bool = False
     """Full report against a claimed zone width (default: the built-in one).
 
     The maximal width, needed for ``compute_max`` and, when the zone holds
-    and K = M, for is_ccc, goes on from the check's map.
+    and K = M, for is_ccc, goes on from the check's map: past shift z
+    after a passing check, which needs no scan when a cell fails at z, as
+    one does in every set the builders make.
     """
     pp = cs.params
     z = pp.Z if z is None else z
     first = np.full((pp.K, pp.K), pp.N)
     ok, witness = _check(cs, z, first)
-    width = _width(cs, first, z, witness) if compute_max or (ok and pp.K == pp.M) else None
+    width = _width(cs, first, min(z + 1, pp.N), witness) if compute_max or (ok and pp.K == pp.M) else None
     return VerificationReport(
         claimed_z=z,
         is_zccs_at_claimed_z=ok,

@@ -1,9 +1,11 @@
 import cmath
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from zccs.algebra import MAX_TERMS
 from zccs.boolfn import (
     FunctionGraph,
     GeneralizedBooleanFunction,
@@ -346,3 +348,19 @@ class TestPbfSequence:
             PbfSpec(f, p=3, s=2, lam=3)  # lambda out of range
         with pytest.raises(InvalidParams):
             PbfSpec(f, p=3, s=2, lam=0, family="H")
+
+    @pytest.mark.parametrize("s", [18, 10**9])
+    def test_more_entries_than_max_terms_are_refused_at_once(self, s):
+        f, _ = self._example_setup()
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match="2\\*\\*\\(m\\+s\\)"):
+            PbfSpec(f, p=3, s=s, lam=0)
+        assert time.perf_counter() - start < 0.05
+
+    def test_max_terms_entries_are_built(self):
+        f, cert = self._example_setup()
+        spec = PbfSpec(f, p=3, s=MAX_TERMS.bit_length() - 1 - f.m, lam=1)
+        seq = pbf_sequence(spec, (0,), (0,), 0, cert, 2)
+        assert len(seq) == MAX_TERMS
+        short = pbf_sequence(PbfSpec(f, p=3, s=2, lam=1), (0,), (0,), 0, cert, 2)
+        assert np.array_equal(seq.exponents[: len(short)], short.exponents)

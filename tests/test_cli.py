@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from zccs import cli
-from zccs.algebra import MAX_DELTA
+from zccs.algebra import MAX_DELTA, reduced_forms
 from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
 from zccs.cli import build_parser, code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import build_ccc, build_zccs
-from zccs.correlate import profile
+from zccs.correlate import code_pair_histograms, profile
 from zccs.errors import FileFormatError, InvalidModulus, InvalidParams
+
+from oracles import corrupt_seeded
 
 
 @pytest.fixture()
@@ -209,6 +211,29 @@ class TestCorr:
         assert out.read_bytes() == ref.getvalue().encode()
         assert main(["corr", "--in", str(flagship_file), "--pair", "0,4"]) == 0
         assert capsys.readouterr().out == ref.getvalue()
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3, s=2),
+        lambda: build_zccs(parse_gbf("2*x0*x1 + x1", 2, 4), [], 0, p=5),
+        lambda: build_zccs(parse_gbf("2*x0*x1 + 3*x0 + 1", 2, 4), [], 0, p=7),
+        lambda: build_ccc(parse_gbf("2*x0*x1 + 2*x1*x2 + 2*x2*x3", 4, 4), [0, 3]),
+        lambda: corrupt_seeded(build_zccs(parse_gbf("2*x1*x2", 3, 4), [0], p=5), 2),
+    ])
+    def test_bytes_match_a_per_row_format(self, build, tmp_path, capsys):
+        # The reference: one f-string per row over the same values.
+        cs = build()
+        path = tmp_path / "set.json"
+        write_code_set(cs, str(path))
+        n, k = cs.params.N, cs.params.K
+        for mu1, mu2 in {(0, 0), (0, 1), (1, 0), (k - 1, 0), (k // 2, k - 1)}:
+            hist = code_pair_histograms(cs.exponents, cs.params.delta, mu1, mu2)
+            zero = ~reduced_forms(hist).any(axis=1)
+            rows = ["tau,re,im,abs,exact_zero"] + [
+                f"{tau},{z.real:.12g},{z.imag:.12g},{abs(z):.12g},{str(exact_zero).lower()}"
+                for tau, z, exact_zero in zip(range(-n + 1, n), cli._complex_values(hist).tolist(), zero.tolist())
+            ]
+            assert main(["corr", "--in", str(path), "--pair", f"{mu1},{mu2}"]) == 0
+            assert capsys.readouterr().out == "\r\n".join(rows) + "\r\n"
 
     def test_pair_out_of_range(self, flagship_file, capsys):
         rc = main(["corr", "--in", str(flagship_file), "--pair", "0,12"])

@@ -301,7 +301,7 @@ def test_one_block_scan_takes_one_forward_fft_per_chunk(span, monkeypatch):
     if span is not None:
         # A one-code set whose harmonics come in chunks of `span`.
         cs = CodeSet(cs.exponents[:1], cs.labels[:1], replace(pp, K=1))
-        per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
+        per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z)
         monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * span)
     calls = _counting_fft(monkeypatch)
     assert check_zccs(cs, pp.Z).ok
@@ -316,7 +316,7 @@ def test_cached_scan_takes_one_forward_fft_per_block_and_chunk(span, monkeypatch
     pp = cs.params
     harmonics, _ = harmonic_reduction(pp.delta)
     # Blocks of 3 codes, or of one code whose harmonics come in chunks of `span`.
-    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
+    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or 3 * len(harmonics)))
     assert pp.K * len(harmonics) * pp.M * per_harmonic <= correlate.CACHE_BYTES
     blocks, chunks = (5, 1) if span is None else (pp.K, 3)
@@ -335,7 +335,7 @@ def test_set_past_the_cap_keeps_a_prefix_of_its_blocks(no_fallback, monkeypatch)
     pp = cs.params
     harmonics, _ = harmonic_reduction(pp.delta)
     # Blocks of 3 codes, 5 in all; the cap holds the spectra of two.
-    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
+    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * 3 * len(harmonics))
     calls = _counting_fft(monkeypatch)
     counts, forms = [], []
@@ -365,7 +365,7 @@ def test_row_0_witness_computes_no_later_block(code, monkeypatch):
     pp = cs.params
     harmonics, _ = harmonic_reduction(pp.delta)
     # Blocks of 2 codes.
-    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z - 1)
+    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z)
     monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * len(harmonics) * 2)
     calls = _counting_fft(monkeypatch)
     tiles = _recording_tiles(monkeypatch)
@@ -420,13 +420,43 @@ def test_failed_ccc_check_scans_nothing_more(monkeypatch):
     assert not report.is_ccc and report.max_zcz is None
 
 
+WIDTH_FREE_SETS = {
+    **ENGINE_SETS,
+    "zccs_8x4x8": lambda: build_zccs(parse_gbf("x0*x1", 2, 2), [], 0, p=2),
+    "zccs_20x4x40": lambda: build_zccs(parse_gbf("2*x1*x2", 3, 4), [0], p=5),
+    "zccs_28x4x56": lambda: build_zccs(parse_gbf("2*x0*x1 + 2*x1*x2 + x2", 3, 4), [0], p=7),
+    "zccs_16x8x32": lambda: build_zccs(parse_gbf("x0*x1 + x2*x3 + x2", 4, 2), [0, 1], p=2),
+    "ccc_8x8x16": lambda: build_ccc(parse_gbf("2*x0*x1 + 2*x1*x2 + 2*x2*x3", 4, 4), [0, 3]),
+    "zccs_20x4x320": lambda: build_zccs(parse_gbf("2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5", 6, 4), [0], 1, p=5),
+    "zccs_24x8x384": lambda: build_zccs(parse_gbf("x0*x3 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x1", 7, 2), [0, 1], p=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_FREE_SETS))
+def test_built_set_report_takes_its_width_from_the_zone_check(name, no_fallback, monkeypatch):
+    # A built set fails at tau = Z, which the check, scanning one shift
+    # past the zone, has already found: the width costs no further scan.
+    cs = WIDTH_FREE_SETS[name]()
+    pp = cs.params
+    calls = _counting_fft(monkeypatch)
+    tiles = _recording_tiles(monkeypatch)
+    assert check_zccs(cs, pp.Z).ok
+    alone = calls[:], tiles[:]
+    calls.clear()
+    tiles.clear()
+    report = verify_code_set(cs, compute_max=True)
+    assert (calls, tiles) == alone
+    assert report.max_zcz == pp.Z == float_zcz_width(cs)
+    assert report.is_ccc == (pp.K == pp.M)
+
+
 def test_cached_verification_memory():
     cs = build_zccs(parse_gbf("2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5", 6, 4), [0], 1, p=5)
     pp = cs.params
     assert (pp.K, pp.M, pp.N, pp.Z, pp.delta) == (20, 4, 320, 64, 20)
     # The spectra of 4 primitive harmonics of every code at FFT length 384
     # fit the cache and outgrow four BLOCK_BYTES budgets.
-    spectra = 16 * 4 * pp.K * pp.M * correlate._fft_length(pp.N + pp.Z - 1)
+    spectra = 16 * 4 * pp.K * pp.M * correlate._fft_length(pp.N + pp.Z)
     assert 4 * correlate.BLOCK_BYTES < spectra <= correlate.CACHE_BYTES
     tracemalloc.start()
     try:

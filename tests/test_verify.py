@@ -175,7 +175,9 @@ def test_report_matches_float_oracle(name, corrupt, seed):
     width = float_zcz_width(cs)
     code0 = to_complex_code(cs.codes[0])
     peak = round(naive_code_accf(code0, code0, 0).real)
-    for z in sorted({1, pp.Z, pp.N}):
+    # z = Z - 1, Z and Z + 1 put the check's extra shift below, at and past
+    # the first failure of a built set.
+    for z in sorted({1, 2, pp.Z - 1, pp.Z, pp.Z + 1, pp.N} & set(range(1, pp.N + 1))):
         witness = first_violation(cs, z)
         for compute_max in (False, True):
             report = verify_code_set(cs, z, compute_max=compute_max)
@@ -220,3 +222,13 @@ def test_max_zcz_counts_the_mirror_cells():
     assert all(code_accf(a, b, 1).is_zero() for i, a in enumerate(codes) for b in codes[i:])
     assert max_zcz(cs) == float_zcz_width(cs) == 1
     assert check_zccs(cs, 2).witness == first_violation(cs, 2)
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 8])
+def test_max_zcz_alone_scans_from_shift_0(z):
+    # The check scans one shift past z, and a report's width scan goes on
+    # from there; max_zcz has no check before it and starts at shift 0.
+    cs = corrupt_later_rows(CROSS_CHECK_SETS["zccs_8x4x8"](), 1857)
+    assert max_zcz(cs) == float_zcz_width(cs) == 0
+    report = verify_code_set(cs, z, compute_max=True)
+    assert report.witness == first_violation(cs, z) and report.max_zcz == 0
