@@ -40,6 +40,13 @@ MAX_DELTA = 1 << 10
 """Largest root order delta a code set may have."""
 
 
+def owned_int64(values) -> np.ndarray:
+    """``values`` as an int64 array no caller can write through: a
+    read-only array as it is, anything else copied."""
+    keep = isinstance(values, np.ndarray) and not values.flags.writeable
+    return np.array(values, dtype=np.int64, copy=None if keep else True)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -208,7 +215,7 @@ class CycInt:
     def __post_init__(self):
         if not 1 <= self.delta <= MAX_DELTA:
             raise ValueError(f"delta must lie in [1, {MAX_DELTA}], got {self.delta}")
-        arr = np.asarray(self.coeffs, dtype=np.int64)
+        arr = owned_int64(self.coeffs)
         if arr.shape != (self.delta,):
             raise ValueError("coefficient vector must have length delta")
         arr.flags.writeable = False

@@ -13,7 +13,7 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_DELTA, MAX_TERMS, is_prime
+from .algebra import MAX_DELTA, MAX_TERMS, is_prime, owned_int64
 from .errors import (
     ArityError,
     InvalidGamma,
@@ -70,6 +70,24 @@ class GeneralizedBooleanFunction:
             if all(x[v] for v in mono):
                 total += c
         return total % self.q
+
+    def truth_table(self) -> np.ndarray:
+        """Read-only int64 values at every index r = sum_a x_a * 2**a, mod q.
+
+        f(x) is the sum of the coefficients of the monomials whose
+        variables x sets, so one in-place subset-sum pass over the m bits,
+        from each coefficient at its monomial's mask, gives every value.
+        It is exact while the coefficients sum to less than 2**63.
+        """
+        acc = np.zeros(1 << self.m, dtype=np.int64)
+        for mono, c in self.terms.items():
+            acc[sum(1 << v for v in mono)] = c
+        for v in range(self.m):
+            halves = acc.reshape(-1, 2, 1 << v)
+            halves[:, 1] += halves[:, 0]
+        acc %= self.q
+        acc.flags.writeable = False
+        return acc
 
     def with_term(self, mono, coeff: int) -> GeneralizedBooleanFunction:
         """New function with ``coeff * prod(mono)`` added."""
@@ -260,7 +278,7 @@ class RootSequence:
     def __post_init__(self):
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
-        arr = np.asarray(self.exponents, dtype=np.int64)
+        arr = owned_int64(self.exponents)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("exponent vector must be 1-d and non-empty")
         if np.any(arr < 0) or np.any(arr >= self.delta):
@@ -300,15 +318,7 @@ class RootSequence:
 
 def sequence_of(f: GeneralizedBooleanFunction) -> RootSequence:
     """Evaluate f at every index r and return (w_q^f(r))_r, r bit-ordered."""
-    n = 1 << f.m
-    r = np.arange(n, dtype=np.int64)
-    acc = np.zeros(n, dtype=np.int64)
-    for mono, c in f.terms.items():
-        bits = np.ones(n, dtype=np.int64)
-        for v in mono:
-            bits &= (r >> v) & 1
-        acc += c * bits
-    return RootSequence(f.q, acc % f.q)
+    return RootSequence(f.q, f.truth_table())
 
 
 def min_blocks_exponent(p: int) -> int:

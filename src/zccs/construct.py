@@ -24,7 +24,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import MAX_DELTA, MAX_TERMS
-from .boolfn import GeneralizedBooleanFunction, RootSequence, check_path_after_deletion, extension_exponent, graph_of, sequence_of
+from .boolfn import GeneralizedBooleanFunction, RootSequence, check_path_after_deletion, extension_exponent, graph_of
 from .errors import InvalidGamma, InvalidParams, ShapeError
 
 
@@ -160,7 +160,7 @@ def _member_exponents(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], g
     # selector bits d_vec + t_vec, axes (t, nu, deleted variable)
     select = ((nu[: 1 << k, None] >> shifts) & 1)[:, None] + ((nu[:, None] >> shifts) & 1)
     d = (nu >> k)[:, None]
-    table = sequence_of(f).exponents
+    table = f.truth_table()
     fam_f = table + half * (select @ planes + d * x_gamma)
     fam_g = -(table[::-1] + half * (select @ (1 - planes) + (1 - d) * x_gamma))
     return np.stack([fam_f, fam_g]) % f.q

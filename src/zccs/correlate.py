@@ -8,8 +8,9 @@ Zero tests are deferred to the caller and are bit-exact.
 :func:`code_accf` builds one histogram by direct counting; it is the
 reference.  The batched engine works on the (K, M, N) exponent array of
 a code set and correlates each unordered pair of codes once: a tile of
-rows, which doubles in height while the rest of the set is one block,
-takes the codes from its first row on.  One cyclic correlation of
+rows takes the codes from its first row on.  A scan whose member sums
+fit one block's budget is one tile; otherwise a tile doubles in height
+while the rest of the set is one block.  One cyclic correlation of
 length >= N + t1 - 1 holds theta(mu1, mu2)(tau) and theta(mu1, mu2)(-tau)
 for every tau < t1, and the second gives the mirror cell, since
 theta(mu2, mu1)(tau) = conj(theta(mu1, mu2)(-tau)).  Two recoveries
@@ -136,12 +137,16 @@ def _harmonic_sums(
     A block holds as many codes as have member sums, one value per
     harmonic and lag, that fit BLOCK_BYTES, starting at multiples of that
     many codes; when one code's do not fit, its harmonics are taken in
-    chunks that do, and a block is yielded once its last chunk is in.  A
-    scan's first tile is one row; while the codes from a tile's start on
-    form one block, each tile read through doubles the next one's height,
-    capped so that its member sums fit BLOCK_BYTES, else a tile is one
-    row.  The conjugated spectra of a block at a chunk are computed when a
-    tile first reads them and kept while the kept total fits CACHE_BYTES:
+    chunks that do, and a block is yielded once its last chunk is in.
+    A tile is one row while the codes from its start on span more than
+    one block.  Once they form one block, a scan's first tile takes all
+    the rows when their member sums fit BLOCK_BYTES; otherwise it is one
+    row, and each tile read through doubles the next one's height,
+    capped so that its member sums fit BLOCK_BYTES.  A tile computes its
+    cells below the diagonal too, so later tiles do not jump to take all
+    the rows left: a square tile spends half its cells there.  The
+    conjugated spectra of a block at a chunk are computed when a tile
+    first reads them and kept while the kept total fits CACHE_BYTES:
     the whole set when it fits, else the blocks the first tiles read.  So
     a scan that stops at a witness has computed no block it did not read.
     """
@@ -168,12 +173,13 @@ def _harmonic_sums(
         if spec is None:
             table = roots[np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta]
             codes = exps[start : start + step]
-            # Each code's roots go into the zero-padded array, which is
-            # transformed in place, so a block's spectra take one array.
+            # Each member's roots, one take for all the block's codes, go
+            # into the zero-padded array, which is transformed in place,
+            # so a block's spectra take one array.
             spec = np.empty((len(chunk), len(codes), m, length), dtype=complex)
             spec[..., n:] = 0
-            for j, code in enumerate(codes):
-                spec[:, j, :, :n] = np.take(table, code, axis=1)
+            for j in range(m):
+                spec[:, :, j, :n] = np.take(table, codes[:, j], axis=1)
             np.conjugate(np.fft.fft(spec, out=spec), out=spec)
             if kept + spec.nbytes <= CACHE_BYTES:
                 store[chunk.start, start] = spec
@@ -184,9 +190,15 @@ def _harmonic_sums(
     while mu1 < rows.stop:
         first, own = max(mu1, cols.start), mu1 - mu1 % step
         # More rows than one only when the codes from mu1 on form one
-        # block, and only as many as keep the tile's member sums in BLOCK_BYTES.
+        # block, and only as many as keep the tile's member sums in
+        # BLOCK_BYTES: all the rows when the first tile fits them.
         cap = BLOCK_BYTES // (16 * length * span * max(1, cols.stop - first))
-        height = max(1, min(height, cap)) if own + step >= k else 1
+        if own + step < k:
+            height = 1
+        elif mu1 == rows.start and cap >= len(rows):
+            height = len(rows)
+        else:
+            height = max(1, min(height, cap))
         tile = range(mu1, min(mu1 + height, rows.stop))
         pending: dict[int, np.ndarray] = {}
         for chunk in chunks:

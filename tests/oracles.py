@@ -140,6 +140,20 @@ def corrupt_later_rows(cs: CodeSet, seed: int) -> CodeSet:
     return CodeSet(exps, cs.labels, pp)
 
 
+def monomial_truth_table(f) -> np.ndarray:
+    """f at every index r = sum_a x_a * 2**a, mod q: each monomial's
+    coefficient added where all its variables' bit-planes are set."""
+    n = 1 << f.m
+    r = np.arange(n, dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int64)
+    for mono, c in f.terms.items():
+        bits = np.ones(n, dtype=np.int64)
+        for v in mono:
+            bits &= (r >> v) & 1
+        acc += c * bits
+    return acc % f.q
+
+
 def _bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> i) & 1 for i in range(width))
 

@@ -293,6 +293,13 @@ class TestExactArithmetic:
         with pytest.raises(OverflowError):
             -ci(2, [-(2**63), 0])
 
+    def test_callers_array_stays_writeable_and_unshared(self):
+        b = np.array([1, 0, 0, 2])
+        value = CycInt(4, b)
+        assert b.flags.writeable and not value.coeffs.flags.writeable
+        b[0] = 5
+        assert value.coeffs.tolist() == [1, 0, 0, 2]
+
     def test_root_order_is_capped(self):
         assert CycInt.zero(MAX_DELTA).is_zero()
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from zccs.errors import (
     TruncateError,
 )
 
-from oracles import brute_force_path
+from oracles import brute_force_path, monomial_truth_table
 
 
 def random_gbf(rng, m, q, max_degree=2, n_terms=4):
@@ -242,6 +242,40 @@ class TestSequenceOf:
             for r in rng.integers(0, 1 << m, size=8):
                 bits = tuple((int(r) >> a) & 1 for a in range(m))
                 assert seq.exponents[int(r)] == f.evaluate(bits)
+
+
+    def test_truth_table_of_any_degree(self):
+        # Terms up to degree m: the subset-sum pass against f at every
+        # point and against the per-monomial bit-plane sum.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            m, q = int(rng.integers(0, 10)), 2 * int(rng.integers(1, 513))
+            f = random_gbf(rng, m, q, max_degree=m, n_terms=int(rng.integers(0, 12)))
+            table = f.truth_table()
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert np.array_equal(sequence_of(f).exponents, table)
+            assert np.array_equal(table, monomial_truth_table(f))
+            assert table.tolist() == [f.evaluate((r >> a) & 1 for a in range(m)) for r in range(1 << m)]
+
+
+class TestOwnership:
+    def test_callers_array_stays_writeable_and_unshared(self):
+        a = np.array([0, 1, 2, 3])
+        seq = RootSequence(4, a)
+        assert a.flags.writeable and not seq.exponents.flags.writeable
+        a[0] = 3
+        assert seq.exponents.tolist() == [0, 1, 2, 3]
+
+    def test_a_view_is_copied(self):
+        c = np.array([0, 1, 2, 3])
+        seq = RootSequence(4, c[:])
+        c[0] = 1
+        assert seq.exponents.tolist() == [0, 1, 2, 3]
+
+    def test_a_read_only_array_is_kept(self):
+        a = np.array([0, 1, 2, 3])
+        a.flags.writeable = False
+        assert RootSequence(4, a).exponents is a
 
 
 class TestTruncateConjugate:

@@ -53,6 +53,13 @@ class TestBuildCcc:
             assert all(len(c.sequences) == 2 << k for c in cs.codes)
             assert all(len(s) == 1 << m for c in cs.codes for s in c.sequences)
 
+    def test_code_rows_are_views_of_the_exponents(self):
+        cs = build_ccc(chain_function(3, 1, 2), [0])
+        for mu, code in enumerate(cs.codes):
+            for nu, seq in enumerate(code.sequences):
+                assert np.shares_memory(seq.exponents, cs.exponents)
+                assert np.array_equal(seq.exponents, cs.exponents[mu, nu])
+
     def test_labels(self):
         cs = build_ccc(chain_function(3, 1, 2), [0])
         assert [c.label for c in cs.codes] == [

@@ -21,7 +21,7 @@ from zccs.boolfn import RootSequence, parse_gbf
 from zccs.cli import _complex_values, main, write_code_set
 from zccs.construct import Code, CodeLabel, CodeSet, build_ccc, build_zccs
 from zccs.correlate import code_accf, code_histograms, code_pair_histograms, code_reductions
-from zccs.verify import check_zccs, max_zcz, verify_code_set
+from zccs.verify import check_ccc, check_zccs, max_zcz, verify_code_set
 
 from oracles import corrupt_later_rows, corrupt_seeded, float_zcz_width
 
@@ -50,18 +50,34 @@ def no_fallback(monkeypatch):
     monkeypatch.setattr(correlate, "_recount", _refuse)
 
 
+def _harmonic_count(engine, delta):
+    """How many harmonics an engine correlates."""
+    return delta // 2 + 1 if engine is code_histograms else len(harmonic_reduction(delta)[0])
+
+
+def _one_tile(exps, delta, engine, rows, t1):
+    """Whether the rows' member sums against the codes from their first
+    on, at every harmonic, fit BLOCK_BYTES, and those codes lie in one
+    block: then the engine takes the rows as one tile."""
+    k, _, n = exps.shape
+    per_code = 16 * correlate._fft_length(n + t1 - 1) * _harmonic_count(engine, delta)
+    step = correlate.BLOCK_BYTES // per_code
+    return len(rows) * (k - rows.start) * per_code <= correlate.BLOCK_BYTES and rows.start // step == (k - 1) // step
+
+
 def _tiles(exps, delta, t0, t1, engine=code_histograms, rows=None):
     """The engine's ``(tile, block, values)`` over the rows, checked for shape.
 
     The tiles must come in order and cover the rows, the first one a
-    single row, and each tile's blocks must come in order and cover
-    exactly the codes from its first row on."""
+    single row, or every row when their member sums fit one tile, and
+    each tile's blocks must come in order and cover exactly the codes
+    from its first row on."""
     k = len(exps)
     rows = range(k) if rows is None else rows
     out = list(engine(exps, delta, rows, t0, t1))
     tiles = list(dict.fromkeys(tile for tile, _, _ in out))
     assert [mu for tile in tiles for mu in tile] == list(rows)
-    assert len(tiles[0]) == 1
+    assert len(tiles[0]) == (len(rows) if _one_tile(exps, delta, engine, rows, t1) else 1)
     for tile in tiles:
         blocks = [block for t, block, _ in out if t == tile]
         assert [mu for block in blocks for mu in block] == list(range(tile.start, k))
@@ -253,8 +269,11 @@ def test_passing_scan_doubles_its_tiles(no_fallback, monkeypatch):
     cs = build_zccs(parse_gbf("2*x1*x2", 3, 4), [0], p=5)
     pp = cs.params
     assert (pp.K, pp.M, pp.N, pp.Z) == (20, 4, 40, 8)
-    # A budget that caps no tile: ceil(log2(K + 1)) = 5 tiles of 1, 2, 4, 8 and 5 rows.
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", 1 << 40)
+    # The budget of rows 7-14 against codes 7-19: the set does not fit one
+    # tile and no tile is capped, so ceil(log2(K + 1)) = 5 tiles of 1, 2,
+    # 4, 8 and 5 rows.
+    per_code = 16 * correlate._fft_length(pp.N + pp.Z) * len(harmonic_reduction(pp.delta)[0])
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_code * 8 * 13)
     tiles = _recording_tiles(monkeypatch)
     assert check_zccs(cs, pp.Z).ok
     assert tiles == [range(0, 1), range(1, 3), range(3, 7), range(7, 15), range(15, 20)]
@@ -263,6 +282,45 @@ def test_passing_scan_doubles_its_tiles(no_fallback, monkeypatch):
     tiles.clear()
     assert check_zccs(cs, pp.Z).ok
     assert [len(tile) for tile in tiles] == [1, 2, 4, 6, 7]
+    # A budget the whole set fits takes it as one tile.
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", 1 << 40)
+    tiles.clear()
+    assert check_zccs(cs, pp.Z).ok
+    assert tiles == [range(0, 20)]
+
+
+def _sweep_grid_sets():
+    """The small sets of the benchmark's design-space sweep, from path
+    functions: q in (2, 4), m in (2, 3, 4), k < m deleted vertices with k
+    in (0, 1, 2), p in (2, 3, 5, 7), and K*K*N at most 2048."""
+    for q in (2, 4):
+        for m in (2, 3, 4):
+            for k in range(min(m, 3)):
+                f = parse_gbf(" + ".join([f"{q // 2}*x{v}*x{v + 1}" for v in range(k, m - 1)] + ["x0", "1"]), m, q)
+                yield build_ccc(f, range(k))
+                for p in (2, 3, 5, 7):
+                    if (p * (2 << k)) ** 2 * (1 << m) <= 2048:
+                        yield build_zccs(f, range(k), p=p)
+
+
+def test_sweep_sets_that_fit_are_one_tile(no_fallback, monkeypatch):
+    tiles = _recording_tiles(monkeypatch)
+    one = 0
+    for cs in _sweep_grid_sets():
+        pp = cs.params
+        checks = [(pp.Z, lambda: check_zccs(cs, pp.Z).ok)]
+        if pp.K == pp.M:
+            checks.append((pp.N, lambda: check_ccc(cs)))
+        for z, check in checks:
+            tiles.clear()
+            assert check()
+            if _one_tile(cs.exponents, pp.delta, code_reductions, range(pp.K), min(z + 1, pp.N)):
+                assert tiles == [range(pp.K)], (pp, z)
+                one += 1
+            else:
+                assert tiles[0] == range(1), (pp, z)
+    # At the default budget 59 of the 68 checks fit one tile.
+    assert one == 59
 
 
 def test_built_sets_are_never_recounted(no_fallback):
