@@ -77,8 +77,11 @@ class GeneralizedBooleanFunction:
         f(x) is the sum of the coefficients of the monomials whose
         variables x sets, so one in-place subset-sum pass over the m bits,
         from each coefficient at its monomial's mask, gives every value.
-        It is exact while the coefficients sum to less than 2**63.
+        It refuses a function whose coefficients sum to 2**63 or more,
+        since a value could then wrap in int64.
         """
+        if sum(self.terms.values()) >= 1 << 63:
+            raise InvalidParams(f"coefficients sum to 2**63 or more; q={self.q} is too large for an int64 table")
         acc = np.zeros(1 << self.m, dtype=np.int64)
         for mono, c in self.terms.items():
             acc[sum(1 << v for v in mono)] = c

@@ -19,14 +19,15 @@ that every param is exactly an int and that 1 <= Z <= N; the family
 rules it leaves to :func:`~zccs.construct.family_params`, which the
 builders call too, and it refuses params other than those it gives for
 (q, m, k, p, s), Z aside.  It then checks the counts of codes, sequences
-and entries against K, M and N, and only then converts each sequence once,
-with ``array("q", seq)``, which refuses floats, strings, null, lists and
-ints past int64.  Bools, numpy ints and int subclasses pass that
-conversion, so it first checks that every exponent is exactly an int.
-``read_code_set`` shares that path but skips the walk when the file's
-text holds neither ``true`` nor ``false``: ``json.loads`` makes every
-other integer exactly an int.  ``main`` builds its argument parser once
-per process.
+and entries against K, M and N, and only then packs each sequence once,
+with ``struct.Struct(f"{N}q").pack(*seq)``, which refuses floats,
+strings, null, lists, dicts and ints outside int64; one ``b"".join`` and
+one ``np.frombuffer`` make the (K, M, N) array.  Bools, numpy ints and
+int subclasses pass that conversion, so it first checks that every
+exponent is exactly an int.  ``read_code_set`` shares that path but
+skips the walk when the file's text holds neither ``true`` nor
+``false``: ``json.loads`` makes every other integer exactly an int.
+``main`` builds its argument parser once per process.
 
 ``generate --out`` and ``corr --csv`` write their whole output to a new
 sibling file, ``<path>.<random hex>.tmp``, created exclusively, then move
@@ -48,8 +49,8 @@ import argparse
 import json
 import os
 import stat
+import struct
 import sys
-from array import array
 from dataclasses import replace
 from functools import cache
 
@@ -166,9 +167,11 @@ def _exponents(codes, pp: CodeSetParams, exact_types: bool) -> np.ndarray:
         raise FileFormatError(f"a sequence whose length is not params.N={pp.N}")
     if exact_types and any(set(map(type, seq)) != {int} for seq in seqs):
         raise FileFormatError("exponents must be integers")
-    flat = array("q")
-    for seq in seqs:
-        flat += array("q", seq)
+    pack = struct.Struct(f"{pp.N}q").pack
+    try:
+        flat = b"".join([pack(*seq) for seq in seqs])
+    except struct.error:
+        raise FileFormatError("exponents must be integers in int64") from None
     return np.frombuffer(flat, dtype=np.int64).reshape(pp.K, pp.M, pp.N)
 
 
@@ -207,7 +210,7 @@ def read_code_set(path: str) -> CodeSet:
     except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
     # json.loads makes ints exactly int; the one other value that
-    # array("q") takes, a bool, comes only from a true or false token.
+    # struct's "q" takes, a bool, comes only from a true or false token.
     exact_types = "true" in text or "false" in text
     del text  # freed before the exponents are converted
     return _code_set(doc, exact_types)

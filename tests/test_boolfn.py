@@ -257,6 +257,18 @@ class TestSequenceOf:
             assert np.array_equal(table, monomial_truth_table(f))
             assert table.tolist() == [f.evaluate((r >> a) & 1 for a in range(m)) for r in range(1 << m)]
 
+    def test_truth_table_refuses_coefficients_that_could_wrap(self):
+        # Every term of m = 2 at q - 1: entry 3 is their sum, 4 * (q - 1).
+        q = 3 << 60  # the sum reaches 2**63; int64 would wrap it
+        f = GeneralizedBooleanFunction(2, q, {(): q - 1, (0,): q - 1, (1,): q - 1, (0, 1): q - 1})
+        with pytest.raises(InvalidParams, match=r"2\*\*63"):
+            f.truth_table()
+        with pytest.raises(InvalidParams):
+            sequence_of(f)
+        q = 1 << 61  # the sum is 2**63 - 4, just under the bound
+        f = GeneralizedBooleanFunction(2, q, {(): q - 1, (0,): q - 1, (1,): q - 1, (0, 1): q - 1})
+        assert f.truth_table().tolist() == [f.evaluate((r & 1, r >> 1)) for r in range(4)]
+
 
 class TestOwnership:
     def test_callers_array_stays_writeable_and_unshared(self):

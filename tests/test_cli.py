@@ -468,6 +468,13 @@ MALFORMED = {
     "bool_exponent": ("zccs", _set(*FIRST_EXPONENT, True)),
     "string_exponent": ("zccs", _set(*FIRST_EXPONENT, "1")),
     "huge_exponent": ("zccs", _set(*FIRST_EXPONENT, 2 ** 70)),
+    # at the int64 edges, and JSON values that are not numbers
+    "int64_overflow_exponent": ("zccs", _set(*FIRST_EXPONENT, 2 ** 63)),
+    "int64_underflow_exponent": ("zccs", _set(*FIRST_EXPONENT, -(2 ** 63) - 1)),
+    "int64_max_exponent": ("zccs", _set(*FIRST_EXPONENT, 2 ** 63 - 1)),
+    "null_exponent": ("zccs", _set(*FIRST_EXPONENT, None)),
+    "list_exponent": ("zccs", _set(*FIRST_EXPONENT, [0])),
+    "dict_exponent": ("zccs", _set(*FIRST_EXPONENT, {})),
     "negative_exponent": ("zccs", _set(*FIRST_EXPONENT, -1)),
     "float_param": ("zccs", _set("params", "K", 12.0)),
     "bool_param": ("zccs", _set("params", "k", True)),
@@ -645,6 +652,16 @@ def test_top_level_field_of_another_type_exits_2(case, documents, tmp_path, caps
     path.write_text(json.dumps(doc))
     assert main(["verify", "--in", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1])
+def test_exponent_outside_int64_exits_2(value, documents, tmp_path, capsys):
+    doc = json.loads(json.dumps(documents["zccs"]))
+    _set(*FIRST_EXPONENT, value)(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: exponents must be integers")
 
 
 def test_root_order_above_limit_exits_at_once(tmp_path, capsys):
