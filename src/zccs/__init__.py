@@ -3,7 +3,9 @@
 The package constructs complete complementary codes and optimal
 Z-complementary code sets of length p * 2**m (p prime) from second-order
 Boolean functions, and decides every correlation property in exact
-cyclotomic-integer arithmetic.
+cyclotomic-integer arithmetic on exponent arrays.  :mod:`zccs.reference`
+keeps the paper's per-sequence definitions, re-exported here, as the
+reference those array paths are tested against.
 """
 
 from .algebra import CycInt, cyclotomic_poly, is_prime
@@ -11,18 +13,12 @@ from .boolfn import (
     FunctionGraph,
     GeneralizedBooleanFunction,
     PathCertificate,
-    PbfSpec,
-    RootSequence,
     check_path_after_deletion,
-    codeword_function,
     graph_of,
     min_blocks_exponent,
     parse_gbf,
-    pbf_sequence,
-    sequence_of,
 )
 from .construct import (
-    Code,
     CodeLabel,
     CodeSet,
     CodeSetParams,
@@ -30,7 +26,19 @@ from .construct import (
     build_zccs,
     build_zccs_by_concatenation,
 )
-from .correlate import CorrelationProfile, accf, code_accf, profile, root_sum
+from .reference import (
+    Code,
+    CorrelationProfile,
+    PbfSpec,
+    RootSequence,
+    accf,
+    code_accf,
+    codeword_function,
+    pbf_sequence,
+    profile,
+    root_sum,
+    sequence_of,
+)
 from .verify import (
     VerificationReport,
     ZccsCheck,

@@ -42,9 +42,16 @@ MAX_DELTA = 1 << 10
 
 def owned_int64(values) -> np.ndarray:
     """``values`` as an int64 array no caller can write through: a
-    read-only array as it is, anything else copied."""
-    keep = isinstance(values, np.ndarray) and not values.flags.writeable
-    return np.array(values, dtype=np.int64, copy=None if keep else True)
+    read-only array as it is, anything else copied.  Entries it would
+    change raise: TypeError unless integers, OverflowError past int64."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.dtype.kind == "O":
+        ints = all(isinstance(v, (int, np.integer)) for v in arr.flat)
+    else:  # "i", the usual input, before can_cast, which costs more
+        ints = arr.dtype.kind == "i" or np.can_cast(arr.dtype, np.int64)
+    if not ints:
+        raise TypeError(f"expected integers that fit int64, got {arr.dtype} entries")
+    return np.array(arr, dtype=np.int64, copy=True if arr.flags.writeable else None)
 
 
 def is_prime(n: int) -> bool:

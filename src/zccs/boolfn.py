@@ -1,31 +1,31 @@
-"""Boolean functions over Z_q, their graphs, and root-of-unity sequences.
+"""Boolean functions over Z_q and their graphs.
 
 A generalized Boolean function maps m binary variables to Z_q (q even)
-and is stored as a sparse map from monomials to coefficients.  Sequences
-are derived by evaluating the function at every index r, with bit order
-fixed as r = sum_a r_a * 2**a (x0 is the least significant bit).
+and is stored as a sparse map from monomials to integer coefficients.
+Its truth table lists its values at every index r, with bit order fixed
+as r = sum_a r_a * 2**a (x0 is the least significant bit).  The
+per-member sequences of the paper are built from it in
+:mod:`zccs.reference`.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_DELTA, MAX_TERMS, is_prime, owned_int64
-from .errors import (
-    ArityError,
-    InvalidGamma,
-    InvalidModulus,
-    InvalidParams,
-    NotAPath,
-    NotSecondOrder,
-    ParseError,
-    TruncateError,
-)
+from .algebra import MAX_DELTA, is_prime
+from .errors import ArityError, InvalidModulus, InvalidParams, NotAPath, NotSecondOrder, ParseError
 
 Monomial = tuple[int, ...]
+
+
+def check_modulus(q: int) -> None:
+    """The one check of q, the alphabet of every function and set: even and >= 2."""
+    if q < 2 or q % 2:
+        raise InvalidModulus(f"q must be even and >= 2, got {q}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class GeneralizedBooleanFunction:
     """Sparse polynomial over binary variables with coefficients in Z_q.
 
     ``terms`` maps a sorted tuple of variable indices to a nonzero
-    coefficient; the empty tuple is the constant term.
+    integer coefficient; the empty tuple is the constant term.
     """
 
     m: int
@@ -41,8 +41,7 @@ class GeneralizedBooleanFunction:
     terms: dict[Monomial, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.q < 2 or self.q % 2 != 0:
-            raise InvalidModulus(f"q must be even and >= 2, got {self.q}")
+        check_modulus(self.q)
         if self.m < 0:
             raise InvalidParams("m must be non-negative")
         canon: dict[Monomial, int] = {}
@@ -50,7 +49,7 @@ class GeneralizedBooleanFunction:
             key = tuple(sorted(set(mono)))
             if any(v < 0 or v >= self.m for v in key):
                 raise InvalidParams(f"variable index out of range in {mono}")
-            c = c % self.q
+            c = operator.index(c) % self.q  # TypeError unless an integer
             if c:
                 canon[key] = (canon.get(key, 0) + c) % self.q
                 if canon[key] == 0:
@@ -65,6 +64,8 @@ class GeneralizedBooleanFunction:
         x = tuple(x)
         if len(x) != self.m:
             raise ArityError(f"expected {self.m} bits, got {len(x)}")
+        if any(b not in (0, 1) for b in x):
+            raise InvalidParams(f"bits must be 0 or 1, got {x}")
         total = 0
         for mono, c in self.terms.items():
             if all(x[v] for v in mono):
@@ -161,8 +162,6 @@ def parse_gbf(text: str, m: int, q: int) -> GeneralizedBooleanFunction:
     product of variables ``x<i>``; whitespace is ignored and coefficients
     are reduced mod q.  A bare integer is a constant term.
     """
-    if q < 2 or q % 2 != 0:
-        raise InvalidModulus(f"q must be even and >= 2, got {q}")
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise ParseError("empty expression")
@@ -271,59 +270,6 @@ def check_path_after_deletion(graph: FunctionGraph, deleted, q: int) -> PathCert
     return PathCertificate(deleted, tuple(order), (order[0], order[-1]))
 
 
-@dataclass(frozen=True, eq=False)
-class RootSequence:
-    """Sequence of delta-th roots of unity, stored as an exponent vector."""
-
-    delta: int
-    exponents: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        arr = owned_int64(self.exponents)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("exponent vector must be 1-d and non-empty")
-        if np.any(arr < 0) or np.any(arr >= self.delta):
-            arr = arr % self.delta
-        arr.flags.writeable = False
-        object.__setattr__(self, "exponents", arr)
-
-    def __len__(self) -> int:
-        return int(self.exponents.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootSequence):
-            return NotImplemented
-        return self.delta == other.delta and np.array_equal(self.exponents, other.exponents)
-
-    def conjugate(self) -> RootSequence:
-        return RootSequence(self.delta, (-self.exponents) % self.delta)
-
-    def truncate(self, keep: int) -> RootSequence:
-        """Keep the first ``keep`` entries."""
-        if keep <= 0 or keep > len(self):
-            raise TruncateError(f"cannot keep {keep} of {len(self)} entries")
-        return RootSequence(self.delta, self.exponents[:keep].copy())
-
-    def promoted(self, new_delta: int) -> RootSequence:
-        """Same complex values expressed over a larger root order."""
-        if new_delta % self.delta != 0:
-            raise ValueError(f"{new_delta} is not a multiple of {self.delta}")
-        return RootSequence(new_delta, self.exponents * (new_delta // self.delta))
-
-    def to_complex(self) -> np.ndarray:
-        return np.exp(2j * np.pi * self.exponents / self.delta)
-
-    def __repr__(self) -> str:
-        return f"RootSequence(delta={self.delta}, exponents={self.exponents.tolist()})"
-
-
-def sequence_of(f: GeneralizedBooleanFunction) -> RootSequence:
-    """Evaluate f at every index r and return (w_q^f(r))_r, r bit-ordered."""
-    return RootSequence(f.q, f.truth_table())
-
-
 def min_blocks_exponent(p: int) -> int:
     """Smallest s >= 1 with 2**s >= p."""
     return max(1, (p - 1).bit_length())
@@ -343,97 +289,3 @@ def extension_exponent(p: int, q: int, s: int | None = None) -> int:
     if not is_prime(p):
         raise InvalidParams(f"p must be prime, got {p}")
     return s
-
-
-@dataclass(frozen=True)
-class PbfSpec:
-    """Parameters of the rational extension of a Boolean function.
-
-    The extension appends s fresh binary variables and adds
-    (lam*q/p) * (x_m + 2*x_{m+1} + ... + 2**(s-1)*x_{m+s-1}) to the base
-    function (family "F") or to its input complement (family "G").  Its
-    2**(m+s) entries, all of which :func:`pbf_sequence` evaluates, may
-    number at most MAX_TERMS.
-    """
-
-    f: GeneralizedBooleanFunction
-    p: int
-    s: int
-    lam: int
-    family: str = "F"
-
-    def __post_init__(self):
-        extension_exponent(self.p, self.f.q, self.s)
-        if self.f.m + self.s >= MAX_TERMS.bit_length():
-            raise InvalidParams(f"need 2**(m+s) <= {MAX_TERMS} entries, got m={self.f.m}, s={self.s}")
-        if not 0 <= self.lam < self.p:
-            raise InvalidParams(f"lambda must lie in [0, p), got {self.lam}")
-        if self.family not in ("F", "G"):
-            raise InvalidParams(f"family must be 'F' or 'G', got {self.family!r}")
-
-
-def codeword_function(
-    f: GeneralizedBooleanFunction,
-    deleted,
-    d_vec,
-    t_vec,
-    d: int,
-    gamma: int,
-    family: str = "F",
-) -> GeneralizedBooleanFunction:
-    """The member function selected by bits d_vec, code index bits t_vec,
-    and the extra bit d.
-
-    Family "F": f + (q/2) * ((d_vec + t_vec) . x + d * x_gamma) where x runs
-    over the deleted variables.  Family "G" complements f's inputs, the
-    deleted variables, and the bit d (but not x_gamma itself).
-    """
-    deleted = tuple(deleted)
-    d_vec = tuple(d_vec)
-    t_vec = tuple(t_vec)
-    if len(d_vec) != len(deleted) or len(t_vec) != len(deleted):
-        raise ArityError("d_vec and t_vec must match the deleted-variable count")
-    if any(b not in (0, 1) for b in d_vec + t_vec + (d,)):
-        raise InvalidParams("d_vec, t_vec, and d must be binary")
-    half = f.q // 2
-    if family == "F":
-        g = f
-        for var, (di, ti) in zip(deleted, zip(d_vec, t_vec)):
-            g = g.with_term((var,), half * (di + ti))
-        g = g.with_term((gamma,), half * d)
-    elif family == "G":
-        g = f.complement_inputs()
-        for var, (di, ti) in zip(deleted, zip(d_vec, t_vec)):
-            # (d_i + t_i) * (1 - x_var)
-            g = g.with_term((), half * (di + ti))
-            g = g.with_term((var,), -half * (di + ti))
-        g = g.with_term((gamma,), half * (1 - d))
-    else:
-        raise InvalidParams(f"family must be 'F' or 'G', got {family!r}")
-    return g
-
-
-def pbf_sequence(
-    spec: PbfSpec,
-    d_vec,
-    t_vec,
-    d: int,
-    cert: PathCertificate,
-    gamma: int,
-) -> RootSequence:
-    """Root-of-unity sequence of the extended function, length 2**(m+s).
-
-    Index r' = r + 2**m * w (w from the s fresh variables) carries
-    exponent (delta/q)*base(r) + (delta/p)*lam*w mod delta, where base is
-    the codeword function and delta = lcm(p, q).
-    """
-    if gamma not in cert.end_vertices:
-        raise InvalidGamma(f"x{gamma} is not an end vertex of the path")
-    f = spec.f
-    delta = lcm(spec.p, f.q)
-    base = codeword_function(f, cert.deleted, d_vec, t_vec, d, gamma, spec.family)
-    base_exp = sequence_of(base).exponents
-    scale = delta // f.q
-    step = (delta // spec.p) * spec.lam
-    w = np.arange(1 << spec.s, dtype=np.int64)[:, None]
-    return RootSequence(delta, ((scale * base_exp + step * w) % delta).ravel())

@@ -10,6 +10,8 @@ carry a rational linear part, the members are read only at their p*2**m
 kept entries (so s is recorded but costs nothing), and the p*2**(k+1)
 codes have a zero-correlation zone of 2**m.  The same set can equivalently be
 assembled by concatenating p phase-rotated copies of the base codes.
+The builders work on exponent arrays only; the paper's one function per
+member, which they must reproduce, is :mod:`zccs.reference`.
 
 :func:`family_params` holds the family's rules, the one check of (q, m,
 k, p, s) that every builder runs before the path check and that the
@@ -24,7 +26,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import MAX_DELTA, MAX_TERMS
-from .boolfn import GeneralizedBooleanFunction, RootSequence, check_path_after_deletion, extension_exponent, graph_of
+from .boolfn import GeneralizedBooleanFunction, check_modulus, check_path_after_deletion, extension_exponent, graph_of
 from .errors import InvalidGamma, InvalidParams, ShapeError
 
 
@@ -36,20 +38,6 @@ class CodeLabel:
     family: str
     t: int
     lam: int | None = None
-
-
-@dataclass(frozen=True)
-class Code:
-    """Ordered list of equal-length sequences over one root order."""
-
-    sequences: tuple[RootSequence, ...]
-    label: CodeLabel
-
-    def __post_init__(self):
-        lengths = {len(s) for s in self.sequences}
-        deltas = {s.delta for s in self.sequences}
-        if len(lengths) > 1 or len(deltas) > 1:
-            raise InvalidParams("code members must share length and root order")
 
 
 @dataclass(frozen=True)
@@ -80,8 +68,7 @@ def family_params(q: int, m: int, k: int, p: int | None = None, s: int | None = 
     anything is built: q even, then m and k bounded before any shift, then
     (p, s) by :func:`~zccs.boolfn.extension_exponent`, which fills in the
     default s and bounds delta before p's primality test."""
-    if q < 2 or q % 2:
-        raise InvalidParams(f"q must be even and >= 2, got {q}")
+    check_modulus(q)
     if m < 0 or k < 0 or k + 1 + m >= MAX_TERMS.bit_length():
         raise InvalidParams(f"need m, k >= 0 and 2**(k+1+m) <= {MAX_TERMS}, got m={m}, k={k}")
     if p is None:
@@ -115,8 +102,11 @@ class CodeSet:
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @cached_property
-    def codes(self) -> tuple[Code, ...]:
-        """The codes, each sequence a read-only view of a row of ``exponents``."""
+    def codes(self) -> tuple:
+        """The codes as reference ``Code`` objects (see :mod:`zccs.reference`),
+        each sequence a read-only view of a row of ``exponents``."""
+        from .reference import Code, RootSequence
+
         delta = self.params.delta
         return tuple(
             Code(tuple(RootSequence(delta, row) for row in code), label)

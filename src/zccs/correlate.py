@@ -1,20 +1,22 @@
-"""Exact aperiodic correlation of root-of-unity sequences and codes.
+"""Exact aperiodic correlation of the codes of an exponent array.
 
 Each correlation value is accumulated in the group ring (see
 :mod:`zccs.algebra`): a product of two unit entries is a single root of
 unity, so a correlation sum is a histogram of exponent differences.
 Zero tests are deferred to the caller and are bit-exact.
 
-:func:`code_accf` builds one histogram by direct counting; it is the
-reference.  The batched engine works on the (K, M, N) exponent array of
-a code set and correlates each unordered pair of codes once: a tile of
-rows takes the codes from its first row on.  A scan whose member sums
-fit one block's budget is one tile; otherwise a tile doubles in height
-while the rest of the set is one block.  One cyclic correlation of
-length >= N + t1 - 1 holds theta(mu1, mu2)(tau) and theta(mu1, mu2)(-tau)
-for every tau < t1, and the second gives the mirror cell, since
-theta(mu2, mu1)(tau) = conj(theta(mu1, mu2)(-tau)).  Two recoveries
-share that core, and each checks both halves:
+:func:`_count` builds one histogram by direct counting: it is the
+exact fallback here and, behind :func:`~zccs.reference.code_accf`, the
+reference the engine is tested against.  The batched engine works on
+the (K, M, N) exponent array of a code set and correlates each
+unordered pair of codes once: a tile of rows takes the codes from its
+first row on.  A scan whose member sums fit one block's budget is one
+tile; otherwise a tile doubles in height while the rest of the set is
+one block.  One cyclic correlation of length >= N + t1 - 1 holds
+theta(mu1, mu2)(tau) and theta(mu1, mu2)(-tau) for every tau < t1, and
+the second gives the mirror cell, since theta(mu2, mu1)(tau) =
+conj(theta(mu1, mu2)(-tau)).  Two recoveries share that core, and each
+checks both halves:
 
 * :func:`code_histograms` takes every harmonic r = 0..delta/2 and
   inverts the harmonic transform to the histograms.  It accepts a block
@@ -29,21 +31,17 @@ share that core, and each checks both halves:
 
 The values are integers of at most 5*MAX_TERMS, so double-precision
 round-off is far below 1/2 (Percival, Math. Comp. 72, 2003).  Any block
-that fails a check is recounted exactly, row by row, by the counter
-behind :func:`code_accf`, so no result rests on a floating tolerance.
+that fails a check is recounted exactly, row by row, by :func:`_count`,
+so no result rests on a floating tolerance.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MAX_DELTA, CycInt, conjugate_roots, harmonic_reduction, is_prime, reduced_forms, reduction_max
-from .boolfn import RootSequence
-from .construct import Code
-from .errors import InvalidParams, ShapeError
+from .algebra import conjugate_roots, harmonic_reduction, reduced_forms, reduction_max
 
 # Largest |h - rint(h)| accepted from the FFT before a block is recounted.
 RESIDUAL_TOL = 0.25
@@ -53,13 +51,6 @@ BLOCK_BYTES = 1 << 18
 # Byte budget of the spectra a scan keeps: every code's when they fit,
 # else those of the blocks it computes first.
 CACHE_BYTES = 1 << 21
-
-
-def _check_pair(a: RootSequence, b: RootSequence):
-    if len(a) != len(b):
-        raise ShapeError(f"sequence lengths differ: {len(a)} != {len(b)}")
-    if a.delta != b.delta:
-        raise ShapeError(f"root orders differ: {a.delta} != {b.delta}")
 
 
 def _count(a: np.ndarray, b: np.ndarray, delta: int, tau: int) -> np.ndarray:
@@ -73,30 +64,6 @@ def _count(a: np.ndarray, b: np.ndarray, delta: int, tau: int) -> np.ndarray:
     else:
         diffs = a[:, : n + tau] - b[:, -tau:]
     return np.bincount((diffs % delta).ravel(), minlength=delta)
-
-
-def accf(a: RootSequence, b: RootSequence, tau: int) -> CycInt:
-    """Aperiodic cross-correlation of two sequences at shift tau.
-
-    Sum of a[i+tau] * conj(b[i]) over the overlap for 0 <= tau < N, the
-    mirrored sum for -N < tau < 0, and zero outside (-N, N).
-    """
-    _check_pair(a, b)
-    return CycInt(a.delta, _count(a.exponents[None], b.exponents[None], a.delta, tau))
-
-
-def _stacked(a: Code, b: Code) -> np.ndarray:
-    """(2, M, N) exponent array of two codes that can be correlated."""
-    if not a.sequences or len(a.sequences) != len(b.sequences):
-        raise ShapeError("codes must have the same, nonzero number of sequences")
-    _check_pair(a.sequences[0], b.sequences[0])
-    return np.array([[s.exponents for s in c.sequences] for c in (a, b)])
-
-
-def code_accf(a: Code, b: Code, tau: int) -> CycInt:
-    """Correlation of two codes: the sum over paired member sequences."""
-    exps, delta = _stacked(a, b), a.sequences[0].delta
-    return CycInt(delta, _count(exps[0], exps[1], delta, tau))
 
 
 @lru_cache(maxsize=64)
@@ -230,8 +197,9 @@ def code_histograms(
     with h an int64 array of shape (len(tile), len(block), 2, t1 - t0,
     delta): ``h[t, j, 0, tau - t0]`` and ``h[t, j, 1, tau - t0]`` are the
     coefficients of the correlation of code tile[t] with code block[j] at
-    shifts tau and -tau, as :func:`code_accf` gives them.  It recovers h
-    from all the harmonics r = 0..delta/2 with an inverse real FFT.
+    shifts tau and -tau, as :func:`~zccs.reference.code_accf` gives
+    them.  It recovers h from all the harmonics r = 0..delta/2 with an
+    inverse real FFT.
     """
     _, m, n = exps.shape
     harmonics = np.arange(delta // 2 + 1)
@@ -288,30 +256,3 @@ def code_pair_histograms(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np
     n = exps.shape[-1]
     ((_, _, h),) = code_histograms(pair, delta, range(1), 0, n, range(len(pair) - 1, len(pair)))
     return np.concatenate([h[0, 0, 1, :0:-1], h[0, 0, 0]])
-
-
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Code-level correlation at every shift in (-N, N)."""
-
-    length: int
-    values: dict[int, CycInt]
-
-
-def profile(a: Code, b: Code) -> CorrelationProfile:
-    exps = _stacked(a, b)
-    n, delta = exps.shape[-1], a.sequences[0].delta
-    h = code_pair_histograms(exps, delta, 0, 1)
-    return CorrelationProfile(n, {tau: CycInt(delta, h[tau + n - 1]) for tau in range(-n + 1, n)})
-
-
-def root_sum(p: int, c: int) -> CycInt:
-    """Sum of w_p^(c*alpha) over alpha = 0..p-1; zero unless p divides c."""
-    # CycInt refuses a root order past MAX_DELTA; refusing it first also
-    # bounds the primality test.
-    if p > MAX_DELTA:
-        raise ValueError(f"p must be at most {MAX_DELTA}, got {p}")
-    if not is_prime(p):
-        raise InvalidParams(f"p must be prime, got {p}")
-    exps = (c * np.arange(p, dtype=np.int64)) % p
-    return CycInt(p, np.bincount(exps, minlength=p))

@@ -9,10 +9,6 @@ class DeltaMismatch(ZccsError):
     """Cyclotomic integers over different root orders were combined."""
 
 
-class InvalidModulus(ZccsError):
-    """The sequence alphabet modulus q must be an even integer >= 2."""
-
-
 class ParseError(ZccsError):
     """Malformed Boolean-function text, or a variable index out of range."""
 
@@ -43,6 +39,10 @@ class ShapeError(ZccsError):
 
 class InvalidParams(ZccsError):
     """Construction parameters violate their constraints (e.g. p not prime)."""
+
+
+class InvalidModulus(InvalidParams):
+    """The sequence alphabet modulus q must be an even integer >= 2."""
 
 
 class InvalidZ(ZccsError):

@@ -5,8 +5,8 @@ never calls into the exact group-ring code paths it is checking.  Two
 helpers build library objects: :func:`corrupt_seeded` only makes inputs
 for the checks, and the per-member builders :func:`reference_ccc` and
 :func:`reference_zccs` assemble a set one member function at a time with
-:func:`~zccs.boolfn.codeword_function`, :func:`~zccs.boolfn.sequence_of`
-and :func:`~zccs.boolfn.pbf_sequence`, the definitions the broadcast
+:func:`~zccs.reference.codeword_function`, :func:`~zccs.reference.sequence_of`
+and :func:`~zccs.reference.pbf_sequence`, the definitions the broadcast
 builders of :mod:`zccs.construct` must reproduce.
 """
 from itertools import permutations
@@ -14,8 +14,9 @@ from math import lcm
 
 import numpy as np
 
-from zccs.boolfn import PbfSpec, check_path_after_deletion, codeword_function, graph_of, pbf_sequence, sequence_of
+from zccs.boolfn import check_path_after_deletion, graph_of
 from zccs.construct import CodeLabel, CodeSet, CodeSetParams
+from zccs.reference import PbfSpec, codeword_function, pbf_sequence, sequence_of
 
 TOL = 1e-6
 

@@ -16,8 +16,8 @@ from zccs.algebra import (
     reduction_matrix,
     reduction_max,
 )
-from zccs.correlate import root_sum
 from zccs.errors import DeltaMismatch, ZccsError
+from zccs.reference import root_sum
 
 from oracles import poly_divmod, poly_mul
 
@@ -299,6 +299,26 @@ class TestExactArithmetic:
         assert b.flags.writeable and not value.coeffs.flags.writeable
         b[0] = 5
         assert value.coeffs.tolist() == [1, 0, 0, 2]
+
+    def test_entries_it_would_change_are_refused(self):
+        # the int64 cast used to truncate 0.5 to 0, so this read as zero
+        for bad in ([0.5, 0, 0, 0], np.array([1, 0, 0, 0], dtype=float), np.array([1j, 0, 0, 0]), ["1", "0", "0", "0"]):
+            with pytest.raises(TypeError):
+                CycInt(4, bad)
+        with pytest.raises(TypeError):
+            CycInt(2, np.array([1, 0.5], dtype=object))
+        with pytest.raises(TypeError):
+            CycInt(2, np.array([1, 0], dtype=np.uint64))
+        with pytest.raises(OverflowError):
+            CycInt(2, np.array([2**63, 0], dtype=object))
+
+    def test_integer_entries_convert(self):
+        assert CycInt(2, np.array([2**62, -3], dtype=object)).coeffs.tolist() == [2**62, -3]
+        assert CycInt(2, np.array([True, False])).coeffs.tolist() == [1, 0]
+        assert CycInt(2, np.array([1, 2], dtype=np.uint32)).coeffs.dtype == np.int64
+        kept = np.array([1, 2], dtype=np.int64)
+        kept.flags.writeable = False
+        assert algebra.owned_int64(kept) is kept
 
     def test_root_order_is_capped(self):
         assert CycInt.zero(MAX_DELTA).is_zero()

@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from zccs.algebra import MAX_TERMS
+from zccs.construct import family_params
 from zccs.boolfn import (
     FunctionGraph,
     GeneralizedBooleanFunction,
-    PbfSpec,
-    RootSequence,
     check_path_after_deletion,
-    codeword_function,
     graph_of,
     parse_gbf,
-    pbf_sequence,
-    sequence_of,
 )
 from zccs.errors import (
     ArityError,
@@ -28,6 +24,7 @@ from zccs.errors import (
     ParseError,
     TruncateError,
 )
+from zccs.reference import PbfSpec, RootSequence, codeword_function, pbf_sequence, sequence_of
 
 from oracles import brute_force_path, monomial_truth_table
 
@@ -94,6 +91,37 @@ class TestEvaluate:
     def test_arity_checked(self):
         with pytest.raises(ArityError):
             parse_gbf("x0", 2, 2).evaluate((1,))
+
+    def test_bits_outside_0_1_are_refused(self):
+        f = parse_gbf("x0", 2, 4)
+        with pytest.raises(InvalidParams):
+            f.evaluate((2, 0))
+        with pytest.raises(InvalidParams):
+            f.evaluate((-1, 0))
+        assert f.evaluate((True, False)) == 1
+
+
+class TestCoefficients:
+    def test_a_coefficient_that_is_not_an_integer_is_refused(self):
+        # a float coefficient used to evaluate to 1.5 while the truth
+        # table read [0, 1], so the builders built another function's set
+        for c in (1.5, 1.0, "1", None, 1j):
+            with pytest.raises(TypeError):
+                GeneralizedBooleanFunction(1, 4, {(0,): c})
+
+    def test_integer_types_are_taken_exactly(self):
+        f = GeneralizedBooleanFunction(2, 4, {(0,): np.int64(3), (1,): True, (): 2**70 + 1})
+        assert f.terms == {(0,): 3, (1,): 1, (): 1}
+        assert f.truth_table().tolist() == [f.evaluate((r & 1, r >> 1)) for r in range(4)]
+
+    def test_one_q_rule_for_functions_and_sets(self):
+        # parse_gbf, the constructor and family_params share check_modulus;
+        # InvalidModulus is an InvalidParams, which the file reader maps
+        for q in (3, 0, -2):
+            for make in (lambda: parse_gbf("x0*x1", 2, q), lambda: GeneralizedBooleanFunction(2, q), lambda: family_params(q, 2, 0)):
+                with pytest.raises(InvalidModulus, match=f"q must be even and >= 2, got {q}"):
+                    make()
+        assert issubclass(InvalidModulus, InvalidParams)
 
 
 class TestRestrict:
@@ -288,6 +316,15 @@ class TestOwnership:
         a = np.array([0, 1, 2, 3])
         a.flags.writeable = False
         assert RootSequence(4, a).exponents is a
+
+    def test_entries_it_would_change_are_refused(self):
+        # the int64 cast used to truncate 1.5 to 1
+        for bad in ([1.5, 2], np.array([1.0, 2.0]), [1 + 0j, 2], np.array(["1", "2"]), np.array([1, 2.5], dtype=object)):
+            with pytest.raises(TypeError):
+                RootSequence(4, bad)
+        with pytest.raises(OverflowError):
+            RootSequence(4, [2**63, 0])
+        assert RootSequence(4, np.array([5, 2], dtype=object)).exponents.tolist() == [1, 2]
 
 
 class TestTruncateConjugate:

@@ -20,8 +20,8 @@ from itertools import combinations, product
 from zccs.algebra import CycInt
 from zccs.boolfn import GeneralizedBooleanFunction, check_path_after_deletion, graph_of
 from zccs.construct import build_ccc, build_zccs, build_zccs_by_concatenation
-from zccs.correlate import code_accf
 from zccs.errors import NotAPath
+from zccs.reference import code_accf
 from zccs.verify import check_ccc, verify_code_set
 
 from oracles import float_zcz_width, reference_ccc, reference_zccs

@@ -17,8 +17,9 @@ from zccs.algebra import MAX_DELTA, reduced_forms
 from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
 from zccs.cli import build_parser, code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import build_ccc, build_zccs
-from zccs.correlate import code_pair_histograms, profile
+from zccs.correlate import code_pair_histograms
 from zccs.errors import FileFormatError, InvalidModulus, InvalidParams
+from zccs.reference import profile
 
 from oracles import corrupt_seeded
 

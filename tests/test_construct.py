@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zccs.boolfn import GeneralizedBooleanFunction, PbfSpec, check_path_after_deletion, graph_of, min_blocks_exponent, parse_gbf
+from zccs.boolfn import GeneralizedBooleanFunction, check_path_after_deletion, graph_of, min_blocks_exponent, parse_gbf
 from zccs.algebra import MAX_DELTA, MAX_TERMS
 from zccs.cli import code_set_from_dict, code_set_to_dict
 from zccs.construct import (
@@ -18,6 +18,7 @@ from zccs.construct import (
     build_zccs_by_concatenation,
 )
 from zccs.errors import InvalidGamma, InvalidParams
+from zccs.reference import PbfSpec
 
 from oracles import TOL, float_zcz_width, naive_code_accf, reference_ccc, reference_zccs, to_complex_code
 

@@ -3,10 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from zccs.boolfn import RootSequence
-from zccs.construct import Code, CodeLabel
-from zccs.correlate import accf, code_accf, profile, root_sum
+from zccs.construct import CodeLabel
 from zccs.errors import InvalidParams, ShapeError
+from zccs.reference import Code, RootSequence, accf, code_accf, profile, root_sum
 
 from oracles import naive_accf
 

@@ -17,10 +17,11 @@ from hypothesis.extra.numpy import arrays
 
 from zccs import correlate, verify
 from zccs.algebra import MAX_TERMS, CycInt, harmonic_reduction, reduced_forms, reduction_matrix
-from zccs.boolfn import RootSequence, parse_gbf
+from zccs.boolfn import parse_gbf
 from zccs.cli import _complex_values, main, write_code_set
-from zccs.construct import Code, CodeLabel, CodeSet, build_ccc, build_zccs
-from zccs.correlate import code_accf, code_histograms, code_pair_histograms, code_reductions
+from zccs.construct import CodeLabel, CodeSet, build_ccc, build_zccs
+from zccs.correlate import code_histograms, code_pair_histograms, code_reductions
+from zccs.reference import Code, RootSequence, code_accf
 from zccs.verify import check_ccc, check_zccs, max_zcz, verify_code_set
 
 from oracles import corrupt_later_rows, corrupt_seeded, float_zcz_width

@@ -5,8 +5,8 @@ import pytest
 
 from zccs.boolfn import parse_gbf
 from zccs.construct import CodeSet, CodeSetParams, build_ccc, build_zccs
-from zccs.correlate import code_accf
 from zccs.errors import InvalidZ, NotAZccs, ShapeError
+from zccs.reference import code_accf
 from zccs.verify import check_ccc, check_optimal, check_zccs, max_zcz, verify_code_set
 
 from oracles import corrupt_later_rows, corrupt_seeded, first_violation, float_zcz_width, naive_code_accf, to_complex_code
