@@ -17,15 +17,18 @@ order; ``CodeSet`` and the file reader refuse larger sets, and
 floating-point accumulation in :mod:`zccs.correlate` rounds back to
 exact counts.
 
-A zero test is linear algebra, and there is one reduction:
-:func:`reduced_forms` takes c = h @ R with R = :func:`reduction_matrix`,
-checking its own exactness bound, and :func:`harmonic_reduction` gives
-the same c from the phi(delta)/2 primitive harmonics of h, which is how
-the verifier gets it from its FFTs.
+A zero test is linear algebra, the reduced form c = h @ R with
+R = :func:`reduction_matrix`.  ``CycInt.reduced`` takes it in Python
+ints, for any int64 coefficients; :func:`reduced_forms` takes it in
+float64 for count histograms, which MAX_TERMS keeps exact; and
+:func:`harmonic_reduction` gives the same c from the phi(delta)/2
+primitive harmonics of h, which is how the verifier gets it from its
+FFTs.
 """
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
@@ -130,27 +133,16 @@ def reduction_max(delta: int) -> np.ndarray:
 
 
 def reduced_forms(h: np.ndarray) -> np.ndarray:
-    """``h @ reduction_matrix(delta)`` for int64 vectors h of shape (..., delta).
+    """``h @ reduction_matrix(delta)`` for count histograms h of shape (..., delta).
 
-    This is the one reduction modulo Phi_delta: ``CycInt``, ``zccs corr``
-    and the verifier's exact recount all go through it.  While
-    sum|h| * max|R| < 2**52 for every vector, every partial sum is an
-    integer below 2**53, so the product is taken in float64, where numpy
-    uses BLAS, and cast back to int64 exactly.  Past that bound h is split
-    into 32-bit limbs, each reduced the same way, and the limbs' forms are
-    recombined in Python ints into an object array.
+    This is the product's one reduction modulo Phi_delta: ``zccs corr``
+    and the verifier's exact recount go through it.  Every vector of h
+    holds non-negative counts summing to at most MAX_TERMS, and
+    max|R| <= 5 for delta <= MAX_DELTA, so every partial sum is an integer
+    below 5 * 2**20 < 2**53: the product is taken in float64, where numpy
+    uses BLAS, and cast back to int64 exactly.
     """
-    reduce = reduction_matrix(h.shape[-1]).astype(np.float64)
-    flt = h.astype(np.float64)
-    # The float sum is within a factor 1 + 2**-40 of the exact one, so the
-    # exact bound is below 2**53 whenever this one is below 2**52.
-    if np.abs(flt).sum(axis=-1).max(initial=0) * reduction_max(h.shape[-1]).max() < 2.0**52:
-        return (flt @ reduce).astype(np.int64)
-    # h = hi * 2**32 + lo with 32-bit limbs.  Each limb has sum|limb| * max|R|
-    # <= MAX_DELTA * 2**32 * 5 < 2**52, so it is reduced exactly in float64.
-    h = h.astype(np.int64)
-    lo, hi = ((limb.astype(np.float64) @ reduce).astype(np.int64).astype(object) for limb in (h & 0xFFFFFFFF, h >> 32))
-    return hi * (1 << 32) + lo
+    return (h.astype(np.float64) @ reduction_matrix(h.shape[-1]).astype(np.float64)).astype(np.int64)
 
 
 @lru_cache(maxsize=32)
@@ -235,7 +227,7 @@ class CycInt:
     @classmethod
     def from_int(cls, value: int, delta: int) -> CycInt:
         coeffs = np.zeros(delta, dtype=np.int64)
-        coeffs[0] = value
+        coeffs[0] = operator.index(value)  # TypeError unless an integer
         return cls(delta, coeffs)
 
     @classmethod
@@ -286,8 +278,11 @@ class CycInt:
         return CycInt(new_delta, coeffs)
 
     def reduced(self) -> tuple[int, ...]:
-        """Canonical form: remainder modulo the delta-th cyclotomic polynomial."""
-        rem = reduced_forms(self.coeffs).tolist()
+        """Canonical form: remainder modulo the delta-th cyclotomic polynomial.
+
+        The coefficients may be any int64 values, so the product with
+        :func:`reduction_matrix` is taken in Python ints."""
+        rem = (self.coeffs.astype(object) @ reduction_matrix(self.delta).astype(object)).tolist()
         while rem and rem[-1] == 0:
             rem.pop()
         return tuple(rem)

@@ -41,6 +41,8 @@ class GeneralizedBooleanFunction:
     terms: dict[Monomial, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("m", "q"):  # TypeError unless integers
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         check_modulus(self.q)
         if self.m < 0:
             raise InvalidParams("m must be non-negative")

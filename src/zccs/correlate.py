@@ -6,7 +6,7 @@ unity, so a correlation sum is a histogram of exponent differences.
 Zero tests are deferred to the caller and are bit-exact.
 
 :func:`_count` builds one histogram by direct counting: it is the
-exact fallback here and, behind :func:`~zccs.reference.code_accf`, the
+exact fallback here and, behind each :mod:`zccs.reference` value, the
 reference the engine is tested against.  The batched engine works on
 the (K, M, N) exponent array of a code set and correlates each
 unordered pair of codes once: a tile of rows takes the codes from its

@@ -8,8 +8,11 @@ member as the sequence of a rational extension (:class:`PbfSpec`,
 those definitions as objects, :class:`RootSequence` and :class:`Code`
 over :class:`~zccs.algebra.CycInt` values, so that tests can check the
 broadcast builders of :mod:`zccs.construct` and the FFT engine of
-:mod:`zccs.correlate` against them.  No product module imports it at
-module level; ``CodeSet.codes`` is its one entry from the product side.
+:mod:`zccs.correlate` against them.  Every correlation here, a whole
+:func:`profile` too, is counted directly by ``correlate._count``, the
+one name this module takes from the engine.  No product module imports
+it at module level; ``CodeSet.codes`` is its one entry from the product
+side.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from .algebra import MAX_DELTA, MAX_TERMS, CycInt, is_prime, owned_int64
 from .boolfn import GeneralizedBooleanFunction, PathCertificate, extension_exponent
 from .construct import CodeLabel
-from .correlate import _count, code_pair_histograms
+from .correlate import _count
 from .errors import ArityError, InvalidGamma, InvalidParams, ShapeError, TruncateError
 
 
@@ -208,10 +211,11 @@ class CorrelationProfile:
 
 
 def profile(a: Code, b: Code) -> CorrelationProfile:
+    """:func:`code_accf` at every shift in (-N, N), each counted directly."""
     exps, delta = _stacked(a.sequences, b.sequences)
     n = exps.shape[-1]
-    h = code_pair_histograms(exps, delta, 0, 1)
-    return CorrelationProfile(n, {tau: CycInt(delta, h[tau + n - 1]) for tau in range(-n + 1, n)})
+    values = {tau: CycInt(delta, _count(exps[0], exps[1], delta, tau)) for tau in range(-n + 1, n)}
+    return CorrelationProfile(n, values)
 
 
 def root_sum(p: int, c: int) -> CycInt:

@@ -187,6 +187,10 @@ class TestReductionMatrix:
         assert np.array_equal(reduced_forms(hist), hist @ reduce)
         assert reduced_forms(hist).dtype == np.int64
 
+    def test_counts_at_the_term_limit_are_exact_in_float64_for_every_delta(self):
+        # reduced_forms takes h @ R in float64 for counts summing to MAX_TERMS
+        assert MAX_TERMS * max(int(reduction_max(d).max()) for d in range(1, MAX_DELTA + 1)) < 2**53
+
     def test_reduced_forms_is_exact_past_the_float_bound(self):
         rng = np.random.default_rng(52)
         for delta in (12, 105, 935):
@@ -196,9 +200,9 @@ class TestReductionMatrix:
             hist = np.concatenate([hist, rng.integers(0, 2**50, size=(2, delta))])
             assert (np.abs(hist.astype(float)).sum(axis=1) * np.abs(reduce).max() >= 2.0**52).all()
             phi = cyclotomic_poly(delta)
-            for h, c in zip(hist, reduced_forms(hist)):
+            for h in hist:
                 _, rem = poly_divmod(tuple(h.tolist()), phi)
-                assert tuple(c.tolist()) == rem + (0,) * (len(phi) - 1 - len(rem))
+                assert CycInt(delta, h).reduced() == rem
 
     @pytest.mark.parametrize("delta", [2, 6, 20, 935, 1024])
     def test_reduced_forms_in_limbs_match_the_python_int_product(self, delta):
@@ -209,9 +213,11 @@ class TestReductionMatrix:
         hist[1, ::2] = -(2**62)
         hist = np.concatenate([hist, rng.integers(2**51, 2**53, size=(2, delta))])
         assert (np.abs(hist.astype(float)).sum(axis=1) * np.abs(reduce).max() >= 2.0**52).all()
-        forms = reduced_forms(hist)
-        assert forms.dtype == object and forms.shape == (len(hist), reduce.shape[1])
-        assert (forms == hist.astype(object) @ reduce).all()
+        for h, c in zip(hist, hist.astype(object) @ reduce):
+            rem = c.tolist()
+            while rem and rem[-1] == 0:
+                rem.pop()
+            assert CycInt(delta, h).reduced() == tuple(rem)
 
 
 @pytest.fixture(scope="class")
@@ -311,6 +317,17 @@ class TestExactArithmetic:
             CycInt(2, np.array([1, 0], dtype=np.uint64))
         with pytest.raises(OverflowError):
             CycInt(2, np.array([2**63, 0], dtype=object))
+
+    def test_from_int_takes_integers_only(self):
+        # the value used to be stored with an int64 cast, so 0.5 read as zero
+        for bad in (0.5, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                CycInt.from_int(bad, 4)
+        assert CycInt.from_int(np.int64(-3), 4).coeffs.tolist() == [-3, 0, 0, 0]
+        assert CycInt.from_int(True, 2).coeffs.tolist() == [1, 0]
+        assert CycInt.from_int(2**63 - 1, 2).coeffs.tolist() == [2**63 - 1, 0]
+        with pytest.raises(OverflowError):
+            CycInt.from_int(2**63, 2)
 
     def test_integer_entries_convert(self):
         assert CycInt(2, np.array([2**62, -3], dtype=object)).coeffs.tolist() == [2**62, -3]

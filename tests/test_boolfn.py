@@ -109,6 +109,15 @@ class TestCoefficients:
             with pytest.raises(TypeError):
                 GeneralizedBooleanFunction(1, 4, {(0,): c})
 
+    def test_a_modulus_or_arity_that_is_not_an_integer_is_refused(self):
+        # q = 4.0 used to evaluate to 1.0 and m = 1.5 to fail only in truth_table
+        for m, q in ((1, 4.0), (1.5, 4), (1, "4"), (None, 4)):
+            with pytest.raises(TypeError):
+                GeneralizedBooleanFunction(m, q, {(0,): 1})
+        f = GeneralizedBooleanFunction(np.int64(1), np.int64(4), {(0,): 1})
+        assert (type(f.m), type(f.q)) == (int, int)
+        assert f.evaluate((1,)) == 1 and f.truth_table().tolist() == [0, 1]
+
     def test_integer_types_are_taken_exactly(self):
         f = GeneralizedBooleanFunction(2, 4, {(0,): np.int64(3), (1,): True, (): 2**70 + 1})
         assert f.terms == {(0,): 3, (1,): 1, (): 1}

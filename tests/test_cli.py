@@ -5,9 +5,12 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -686,3 +689,27 @@ def test_set_at_the_root_order_limit_verifies(tmp_path, capsys):
     assert main(["verify", "--in", str(path), "--max-zcz"]) == 0
     out = capsys.readouterr().out
     assert f"delta={MAX_DELTA}" in out and "is_ccc: true" in out and "max_zcz: 4" in out
+
+
+def test_the_module_entry_point_exits_with_each_status(tmp_path):
+    # python -m zccs, as a user runs it: the wiring that in-process calls to
+    # main skip.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        cmd = [sys.executable, "-m", "zccs", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    path = str(tmp_path / "set.json")
+    done = run("generate", "--kind", "zccs", "--q", "2", "--p", "3", "--m", "3", "--f", "x1*x2",
+               "--delete", "x0", "--gamma", "x2", "--out", path)
+    assert done.returncode == 0 and "Z=8" in done.stdout
+    assert run("verify", "--in", path).returncode == 0
+    done = run("verify", "--in", path, "--zcz", "9")
+    assert done.returncode == 1 and "\nwitness: mu1=" in done.stdout
+    doc = code_set_to_dict(read_code_set(path))
+    doc["codes"][0]["sequences"][0][0] = 1.0
+    (tmp_path / "float.json").write_text(json.dumps(doc))
+    done = run("verify", "--in", str(tmp_path / "float.json"))
+    assert done.returncode == 2 and done.stderr.startswith("error: ")

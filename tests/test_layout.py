@@ -3,8 +3,11 @@
 The paper-literal objects live in :mod:`zccs.reference`, which the tests
 check the builders and the engine against.  No product module may import
 it at module level, so a product call never depends on it; the one
-product-side entry is ``CodeSet.codes``.  The public names stay where
-they were: ``zccs.__all__`` re-exports each one from its defining module.
+product-side entry is ``CodeSet.codes``.  The reference takes nothing
+from the engine but its direct count, ``correlate._count``, so what the
+engine is checked against never runs the engine.  The public names stay
+where they were: ``zccs.__all__`` re-exports each one from its defining
+module.
 """
 import ast
 import importlib
@@ -84,3 +87,13 @@ def test_codes_reads_the_reference_objects():
     assert all(type(seq) is RootSequence for code in cs.codes for seq in code.sequences)
     assert np.shares_memory(cs.codes[1].sequences[0].exponents, cs.exponents)
     assert zccs.algebra.CycInt is zccs.CycInt
+
+
+def test_the_reference_takes_only_the_direct_count_from_the_engine():
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse((SRC / "reference.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("correlate", "zccs.correlate")
+        for alias in node.names
+    ]
+    assert imported == ["_count"]

@@ -1,0 +1,134 @@
+"""Same answers: ``zccs verify`` and ``zccs corr`` pinned on fixed sets.
+
+Each case runs the CLI on one written code set and compares its exit
+code and the SHA-256 of its output with ``same_answers.json``.  The sets
+are the README 12x4x24 set, the 20x4x320 (delta = 20) and q = 4 CCC sets
+that CI verifies, and the 2x2x1024 delta = 1024 CCC, each as built and
+with one ``oracles.corrupt_seeded`` corruption.  So that the file cannot
+freeze a wrong verdict, every verify case is also checked against the
+float oracle: its exit code, witness and ``max_zcz``.
+
+Rewrite the expected file, printing the cases that changed, with
+
+    PYTHONPATH=src:tests python tests/test_same_answers.py --write
+"""
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from zccs.boolfn import parse_gbf
+from zccs.cli import main, write_code_set
+from zccs.construct import build_ccc, build_zccs
+
+from oracles import corrupt_seeded, first_violation, float_zcz_width
+
+EXPECTED = Path(__file__).with_name("same_answers.json")
+SEED = 0
+
+SETS = {
+    "readme_12x4x24": lambda: build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3),
+    "k20_20x4x320": lambda: build_zccs(
+        parse_gbf("2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5", 6, 4), [0], 1, p=5),
+    "ccc_q4_m4": lambda: build_ccc(parse_gbf("2*x0*x1 + 2*x1*x2 + 2*x2*x3", 4, 4), [0, 3]),
+    "ccc_delta1024": lambda: build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), []),
+}
+VERIFY_FLAGS = {"plain": [], "max": ["--max-zcz"], "z1_max": ["--zcz", "1", "--max-zcz"]}
+
+
+@cache
+def code_set(name: str):
+    """The set a case name starts with, as built or corrupted."""
+    base, variant = name.rsplit("/", 1)
+    cs = SETS[base]()
+    return cs if variant == "built" else corrupt_seeded(cs, SEED)
+
+
+def _set_names() -> list[str]:
+    return [f"{base}/{variant}" for base in SETS for variant in ("built", "corrupt")]
+
+
+VERIFY_CASES = [f"{s}/verify-{flag}" for s in _set_names() for flag in VERIFY_FLAGS]
+CORR_CASES = [f"{s}/corr-{pair}" for s in _set_names() for pair in ("0,1", "1,0")]
+
+
+def run_case(case: str, directory: Path) -> tuple[dict, str]:
+    """The answer of one case, its exit code and output digest, and the
+    output: stdout for verify, the CSV for corr."""
+    set_name, command = case.rsplit("/", 1)
+    path = directory / (set_name.replace("/", "-") + ".json")
+    if not path.exists():
+        write_code_set(code_set(set_name), str(path))
+    if command.startswith("verify-"):
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", "--in", str(path), *VERIFY_FLAGS[command.removeprefix("verify-")]])
+        text = out.getvalue()
+    else:
+        csv = directory / "out.csv"
+        code = main(["corr", "--in", str(path), "--pair", command.removeprefix("corr-"), "--csv", str(csv)])
+        text = csv.read_bytes().decode()
+    return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}, text
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(EXPECTED.read_text())
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("same_answers")
+
+
+@cache
+def oracle_width(set_name: str) -> int:
+    return float_zcz_width(code_set(set_name))
+
+
+def test_the_expected_file_lists_every_case(expected):
+    assert sorted(expected) == sorted(VERIFY_CASES + CORR_CASES)
+
+
+@pytest.mark.parametrize("case", VERIFY_CASES)
+def test_verify(case, expected, workdir):
+    answer, text = run_case(case, workdir)
+    assert answer == expected[case], text
+    set_name, command = case.rsplit("/", 1)
+    cs = code_set(set_name)
+    flags = VERIFY_FLAGS[command.removeprefix("verify-")]
+    z = int(flags[1]) if "--zcz" in flags else cs.params.Z
+    width = oracle_width(set_name)
+    lines = dict(line.split(": ", 1) for line in text.splitlines())
+    assert answer["exit"] == (0 if width >= z else 1)
+    witness = first_violation(cs, z) if width < z else None
+    assert lines.get("witness") == (None if witness is None else "mu1={} mu2={} tau={}".format(*witness))
+    assert lines.get("max_zcz") == (str(width) if "--max-zcz" in flags else None)
+
+
+@pytest.mark.parametrize("case", CORR_CASES)
+def test_corr(case, expected, workdir):
+    assert run_case(case, workdir)[0] == expected[case]
+
+
+def write(directory: Path) -> None:
+    """Rewrite the expected file and print the cases whose answers changed."""
+    old = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}
+    new = {case: run_case(case, directory)[0] for case in VERIFY_CASES + CORR_CASES}
+    for case in sorted(set(old) | set(new)):
+        if old.get(case) != new.get(case):
+            print(f"{case}: {old.get(case)} -> {new.get(case)}")
+    EXPECTED.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        write(Path(tmp))
