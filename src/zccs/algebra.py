@@ -18,16 +18,17 @@ floating-point accumulation in :mod:`zccs.correlate` rounds back to
 exact counts.
 
 A zero test is linear algebra, the reduced form c = h @ R with
-R = :func:`reduction_matrix`.  ``CycInt.reduced`` takes it in Python
-ints, for any int64 coefficients; :func:`reduced_forms` takes it in
-float64 for count histograms, which MAX_TERMS keeps exact; and
-:func:`harmonic_reduction` gives the same c from the phi(delta)/2
-primitive harmonics of h, which is how the verifier gets it from its
-FFTs.
+R = :func:`reduction_matrix`.  :func:`harmonic_reduction` gives c from
+the phi(delta)/2 primitive harmonics of h, which is how the verifier and
+``zccs corr`` get it from their FFTs; :func:`reduced_forms` takes the
+product in float64 for count histograms, which MAX_TERMS keeps exact,
+when the engine recounts a block; and ``CycInt.reduced`` folds any int64
+coefficients by Phi_delta's nonzero terms in Python ints.  A value's
+complex number is read from c alone, by :func:`form_values`, so ``zccs
+corr`` and ``CycInt.to_complex`` print the same digits.
 """
 from __future__ import annotations
 
-import cmath
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -135,14 +136,25 @@ def reduction_max(delta: int) -> np.ndarray:
 def reduced_forms(h: np.ndarray) -> np.ndarray:
     """``h @ reduction_matrix(delta)`` for count histograms h of shape (..., delta).
 
-    This is the product's one reduction modulo Phi_delta: ``zccs corr``
-    and the verifier's exact recount go through it.  Every vector of h
+    The engine's exact recount, the fallback behind every FFT recovery,
+    reduces its histograms with it.  Every vector of h
     holds non-negative counts summing to at most MAX_TERMS, and
     max|R| <= 5 for delta <= MAX_DELTA, so every partial sum is an integer
     below 5 * 2**20 < 2**53: the product is taken in float64, where numpy
     uses BLAS, and cast back to int64 exactly.
     """
     return (h.astype(np.float64) @ reduction_matrix(h.shape[-1]).astype(np.float64)).astype(np.int64)
+
+
+def form_values(c: np.ndarray, delta: int) -> np.ndarray:
+    """The complex values sum_i c[..., i] w^i of reduced forms c of shape
+    (..., phi(delta)), with w = exp(2*pi*i/delta).
+
+    An elementwise product and a sum along the last axis, with no BLAS
+    kernel, so a form's value does not depend, to the last bit, on the
+    forms evaluated with it.
+    """
+    return (c * np.exp(2j * np.pi * np.arange(c.shape[-1]) / delta)).sum(axis=-1)
 
 
 @lru_cache(maxsize=32)
@@ -277,12 +289,28 @@ class CycInt:
         coeffs[np.arange(self.delta) * ratio] = self.coeffs
         return CycInt(new_delta, coeffs)
 
-    def reduced(self) -> tuple[int, ...]:
-        """Canonical form: remainder modulo the delta-th cyclotomic polynomial.
+    def _form(self) -> list[int]:
+        """The phi(delta) coefficients of the remainder modulo Phi_delta.
 
-        The coefficients may be any int64 values, so the product with
-        :func:`reduction_matrix` is taken in Python ints."""
-        rem = (self.coeffs.astype(object) @ reduction_matrix(self.delta).astype(object)).tolist()
+        From the top power down, each x^j with j >= phi is folded back by
+        x^phi = x^phi mod Phi_delta (row phi of :func:`reduction_matrix`),
+        over that row's nonzero terms, in Python ints: the coefficients
+        may be any int64 values."""
+        rem = self.coeffs.tolist()
+        reduce = reduction_matrix(self.delta)
+        phi = reduce.shape[1]
+        if phi < self.delta:
+            terms = [(k, v) for k, v in enumerate(reduce[phi].tolist()) if v]
+            for j in range(self.delta - 1, phi - 1, -1):
+                if top := rem[j]:
+                    for k, v in terms:
+                        rem[j - phi + k] += top * v
+        return rem[:phi]
+
+    def reduced(self) -> tuple[int, ...]:
+        """Canonical form: remainder modulo the delta-th cyclotomic
+        polynomial, without trailing zeros."""
+        rem = self._form()
         while rem and rem[-1] == 0:
             rem.pop()
         return tuple(rem)
@@ -292,9 +320,9 @@ class CycInt:
         return self.reduced() == ()
 
     def to_complex(self) -> complex:
-        """Double-precision value of the element."""
-        angles = 2j * cmath.pi * np.arange(self.delta) / self.delta
-        return complex(np.sum(self.coeffs * np.exp(angles)))
+        """Double-precision value of the element: :func:`form_values` of
+        its remainder, as ``zccs corr`` prints it."""
+        return complex(form_values(np.array(self._form(), dtype=np.float64), self.delta))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycInt):

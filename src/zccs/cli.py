@@ -27,7 +27,11 @@ int subclasses pass that conversion, so it first checks that every
 exponent is exactly an int.  ``read_code_set`` shares that path but
 skips the walk when the file's text holds neither ``true`` nor
 ``false``: ``json.loads`` makes every other integer exactly an int.
-``main`` builds its argument parser once per process.
+``main`` builds its argument parser once per process.  It exits 1 only
+when ``verify`` finds that the zone fails, and 2 on any error, out of
+memory too.  ``corr`` writes a pair's CSV rows ``tau,re,im,abs,exact_zero``
+from its exact reduced forms: a zero one as ``0,0,0,true``, any other as
+:func:`~zccs.algebra.form_values` (and ``CycInt.to_complex``) gives it.
 
 ``generate --out`` and ``corr --csv`` write their whole output to a new
 sibling file, ``<path>.<random hex>.tmp``, created exclusively, then move
@@ -56,10 +60,10 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import reduced_forms
+from .algebra import form_values
 from .boolfn import parse_gbf
 from .construct import CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs, family_params
-from .correlate import BLOCK_BYTES, code_pair_histograms
+from .correlate import code_pair_reductions
 from .errors import FileFormatError, InvalidParams, ShapeError, ZccsError
 from .verify import verify_code_set
 
@@ -259,19 +263,6 @@ def cmd_verify(args) -> int:
     return 0 if report.is_zccs_at_claimed_z else 1
 
 
-def _complex_values(hist: np.ndarray) -> np.ndarray:
-    """The complex values of the rows of a (rows, delta) histogram array.
-
-    Each row is summed like CycInt.to_complex, so the digits match the
-    reference, and the rows are taken a few at a time, so the complex
-    terms stay within BLOCK_BYTES.
-    """
-    delta = hist.shape[1]
-    roots = np.exp(2j * np.pi * np.arange(delta) / delta)
-    rows = max(1, BLOCK_BYTES // (16 * delta))
-    return np.concatenate([(hist[lo : lo + rows] * roots).sum(axis=1) for lo in range(0, len(hist), rows)])
-
-
 def cmd_corr(args) -> int:
     cs = read_code_set(getattr(args, "in"))
     try:
@@ -281,18 +272,18 @@ def cmd_corr(args) -> int:
     if not (0 <= mu1 < cs.params.K and 0 <= mu2 < cs.params.K):
         raise IndexError(f"pair ({mu1},{mu2}) out of range for K={cs.params.K}")
     delta, n = cs.params.delta, cs.params.N
-    hist = code_pair_histograms(cs.exponents, delta, mu1, mu2)
-    zero = ~reduced_forms(hist).any(axis=1)
-    values = _complex_values(hist)
+    c = code_pair_reductions(cs.exponents, delta, mu1, mu2)
+    nonzero = np.flatnonzero(c.any(axis=1)).tolist()
     # The rows csv.writer would write: no field needs quoting, and lines
-    # end in CRLF.  One format call takes the fields row by row.  abs is
-    # Python's: np.abs differs from it in the last bit of some values.
-    fields: list = [None] * (5 * (2 * n - 1))
+    # end in CRLF.  One format call takes the fields row by row.  A row
+    # whose reduced form is zero reads 0,0,0,true; only the others are
+    # evaluated.  abs is Python's: np.abs differs from it in the last bit
+    # of some values.
+    fields: list = [0] * (5 * (2 * n - 1))
     fields[0::5] = range(-n + 1, n)
-    fields[1::5] = values.real.tolist()
-    fields[2::5] = values.imag.tolist()
-    fields[3::5] = map(abs, values.tolist())
-    fields[4::5] = np.where(zero, "true", "false").tolist()
+    fields[4::5] = ["true"] * (2 * n - 1)
+    for row, z in zip(nonzero, form_values(c[nonzero], delta).tolist()):
+        fields[5 * row + 1 : 5 * row + 5] = z.real, z.imag, abs(z), "false"
     text = "tau,re,im,abs,exact_zero\r\n" + "%d,%.12g,%.12g,%.12g,%s\r\n" * (2 * n - 1) % tuple(fields)
     if args.csv:
         _write_output(args.csv, text)
@@ -347,6 +338,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ZccsError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # Exit 1 would read as a set that fails its zone.
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -15,24 +15,20 @@ tile; otherwise a tile doubles in height while the rest of the set is
 one block.  One cyclic correlation of length >= N + t1 - 1 holds
 theta(mu1, mu2)(tau) and theta(mu1, mu2)(-tau) for every tau < t1, and
 the second gives the mirror cell, since theta(mu2, mu1)(tau) =
-conj(theta(mu1, mu2)(-tau)).  Two recoveries share that core, and each
-checks both halves:
-
-* :func:`code_histograms` takes every harmonic r = 0..delta/2 and
-  inverts the harmonic transform to the histograms.  It accepts a block
-  only when its residuals stay below RESIDUAL_TOL, every count is
-  non-negative and each histogram sums to its M*(N - |tau|) terms.
-* :func:`code_reductions` takes only the phi(delta)/2 primitive
-  harmonics, the ones that survive reduction modulo Phi_delta, and maps
-  them straight to the reduced forms h @ R (see
-  :func:`~zccs.algebra.harmonic_reduction`).  It accepts a block only
-  when every coordinate lies within RESIDUAL_TOL of an integer and
-  inside the bound M*(N - |tau|)*max_d|R[d, i]|.
+conj(theta(mu1, mu2)(-tau)).  :func:`code_reductions` recovers from
+that core the reduced forms h @ R of both halves: it takes only the
+phi(delta)/2 primitive harmonics, the ones that survive reduction modulo
+Phi_delta, and maps them straight to the reduced forms (see
+:func:`~zccs.algebra.harmonic_reduction`).  It accepts a block only when
+every coordinate lies within RESIDUAL_TOL of an integer and inside the
+bound M*(N - |tau|)*max_d|R[d, i]|.  The verifier reads every cell from
+it, and ``zccs corr`` one pair's, through :func:`code_pair_reductions`.
 
 The values are integers of at most 5*MAX_TERMS, so double-precision
 round-off is far below 1/2 (Percival, Math. Comp. 72, 2003).  Any block
 that fails a check is recounted exactly, row by row, by :func:`_count`,
-so no result rests on a floating tolerance.
+and reduced by :func:`~zccs.algebra.reduced_forms`, so no result rests
+on a floating tolerance.
 """
 from __future__ import annotations
 
@@ -185,47 +181,21 @@ def _harmonic_sums(
         mu1, height = tile.stop, 2 * len(tile)
 
 
-def code_histograms(
+def code_reductions(
     exps: np.ndarray, delta: int, rows: range, t0: int, t1: int, cols: range | None = None
 ) -> Iterator[tuple[range, range, np.ndarray]]:
-    """Exact correlation histograms of tiles of row codes against the codes from each tile on.
+    """Reduced forms of the correlations of tiles of row codes against the codes from each tile on.
 
     ``exps`` is a (K, M, N) array of exponents mod delta, such as
     ``CodeSet.exponents``.  For shifts t0 <= tau < t1 (0 <= t0 < t1 <= N)
     yields, tile by tile of the rows and block by block of the codes mu2
-    >= tile.start in cols (default: all of them), ``(tile, block, h)``
-    with h an int64 array of shape (len(tile), len(block), 2, t1 - t0,
-    delta): ``h[t, j, 0, tau - t0]`` and ``h[t, j, 1, tau - t0]`` are the
-    coefficients of the correlation of code tile[t] with code block[j] at
-    shifts tau and -tau, as :func:`~zccs.reference.code_accf` gives
-    them.  It recovers h from all the harmonics r = 0..delta/2 with an
-    inverse real FFT.
-    """
-    _, m, n = exps.shape
-    harmonics = np.arange(delta // 2 + 1)
-    terms = m * (n - np.arange(t0, t1))
-    for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1, cols):
-        approx = np.fft.irfft(sums, delta)
-        del sums  # the checks run in place, as in code_reductions
-        hist = np.rint(approx).astype(np.int64)
-        approx -= hist
-        if np.abs(approx, out=approx).max() < RESIDUAL_TOL and (hist >= 0).all() and (hist.sum(-1) == terms).all():
-            yield tile, block, hist
-        else:
-            yield tile, block, _recount(exps, delta, tile, block, t0, t1)
-
-
-def code_reductions(
-    exps: np.ndarray, delta: int, rows: range, t0: int, t1: int
-) -> Iterator[tuple[range, range, np.ndarray]]:
-    """Reduced forms of the correlations of tiles of row codes against the codes from each tile on.
-
-    Takes the arguments of :func:`code_histograms` and yields, tile by
-    tile and block by block, ``(tile, block, c)`` with c an int64 array of
-    shape (len(tile), len(block), 2, t1 - t0, phi(delta)) equal to ``h @
-    reduction_matrix(delta)`` for the histograms h that
-    :func:`code_histograms` yields: ``c[t, j, side, tau - t0]`` is zero iff
-    that correlation is.  Only the primitive harmonics of
+    >= tile.start in cols (default: all of them), ``(tile, block, c)``
+    with c an int64 array of shape (len(tile), len(block), 2, t1 - t0,
+    phi(delta)): ``c[t, j, 0, tau - t0]`` and ``c[t, j, 1, tau - t0]`` are
+    ``h @ reduction_matrix(delta)`` for h the coefficients of the
+    correlation of code tile[t] with code block[j] at shifts tau and
+    -tau, as :func:`~zccs.reference.code_accf` counts them, so each is
+    zero iff that correlation is.  Only the primitive harmonics of
     :func:`~zccs.algebra.harmonic_reduction` are correlated, and c is
     the sums, viewed as interleaved (Re, Im) float pairs, times its basis.
     """
@@ -233,7 +203,7 @@ def code_reductions(
     harmonics, basis = harmonic_reduction(delta)
     # |c[., tau, i]| <= sum_d h[d] |R[d, i]| <= M * (N - |tau|) * max_d |R[d, i]|.
     bound = m * (n - np.arange(t0, t1))[:, None] * reduction_max(delta)
-    for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1):
+    for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1, cols):
         approx = sums.view(np.float64) @ basis
         # The checks run in place: with the harmonics in chunks a tile holds
         # all its blocks until the last chunk, and a copy would outgrow them.
@@ -247,12 +217,13 @@ def code_reductions(
             yield tile, block, reduced_forms(_recount(exps, delta, tile, block, t0, t1))
 
 
-def code_pair_histograms(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np.ndarray:
-    """Histograms of the correlation of codes mu1 and mu2 of a (K, M, N)
+def code_pair_reductions(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np.ndarray:
+    """Reduced forms of the correlation of codes mu1 and mu2 of a (K, M, N)
     exponent array at every shift in (-N, N), from one two-sided
-    correlation.  Row tau + N - 1 equals ``code_accf(a, b, tau).coeffs``.
+    correlation: row tau + N - 1 is ``code_accf(a, b, tau).coeffs @
+    reduction_matrix(delta)``.  Only the pair's own cell is computed.
     """
     pair = exps[[mu1]] if mu1 == mu2 else exps[[mu1, mu2]]
     n = exps.shape[-1]
-    ((_, _, h),) = code_histograms(pair, delta, range(1), 0, n, range(len(pair) - 1, len(pair)))
-    return np.concatenate([h[0, 0, 1, :0:-1], h[0, 0, 0]])
+    ((_, _, c),) = code_reductions(pair, delta, range(1), 0, n, range(len(pair) - 1, len(pair)))
+    return np.concatenate([c[0, 0, 1, :0:-1], c[0, 0, 0]])

@@ -10,6 +10,7 @@ from zccs.algebra import (
     MAX_TERMS,
     CycInt,
     cyclotomic_poly,
+    form_values,
     harmonic_reduction,
     is_prime,
     reduced_forms,
@@ -337,6 +338,21 @@ class TestExactArithmetic:
         kept.flags.writeable = False
         assert algebra.owned_int64(kept) is kept
 
+    @pytest.mark.parametrize("delta", [*range(1, 41), 105, 935, 1001, 1024])
+    def test_fold_equals_the_dense_python_int_product(self, delta):
+        reduce = reduction_matrix(delta).astype(object)
+        rng = np.random.default_rng(delta)
+        coeffs = rng.integers(-(2**62), 2**62, size=(3, delta), endpoint=True)
+        coeffs[0] = 2**62
+        coeffs[1, ::2] = -(2**62)
+        coeffs[1, 1::2] = 2**62
+        coeffs = np.concatenate([coeffs, rng.integers(-3, 4, size=(2, delta)), np.zeros((1, delta), np.int64)])
+        for h, c in zip(coeffs, coeffs.astype(object) @ reduce):
+            rem = c.tolist()
+            while rem and rem[-1] == 0:
+                rem.pop()
+            assert CycInt(delta, h).reduced() == tuple(rem)
+
     def test_root_order_is_capped(self):
         assert CycInt.zero(MAX_DELTA).is_zero()
         with pytest.raises(ValueError):
@@ -354,6 +370,23 @@ class TestComplexValue:
 
     def test_real_combination(self):
         assert ci(2, [3, 1]).to_complex() == pytest.approx(2 + 0j)
+
+    @pytest.mark.parametrize("delta", [6, 20, 105, 935, 1024])
+    def test_a_form_has_one_value_alone_or_in_a_batch(self, delta):
+        phi = reduction_matrix(delta).shape[1]
+        rng = np.random.default_rng(delta)
+        forms = rng.integers(-5000, 5001, size=(40, phi))
+        forms[::3, phi // 2 :] = 0
+        batch = form_values(forms, delta)
+        for i, form in enumerate(forms):
+            alone = form_values(form, delta)
+            assert alone.tobytes() == batch[i].tobytes()
+            assert alone.tobytes() == form_values(forms[i : i + 3], delta)[0].tobytes()
+            assert alone.tobytes() == form_values(forms[::-1], delta)[-1 - i].tobytes()
+            # The reference prints the same value for the same form.
+            assert complex(alone) == CycInt(delta, np.concatenate([form, np.zeros(delta - phi, np.int64)])).to_complex()
+        w = np.exp(2j * np.pi * np.arange(delta) / delta)
+        assert np.allclose(batch, forms @ w[:phi], rtol=0, atol=1e-9)
 
 
 class TestRingHelpers:

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from zccs import cli
-from zccs.algebra import MAX_DELTA, reduced_forms
+from zccs.algebra import MAX_DELTA, form_values
 from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
 from zccs.cli import build_parser, code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import build_ccc, build_zccs
-from zccs.correlate import code_pair_histograms
+from zccs.correlate import code_pair_reductions
 from zccs.errors import FileFormatError, InvalidModulus, InvalidParams
 from zccs.reference import profile
 
@@ -230,14 +230,24 @@ class TestCorr:
         write_code_set(cs, str(path))
         n, k = cs.params.N, cs.params.K
         for mu1, mu2 in {(0, 0), (0, 1), (1, 0), (k - 1, 0), (k // 2, k - 1)}:
-            hist = code_pair_histograms(cs.exponents, cs.params.delta, mu1, mu2)
-            zero = ~reduced_forms(hist).any(axis=1)
+            c = code_pair_reductions(cs.exponents, cs.params.delta, mu1, mu2)
             rows = ["tau,re,im,abs,exact_zero"] + [
-                f"{tau},{z.real:.12g},{z.imag:.12g},{abs(z):.12g},{str(exact_zero).lower()}"
-                for tau, z, exact_zero in zip(range(-n + 1, n), cli._complex_values(hist).tolist(), zero.tolist())
+                f"{tau},{z.real:.12g},{z.imag:.12g},{abs(z):.12g},false" if form.any() else f"{tau},0,0,0,true"
+                for tau, form, z in zip(range(-n + 1, n), c, form_values(c, cs.params.delta).tolist())
             ]
             assert main(["corr", "--in", str(path), "--pair", f"{mu1},{mu2}"]) == 0
             assert capsys.readouterr().out == "\r\n".join(rows) + "\r\n"
+
+    def test_exact_zero_rows_read_zero(self, flagship_file, capsys):
+        # Decided by the exact test, so no round-off and no -0.  Every row of
+        # the pair (0, 1) is zero; (0, 4) has nonzero rows too.
+        for pair, nonzero in (("0,1", 0), ("0,4", 4)):
+            assert main(["corr", "--in", str(flagship_file), "--pair", pair]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            zero = [line for line in lines if line.endswith(",true")]
+            assert "-7,0,0,0,true" in zero and "0,0,0,0,true" in zero
+            assert all(line == f"{line.split(',')[0]},0,0,0,true" for line in zero)
+            assert len(lines) - len(zero) == nonzero
 
     def test_pair_out_of_range(self, flagship_file, capsys):
         rc = main(["corr", "--in", str(flagship_file), "--pair", "0,12"])
@@ -713,3 +723,45 @@ def test_the_module_entry_point_exits_with_each_status(tmp_path):
     (tmp_path / "float.json").write_text(json.dumps(doc))
     done = run("verify", "--in", str(tmp_path / "float.json"))
     assert done.returncode == 2 and done.stderr.startswith("error: ")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+
+@pytest.mark.parametrize("command, target", [
+    (["verify"], "verify_code_set"),
+    (["verify", "--max-zcz"], "verify_code_set"),
+    (["corr", "--pair", "0,1"], "code_pair_reductions"),
+])
+def test_out_of_memory_exits_2(command, target, flagship_file, monkeypatch, capsys):
+    # Exit 1 is the verdict "fails the zone"; running out of memory is not one.
+    monkeypatch.setattr(cli, target, _out_of_memory)
+    assert main([command[0], "--in", str(flagship_file), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 8.00 GiB for an array\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the address-space size from /proc")
+def test_verify_past_its_address_space_exits_2(tmp_path):
+    # The 2x2x16384 delta = 1024 CCC needs about 670 MB to verify.  The
+    # child caps its address space 200 MB above what it maps once imported,
+    # then runs verify, which must report the failed allocation with exit 2.
+    cs = build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(13)), 14, 1024), [])
+    assert (cs.params.K, cs.params.N, cs.params.delta) == (2, 16384, 1024)
+    path = tmp_path / "big.json"
+    write_code_set(cs, str(path))
+    child = (
+        "import re, resource, sys\n"
+        "from zccs.cli import main\n"
+        "size = int(re.search(r'VmSize:\\s*(\\d+) kB', open('/proc/self/status').read())[1]) << 10\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (200 << 20),) * 2)\n"
+        "sys.exit(main(['verify', '--in', sys.argv[1]]))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and done.stderr.startswith("error: out of memory")

@@ -1,9 +1,10 @@
 """The batched correlation engine against the per-cell reference path.
 
-``code_histograms`` and ``code_pair_histograms`` must give, cell for cell and
-at shifts +tau and -tau, the histograms ``code_accf`` counts,
-``code_reductions`` their reductions mod Phi_delta, and the reports built
-on them must not depend on whether a block was accepted from the FFT or
+``code_reductions`` and ``code_pair_reductions`` must give, cell for cell
+and at shifts +tau and -tau, the reductions mod Phi_delta of the
+histograms ``code_accf`` counts, each block equal to the exact recount
+``_recount`` times R, and the reports and ``zccs corr`` output built on
+them must not depend on whether a block was accepted from the FFT or
 recounted exactly.
 """
 import csv
@@ -16,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zccs import correlate, verify
-from zccs.algebra import MAX_TERMS, CycInt, harmonic_reduction, reduced_forms, reduction_matrix
+from zccs.algebra import MAX_TERMS, harmonic_reduction, reduced_forms, reduction_matrix
 from zccs.boolfn import parse_gbf
-from zccs.cli import _complex_values, main, write_code_set
+from zccs.cli import main, write_code_set
 from zccs.construct import CodeLabel, CodeSet, build_ccc, build_zccs
-from zccs.correlate import code_histograms, code_pair_histograms, code_reductions
+from zccs.correlate import code_pair_reductions, code_reductions
 from zccs.reference import Code, RootSequence, code_accf
 from zccs.verify import check_ccc, check_zccs, max_zcz, verify_code_set
 
@@ -51,17 +52,22 @@ def no_fallback(monkeypatch):
     monkeypatch.setattr(correlate, "_recount", _refuse)
 
 
-def _harmonic_count(engine, delta):
-    """How many harmonics an engine correlates."""
-    return delta // 2 + 1 if engine is code_histograms else len(harmonic_reduction(delta)[0])
+def code_histograms(exps, delta, rows, t0, t1):
+    """The tiles and blocks of ``code_reductions``, each with its histograms
+    recounted exactly by ``_recount``, after checking that the block's
+    reduced forms are those histograms times R."""
+    for tile, block, c in code_reductions(exps, delta, rows, t0, t1):
+        hist = RECOUNT(exps, delta, tile, block, t0, t1)
+        assert np.array_equal(c, hist @ reduction_matrix(delta)), (tile, block)
+        yield tile, block, hist
 
 
-def _one_tile(exps, delta, engine, rows, t1):
+def _one_tile(exps, delta, rows, t1):
     """Whether the rows' member sums against the codes from their first
-    on, at every harmonic, fit BLOCK_BYTES, and those codes lie in one
-    block: then the engine takes the rows as one tile."""
+    on, at every primitive harmonic, fit BLOCK_BYTES, and those codes lie
+    in one block: then the engine takes the rows as one tile."""
     k, _, n = exps.shape
-    per_code = 16 * correlate._fft_length(n + t1 - 1) * _harmonic_count(engine, delta)
+    per_code = 16 * correlate._fft_length(n + t1 - 1) * len(harmonic_reduction(delta)[0])
     step = correlate.BLOCK_BYTES // per_code
     return len(rows) * (k - rows.start) * per_code <= correlate.BLOCK_BYTES and rows.start // step == (k - 1) // step
 
@@ -78,7 +84,7 @@ def _tiles(exps, delta, t0, t1, engine=code_histograms, rows=None):
     out = list(engine(exps, delta, rows, t0, t1))
     tiles = list(dict.fromkeys(tile for tile, _, _ in out))
     assert [mu for tile in tiles for mu in tile] == list(rows)
-    assert len(tiles[0]) == (len(rows) if _one_tile(exps, delta, engine, rows, t1) else 1)
+    assert len(tiles[0]) == (len(rows) if _one_tile(exps, delta, rows, t1) else 1)
     for tile in tiles:
         blocks = [block for t, block, _ in out if t == tile]
         assert [mu for block in blocks for mu in block] == list(range(tile.start, k))
@@ -131,9 +137,9 @@ def test_batched_histograms_match_code_accf(name, seed, no_fallback, monkeypatch
             window = _upper(cs.exponents, pp.delta, t0, t1, rows=range(mu1, pp.K))
             assert np.array_equal(window[mu1], upper[mu1][:, :, t0:t1])
             for mu2 in range(pp.K):
-                both = code_pair_histograms(cs.exponents, pp.delta, mu1, mu2)
-                assert both.shape == (2 * n - 1, pp.delta)
-                assert np.array_equal(both, table[mu1, mu2])
+                both = code_pair_reductions(cs.exponents, pp.delta, mu1, mu2)
+                assert both.shape == (2 * n - 1, len(reduction_matrix(pp.delta)[0]))
+                assert np.array_equal(both, table[mu1, mu2] @ reduction_matrix(pp.delta))
 
 
 @pytest.mark.parametrize("block_bytes", [correlate.BLOCK_BYTES, 1])
@@ -164,13 +170,11 @@ def test_reductions_match_reduced_code_accf(name, seed, block_bytes, no_fallback
 
 
 def _engine_setup(engine, cs):
-    """The harmonics an engine correlates and the table it must reproduce."""
+    """The harmonics an engine correlates and the table it must reproduce:
+    the histograms or their reductions."""
     delta = cs.params.delta
-    if engine is code_histograms:
-        harmonics, reduce = np.arange(delta // 2 + 1), np.eye(delta, dtype=np.int64)
-    else:
-        harmonics, reduce = harmonic_reduction(delta)[0], reduction_matrix(delta)
-    return harmonics, _accf_table(cs.codes) @ reduce
+    table = _accf_table(cs.codes)
+    return harmonic_reduction(delta)[0], table if engine is code_histograms else table @ reduction_matrix(delta)
 
 
 @pytest.mark.parametrize("span, step", [(None, 1), (None, 2), (None, 3), (1, 1), (2, 1)])
@@ -315,7 +319,7 @@ def test_sweep_sets_that_fit_are_one_tile(no_fallback, monkeypatch):
         for z, check in checks:
             tiles.clear()
             assert check()
-            if _one_tile(cs.exponents, pp.delta, code_reductions, range(pp.K), min(z + 1, pp.N)):
+            if _one_tile(cs.exponents, pp.delta, range(pp.K), min(z + 1, pp.N)):
                 assert tiles == [range(pp.K)], (pp, z)
                 one += 1
             else:
@@ -550,21 +554,28 @@ def test_reductions_of_a_root_order_1024_ccc(no_fallback):
     assert peak < 48e6
 
 
-def test_complex_values_of_a_profile_stay_small():
-    cs = build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), [])
-    hist = code_pair_histograms(cs.exponents, cs.params.delta, 0, 1)
+def test_complex_values_of_a_profile_stay_small(tmp_path):
+    cs = corrupt_seeded(build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), []), 0)
+    path, out = tmp_path / "ccc.json", tmp_path / "prof.csv"
+    write_code_set(cs, str(path))
     tracemalloc.start()
     try:
-        values = _complex_values(hist)
+        assert main(["corr", "--in", str(path), "--pair", "1,1", "--csv", str(out)]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The unchunked product is a (2N - 1) x delta complex array, 33 MB.
-    assert peak < 2e6
-    # Each row is summed as before, so the digits are the same.
-    roots = np.exp(2j * np.pi * np.arange(1024) / 1024)
-    assert np.array_equal(values, (hist * roots).sum(axis=1))
-    assert values[1023] == CycInt(1024, hist[1023]).to_complex()
+    # About 26 MB: the pair's harmonics and their product with the basis,
+    # 8.4 MB each.  The histograms of every harmonic took 52.8 MB.
+    assert peak < 32e6
+    # The rows print the reference's values, to the last digit.
+    lines = out.read_text().splitlines()
+    codes, n = cs.codes, cs.params.N
+    assert sum(line.endswith(",false") for line in lines) > 1000
+    for tau in range(-n + 1, n, 15):
+        value = code_accf(codes[1], codes[1], tau)
+        z = value.to_complex()
+        want = f"{tau},{z.real:.12g},{z.imag:.12g},{abs(z):.12g},false" if not value.is_zero() else f"{tau},0,0,0,true"
+        assert lines[tau + n] == want
 
 
 def test_out_of_bound_reductions_are_recounted(monkeypatch):
@@ -595,12 +606,46 @@ def test_out_of_bound_reductions_are_recounted(monkeypatch):
         assert np.array_equal(slow[mu1], fast[mu1])
 
 
+def test_recounted_pairs_print_the_same_corr_bytes(monkeypatch, tmp_path):
+    # The shift of test_out_of_bound_reductions_are_recounted sends every
+    # pair to the exact recount; zccs corr must not notice.
+    harmonic_sums = correlate._harmonic_sums
+
+    def shifted(*args):
+        for tile, block, sums in harmonic_sums(*args):
+            yield tile, block, sums + float(1 << 24)
+
+    cs = corrupt_seeded(ENGINE_SETS["zccs_10x2x20_delta20"](), 2)
+    path = tmp_path / "set.json"
+    write_code_set(cs, str(path))
+    pairs = ["0,0", "0,1", "1,0", "9,3", "2,9"]
+
+    def csv_bytes():
+        out = []
+        for pair in pairs:
+            assert main(["corr", "--in", str(path), "--pair", pair, "--csv", str(tmp_path / "prof.csv")]) == 0
+            out.append((tmp_path / "prof.csv").read_bytes())
+        return out
+
+    fast = csv_bytes()
+    recounted = []
+
+    def counting(*args):
+        recounted.append(args)
+        return RECOUNT(*args)
+
+    monkeypatch.setattr(correlate, "_harmonic_sums", shifted)
+    monkeypatch.setattr(correlate, "_recount", counting)
+    assert csv_bytes() == fast
+    assert len(recounted) == len(pairs)
+    assert any(b",false\r\n" in out and b",0,0,0,true\r\n" in out for out in fast)
+
+
 def test_empty_or_outside_window_is_refused():
     cs = ENGINE_SETS["zccs_12x4x24_delta6"]()
-    for engine in (code_histograms, code_reductions):
-        for t0, t1 in ((3, 3), (0, 25), (-1, 2)):
-            with pytest.raises(ValueError):
-                list(engine(cs.exponents, cs.params.delta, range(2), t0, t1))
+    for t0, t1 in ((3, 3), (0, 25), (-1, 2)):
+        with pytest.raises(ValueError):
+            list(code_reductions(cs.exponents, cs.params.delta, range(2), t0, t1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -626,7 +671,7 @@ def test_histograms_of_random_exponent_arrays(data):
         patch.setattr(correlate, "BLOCK_BYTES", block_bytes)
         upper = _upper(exps, delta, t0, t1, rows=range(first, k))
         reduced = _upper(exps, delta, t0, t1, code_reductions, range(first, k))
-        both = code_pair_histograms(exps, delta, mu1, mu2)
+        both = code_pair_reductions(exps, delta, mu1, mu2)
     for row in range(first, k):
         assert np.array_equal(reduced[row], upper[row] @ reduction_matrix(delta))
         zero = ~reduced[row].any(axis=-1)
@@ -638,7 +683,7 @@ def test_histograms_of_random_exponent_arrays(data):
                     assert np.array_equal(upper[row][cell], ref.coeffs)
                     assert zero[cell] == ref.is_zero()
     for tau in range(-n + 1, n):
-        assert np.array_equal(both[tau + n - 1], code_accf(codes[mu1], codes[mu2], tau).coeffs)
+        assert np.array_equal(both[tau + n - 1], code_accf(codes[mu1], codes[mu2], tau).coeffs @ reduction_matrix(delta))
 
 
 def _reports_and_rows(cs, path):

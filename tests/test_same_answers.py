@@ -6,7 +6,11 @@ are the README 12x4x24 set, the 20x4x320 (delta = 20) and q = 4 CCC sets
 that CI verifies, and the 2x2x1024 delta = 1024 CCC, each as built and
 with one ``oracles.corrupt_seeded`` corruption.  So that the file cannot
 freeze a wrong verdict, every verify case is also checked against the
-float oracle: its exit code, witness and ``max_zcz``.
+float oracle: its exit code, witness and ``max_zcz``.  ``corr`` runs on
+the pairs (0, 1) and (1, 0) of every set and, on a corrupted set, also
+on the shifted code mu with itself and with code 0, (mu, mu) and
+(0, mu), whose rows are mostly not exact zeros, so the digits of the
+values are pinned too.
 
 Rewrite the expected file, printing the cases that changed, with
 
@@ -20,6 +24,7 @@ from contextlib import redirect_stdout
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zccs.boolfn import parse_gbf
@@ -53,8 +58,20 @@ def _set_names() -> list[str]:
     return [f"{base}/{variant}" for base in SETS for variant in ("built", "corrupt")]
 
 
+def _corr_pairs(set_name: str) -> list[str]:
+    """(0, 1) and (1, 0), and on a corrupted set (mu, mu) and (0, mu) for
+    the code mu the corruption shifts, (1, 0) when mu = 0."""
+    pairs = ["0,1", "1,0"]
+    base, variant = set_name.rsplit("/", 1)
+    if variant == "corrupt":
+        shifted = (code_set(f"{base}/built").exponents != code_set(set_name).exponents).any(axis=(1, 2))
+        (mu,) = np.flatnonzero(shifted).tolist()
+        pairs += [f"{mu},{mu}", f"0,{mu}" if mu else "1,0"]
+    return list(dict.fromkeys(pairs))
+
+
 VERIFY_CASES = [f"{s}/verify-{flag}" for s in _set_names() for flag in VERIFY_FLAGS]
-CORR_CASES = [f"{s}/corr-{pair}" for s in _set_names() for pair in ("0,1", "1,0")]
+CORR_CASES = [f"{s}/corr-{pair}" for s in _set_names() for pair in _corr_pairs(s)]
 
 
 def run_case(case: str, directory: Path) -> tuple[dict, str]:
@@ -113,6 +130,13 @@ def test_verify(case, expected, workdir):
 @pytest.mark.parametrize("case", CORR_CASES)
 def test_corr(case, expected, workdir):
     assert run_case(case, workdir)[0] == expected[case]
+
+
+def test_pinned_corr_values_have_fractional_digits(workdir):
+    # A column printed with fewer digits, or rounded to integers, would
+    # change a digest only if some pinned value has a fraction.
+    texts = [run_case(case, workdir)[1] for case in CORR_CASES if "/corrupt/" in case]
+    assert any(not float(row.split(",")[1]).is_integer() for text in texts for row in text.splitlines()[1:])
 
 
 def write(directory: Path) -> None:
