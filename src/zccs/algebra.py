@@ -24,8 +24,9 @@ the phi(delta)/2 primitive harmonics of h, which is how the verifier and
 product in float64 for count histograms, which MAX_TERMS keeps exact,
 when the engine recounts a block; and ``CycInt.reduced`` folds any int64
 coefficients by Phi_delta's nonzero terms in Python ints.  A value's
-complex number is read from c alone, by :func:`form_values`, so ``zccs
-corr`` and ``CycInt.to_complex`` print the same digits.
+complex number is read from c alone, by :func:`form_values` over the
+table :func:`roots`, exact at the quarter turns, so ``zccs corr`` and
+``CycInt.to_complex`` print the same digits.
 """
 from __future__ import annotations
 
@@ -146,15 +147,28 @@ def reduced_forms(h: np.ndarray) -> np.ndarray:
     return (h.astype(np.float64) @ reduction_matrix(h.shape[-1]).astype(np.float64)).astype(np.int64)
 
 
+@lru_cache(maxsize=32)
+def roots(delta: int) -> np.ndarray:
+    """The read-only table of w^j, j = 0..delta-1, w = exp(2*pi*i/delta),
+    with w^j exactly 1, i, -1 or -i wherever 4j = 0 mod delta.  The scan
+    reads the harmonics w^(-r*e) of an exponent e as roots[-r*e mod delta]."""
+    j = np.arange(delta)
+    out = np.exp(2j * np.pi * j / delta)
+    quarter = 4 * j % delta == 0
+    out[quarter] = np.array([1, 1j, -1, -1j])[4 * j[quarter] // delta]
+    out.flags.writeable = False
+    return out
+
+
 def form_values(c: np.ndarray, delta: int) -> np.ndarray:
     """The complex values sum_i c[..., i] w^i of reduced forms c of shape
-    (..., phi(delta)), with w = exp(2*pi*i/delta).
+    (..., phi(delta)), with w^i read from :func:`roots`.
 
     An elementwise product and a sum along the last axis, with no BLAS
     kernel, so a form's value does not depend, to the last bit, on the
-    forms evaluated with it.
+    forms evaluated with it.  A part that is exactly zero reads +0, never -0.
     """
-    return (c * np.exp(2j * np.pi * np.arange(c.shape[-1]) / delta)).sum(axis=-1)
+    return (c * roots(delta)[: c.shape[-1]]).sum(axis=-1) + 0.0
 
 
 @lru_cache(maxsize=32)
@@ -200,15 +214,6 @@ def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     harmonics.flags.writeable = False
     basis.flags.writeable = False
     return harmonics, basis
-
-
-@lru_cache(maxsize=32)
-def conjugate_roots(delta: int) -> np.ndarray:
-    """The delta roots w^(-e), e = 0..delta-1, from which the harmonics
-    w^(-r*e) of an exponent e are read as w^(-(r*e mod delta))."""
-    out = np.exp(-2j * np.pi * np.arange(delta) / delta)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)

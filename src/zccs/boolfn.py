@@ -3,9 +3,9 @@
 A generalized Boolean function maps m binary variables to Z_q (q even)
 and is stored as a sparse map from monomials to integer coefficients.
 Its truth table lists its values at every index r, with bit order fixed
-as r = sum_a r_a * 2**a (x0 is the least significant bit).  The
-per-member sequences of the paper are built from it in
-:mod:`zccs.reference`.
+as r = sum_a r_a * 2**a (x0 is the least significant bit), and its graph
+has one edge per quadratic term, which one walk certifies as a path.
+The paper's per-member sequences are built in :mod:`zccs.reference`.
 """
 from __future__ import annotations
 
@@ -226,8 +226,11 @@ class PathCertificate:
 def check_path_after_deletion(graph: FunctionGraph, deleted, q: int) -> PathCertificate:
     """Verify the remaining vertices form a path whose edges all weigh q/2.
 
-    Returns a certificate with a concrete path order (starting from the
-    lower-indexed end vertex), or raises NotAPath.
+    One walk decides it: from the lowest-indexed vertex of degree <= 1
+    (else the lowest-indexed), step to the one neighbour not just left.
+    A walk through all V vertices uses V - 1 distinct edges, so they form
+    a path iff it reaches all V and there are V - 1 edges in all.  Returns
+    the certificate, its order from the lower-indexed end, or raises NotAPath.
     """
     deleted = tuple(deleted)
     if len(set(deleted)) != len(deleted):
@@ -238,37 +241,21 @@ def check_path_after_deletion(graph: FunctionGraph, deleted, q: int) -> PathCert
     if not remaining:
         raise NotAPath("all vertices deleted, no path vertex left")
     half = q // 2
-
     adj: dict[int, list[int]] = {v: [] for v in remaining}
-    n_edges = 0
     for (a, b), w in graph.edges.items():
         if a in adj and b in adj:
             if w != half:
                 raise NotAPath(f"edge ({a},{b}) has weight {w}, expected q/2 = {half}")
             adj[a].append(b)
             adj[b].append(a)
-            n_edges += 1
-
-    if len(remaining) == 1:
-        v = remaining[0]
-        return PathCertificate(deleted, (v,), (v, v))
-
-    if n_edges != len(remaining) - 1:
-        raise NotAPath(f"{n_edges} edges among {len(remaining)} vertices is not a path")
-    ends = sorted(v for v in remaining if len(adj[v]) == 1)
-    if len(ends) != 2 or any(len(adj[v]) > 2 for v in remaining):
-        raise NotAPath("remaining graph has wrong vertex degrees for a path")
-
-    order = [ends[0]]
-    prev = None
-    while len(order) < len(remaining):
-        nxt = [u for u in adj[order[-1]] if u != prev]
-        if len(nxt) != 1:
-            raise NotAPath("remaining graph is disconnected")
+    order, prev = [min(remaining, key=lambda v: len(adj[v]) > 1)], None
+    while len(nxt := [u for u in adj[order[-1]] if u != prev]) == 1:
         prev = order[-1]
         order.append(nxt[0])
-    if order[-1] != ends[1]:
-        raise NotAPath("remaining graph is disconnected")
+    n, n_edges = len(remaining), sum(map(len, adj.values())) // 2
+    if len(order) < n or n_edges != n - 1:
+        why = f"the walk stopped at vertex {order[-1]} after {len(order)}" if len(order) < n else f"{n_edges} edges among all"
+        raise NotAPath(f"remaining graph is not a path: {why} of its {n} vertices")
     return PathCertificate(deleted, tuple(order), (order[0], order[-1]))
 
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import conjugate_roots, harmonic_reduction, reduced_forms, reduction_max
+from .algebra import harmonic_reduction, reduced_forms, reduction_max, roots
 
 # Largest |h - rint(h)| accepted from the FFT before a block is recounted.
 RESIDUAL_TOL = 0.25
@@ -114,8 +114,8 @@ def _harmonic_sums(
     a scan that stops at a witness has computed no block it did not read.
     """
     k, m, n = exps.shape
-    if not 0 <= t0 < t1 <= n:
-        raise ValueError(f"need 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
+    if not (isinstance(t0, (int, np.integer)) and isinstance(t1, (int, np.integer)) and 0 <= t0 < t1 <= n):
+        raise ValueError(f"need integers 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
     cols = range(k) if cols is None else cols
     width, nh = t1 - t0, len(harmonics)
     # A cyclic length of n + t1 - 1 keeps every shift |tau| < t1 free of
@@ -126,7 +126,6 @@ def _harmonic_sums(
     span = max(1, min(nh, BLOCK_BYTES // (16 * length)))
     step = max(1, BLOCK_BYTES // (16 * length * span))
     chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
-    roots = conjugate_roots(delta)
     store: dict[tuple[int, int], np.ndarray] = {}
     kept = 0
 
@@ -134,7 +133,7 @@ def _harmonic_sums(
         nonlocal kept
         spec = store.get((chunk.start, start))
         if spec is None:
-            table = roots[np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta]
+            table = roots(delta)[-np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta]
             codes = exps[start : start + step]
             # Each member's roots, one take for all the block's codes, go
             # into the zero-padded array, which is transformed in place,

@@ -46,7 +46,7 @@ class InvalidModulus(InvalidParams):
 
 
 class InvalidZ(ZccsError):
-    """A zero-correlation-zone width outside [1, N] was requested."""
+    """A zero-correlation-zone width that is not an integer in [1, N] was requested."""
 
 
 class NotAZccs(ZccsError):

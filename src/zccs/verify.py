@@ -16,6 +16,7 @@ the builders make, a report takes the width z from the check's own map.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -53,6 +54,10 @@ def _check(cs: CodeSet, z: int, first: np.ndarray) -> ZccsCheck:
     below N: one shift past the zone, so a passing check leaves the
     map's minimum exact when a cell fails at z."""
     n = cs.params.N
+    try:
+        z = operator.index(z)
+    except TypeError:
+        raise InvalidZ(f"Z must be an integer, got {z!r}") from None
     if z < 1 or z > n:
         raise InvalidZ(f"need 1 <= Z <= {n}, got {z}")
     for tile, block in _lower(cs, first, range(cs.params.K), 0, min(z + 1, n)):

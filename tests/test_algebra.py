@@ -16,6 +16,7 @@ from zccs.algebra import (
     reduced_forms,
     reduction_matrix,
     reduction_max,
+    roots,
 )
 from zccs.errors import DeltaMismatch, ZccsError
 from zccs.reference import root_sum
@@ -45,6 +46,10 @@ class TestAddition:
     def test_delta_mismatch(self):
         with pytest.raises(DeltaMismatch):
             ci(3, [1, 0, 0]) + ci(4, [1, 0, 0, 0])
+        with pytest.raises(DeltaMismatch):
+            ci(3, [1, 0, 0]) - ci(4, [1, 0, 0, 0])
+        with pytest.raises(DeltaMismatch):
+            ci(3, [1, 0, 0]) * ci(4, [1, 0, 0, 0])
 
 
 class TestRootMultiplication:
@@ -82,6 +87,11 @@ class TestCyclotomicPoly:
         for n in range(1, 65):
             total = sum(len(cyclotomic_poly(d)) - 1 for d in range(1, n + 1) if n % d == 0)
             assert total == n
+
+    def test_order_below_one_is_refused(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                cyclotomic_poly(n)
 
     def test_prime_is_all_ones(self):
         assert cyclotomic_poly(5) == (1, 1, 1, 1, 1)
@@ -353,6 +363,11 @@ class TestExactArithmetic:
                 rem.pop()
             assert CycInt(delta, h).reduced() == tuple(rem)
 
+    def test_coefficient_vector_of_another_length_is_refused(self):
+        for coeffs in ([1, 0], [1, 0, 0, 0], [[1, 0, 0]]):
+            with pytest.raises(ValueError, match="length delta"):
+                CycInt(3, coeffs)
+
     def test_root_order_is_capped(self):
         assert CycInt.zero(MAX_DELTA).is_zero()
         with pytest.raises(ValueError):
@@ -389,6 +404,25 @@ class TestComplexValue:
         assert np.allclose(batch, forms @ w[:phi], rtol=0, atol=1e-9)
 
 
+    @pytest.mark.parametrize("delta", [*range(1, 41), 935, 1024])
+    def test_quarter_turns_are_exact(self, delta):
+        table = roots(delta)
+        assert not table.flags.writeable and roots(delta) is table
+        j = np.arange(delta)
+        quarter = 4 * j % delta == 0
+        assert table[quarter].tolist() == [1j ** (4 * i // delta) for i in j[quarter]]
+        floats = np.exp(2j * np.pi * j / delta)
+        assert np.array_equal(table[~quarter], floats[~quarter]) and np.abs(table - floats).max() < 1e-14
+        # +-2i, -3 and 0 have parts that are exactly zero, and print as 0
+        phi = reduction_matrix(delta).shape[1]
+        forms = np.zeros((4, phi), np.int64)
+        if delta % 4 == 0:
+            forms[0, delta // 4], forms[1, delta // 4] = 2, -2
+        forms[2, 0] = -3
+        for z in form_values(forms, delta).tolist():
+            assert "-0" not in ("%.12g,%.12g" % (z.real, z.imag)).split(",")
+
+
 class TestRingHelpers:
     def test_conjugate_matches_complex(self):
         rng = np.random.default_rng(3)
@@ -415,6 +449,8 @@ class TestRingHelpers:
         # 1 + w_3 and -w_3^2 are the same number in different coordinates
         assert ci(3, [1, 1, 0]) == ci(3, [0, 0, -1])
         assert hash(ci(3, [1, 1, 0])) == hash(ci(3, [0, 0, -1]))
+        # an int is not a CycInt, even one with the same value
+        assert not ci(3, [3, 0, 0]) == 3 and ci(3, [3, 0, 0]) != 3
 
 
 def test_is_prime():

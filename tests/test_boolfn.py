@@ -58,6 +58,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_gbf("x1 ** x2", 3, 2)
 
+    def test_empty_text_or_dangling_sign_rejected(self):
+        for text, why in (("", "empty"), ("  ", "empty"), ("x0 + -", "dangling"), ("+", "dangling")):
+            with pytest.raises(ParseError, match=why):
+                parse_gbf(text, 2, 2)
+
     def test_coefficients_reduce(self):
         f = parse_gbf("5*x0 + 2", 1, 4)
         assert f.terms == {(0,): 1, (): 2}
@@ -122,6 +127,25 @@ class TestCoefficients:
         f = GeneralizedBooleanFunction(2, 4, {(0,): np.int64(3), (1,): True, (): 2**70 + 1})
         assert f.terms == {(0,): 3, (1,): 1, (): 1}
         assert f.truth_table().tolist() == [f.evaluate((r & 1, r >> 1)) for r in range(4)]
+
+    def test_repeated_monomials_add_and_may_cancel(self):
+        assert GeneralizedBooleanFunction(2, 2, {(0, 1): 1, (1, 0): 1}).terms == {}
+        assert GeneralizedBooleanFunction(2, 4, {(0, 1): 1, (1, 0): 1}).terms == {(0, 1): 2}
+
+    def test_negative_arity_or_variable_out_of_range_rejected(self):
+        with pytest.raises(InvalidParams, match="non-negative"):
+            GeneralizedBooleanFunction(-1, 2)
+        for mono in ((2,), (-1, 0)):
+            with pytest.raises(InvalidParams, match="out of range"):
+                GeneralizedBooleanFunction(2, 2, {mono: 1})
+
+    def test_sum_of_functions(self):
+        f, g = parse_gbf("x0*x1 + x0", 2, 4), parse_gbf("3*x0 + 2", 2, 4)
+        assert (f + g).terms == {(0, 1): 1, (): 2}
+        assert (f + g).truth_table().tolist() == ((f.truth_table() + g.truth_table()) % 4).tolist()
+        for other in (parse_gbf("x0", 3, 4), parse_gbf("x0", 2, 2)):
+            with pytest.raises(InvalidParams, match="different"):
+                f + other
 
     def test_one_q_rule_for_functions_and_sets(self):
         # parse_gbf, the constructor and family_params share check_modulus;
@@ -228,6 +252,40 @@ class TestPathCheck:
         g = graph_of(parse_gbf("0", 3, 2))
         with pytest.raises(InvalidParams):
             check_path_after_deletion(g, [0, 0], 2)
+
+    def test_deletion_out_of_range_rejected(self):
+        g = graph_of(parse_gbf("0", 3, 2))
+        for deleted in ([3], [-1]):
+            with pytest.raises(InvalidParams, match="out of range"):
+                check_path_after_deletion(g, deleted, 2)
+
+    def test_path_plus_triangle_rejected(self):
+        # 5 - 1 = 4 edges, as a path has: only the walk, stopped at the
+        # path's far end, tells them apart
+        g = graph_of(parse_gbf("x0*x1 + x2*x3 + x3*x4 + x2*x4", 5, 2))
+        with pytest.raises(NotAPath, match="walk stopped at vertex 1 after 2 of its 5 vertices"):
+            check_path_after_deletion(g, [], 2)
+
+    def test_agrees_with_exhaustive_search_on_every_small_graph(self):
+        # every graph on m <= 5 vertices with every deletion that leaves
+        # a vertex: 32,767 pairs
+        pairs = 0
+        for m in range(1, 6):
+            slots = [(a, b) for a in range(m) for b in range(a + 1, m)]
+            for mask in range(1 << len(slots)):
+                edges = {e: 1 for i, e in enumerate(slots) if mask >> i & 1}
+                for dmask in range((1 << m) - 1):
+                    deleted = [v for v in range(m) if dmask >> v & 1]
+                    expect = brute_force_path(edges, [v for v in range(m) if v not in deleted], 1)
+                    try:
+                        found = check_path_after_deletion(FunctionGraph(m, edges), deleted, 2).path_order
+                    except NotAPath:
+                        found = None
+                    assert (found is None) == (expect is None)
+                    if found is not None:
+                        assert found in (expect, expect[::-1]) and found[0] <= found[-1]
+                    pairs += 1
+        assert pairs == 32767
 
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(5)

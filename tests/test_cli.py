@@ -80,6 +80,15 @@ class TestGenerate:
         assert rc != 0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--p", "3"], ["--s", "2"]])
+    def test_p_or_s_with_a_ccc_exits_2(self, option, tmp_path, capsys):
+        rc = main([
+            "generate", "--kind", "ccc", "--q", "2", "--m", "3",
+            "--f", "x0*x1 + x1*x2", *option, "--out", str(tmp_path / "x.json"),
+        ])
+        assert rc == 2
+        assert "error: --p/--s only apply to --kind zccs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", [["--gamma", "x²"], ["--delete", "x0,x²"]])
     def test_non_decimal_variable_exits_2(self, option, tmp_path, capsys):
         rc = main([
@@ -248,6 +257,11 @@ class TestCorr:
             assert "-7,0,0,0,true" in zero and "0,0,0,0,true" in zero
             assert all(line == f"{line.split(',')[0]},0,0,0,true" for line in zero)
             assert len(lines) - len(zero) == nonzero
+
+    @pytest.mark.parametrize("pair", ["1,2,3", "a,b"])
+    def test_malformed_pair_exits_2(self, pair, flagship_file, capsys):
+        assert main(["corr", "--in", str(flagship_file), "--pair", pair]) == 2
+        assert f"error: --pair expects 'mu1,mu2', got {pair!r}" in capsys.readouterr().err
 
     def test_pair_out_of_range(self, flagship_file, capsys):
         rc = main(["corr", "--in", str(flagship_file), "--pair", "0,12"])

@@ -121,6 +121,7 @@ class TestBuildZccs:
         assert CodeSet(exps, cs.labels, cs.params) != cs
         assert CodeSet(cs.exponents, cs.labels[::-1], cs.params) != cs
         assert CodeSet(cs.exponents, cs.labels, replace(cs.params, Z=4)) != cs
+        assert cs != "cs" and cs.__eq__(cs.exponents) is NotImplemented
 
     @pytest.mark.parametrize("s", [16, 4096])
     def test_large_s_costs_nothing(self, s):

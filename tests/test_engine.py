@@ -643,7 +643,7 @@ def test_recounted_pairs_print_the_same_corr_bytes(monkeypatch, tmp_path):
 
 def test_empty_or_outside_window_is_refused():
     cs = ENGINE_SETS["zccs_12x4x24_delta6"]()
-    for t0, t1 in ((3, 3), (0, 25), (-1, 2)):
+    for t0, t1 in ((3, 3), (0, 25), (-1, 2), (0, 8.5), (0.0, 8)):
         with pytest.raises(ValueError):
             list(code_reductions(cs.exponents, cs.params.delta, range(2), t0, t1))
 

@@ -139,6 +139,14 @@ def test_pinned_corr_values_have_fractional_digits(workdir):
     assert any(not float(row.split(",")[1]).is_integer() for text in texts for row in text.splitlines()[1:])
 
 
+def test_exact_zero_parts_print_0(workdir):
+    # Eight shifts of the q = 4 CCC's shifted code correlate to +-2i, whose
+    # real part used to print as +-1.22464679915e-16; no pinned field is -0.
+    rows = [row.split(",") for row in run_case("ccc_q4_m4/corrupt/corr-6,6", workdir)[1].splitlines()[1:]]
+    assert sum(row[1:3] in (["0", "2"], ["0", "-2"]) for row in rows) == 8
+    assert not any("-0" in row.split(",") for case in CORR_CASES for row in run_case(case, workdir)[1].splitlines())
+
+
 def write(directory: Path) -> None:
     """Rewrite the expected file and print the cases whose answers changed."""
     old = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}

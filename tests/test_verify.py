@@ -47,6 +47,14 @@ class TestCheckZccs:
         with pytest.raises(InvalidZ):
             check_zccs(flagship, 25)
 
+    def test_a_width_that_is_not_an_integer_is_refused_at_once(self, flagship):
+        # 8.5 used to spin in the search for a 5-smooth FFT length of
+        # N + 8.5, and 8.0 to raise a raw TypeError from a slice
+        for check, z in ((check_zccs, 8.5), (check_optimal, 8.5), (verify_code_set, 8.5), (verify_code_set, 8.0)):
+            with pytest.raises(InvalidZ, match="must be an integer"):
+                check(flagship, z)
+        assert check_zccs(flagship, np.int64(8)).ok and verify_code_set(flagship, np.int32(8)).optimal
+
     def test_corrupted_set_yields_first_witness(self, flagship):
         bad = corrupt(flagship, 0, 0, 0)
         ok, witness = check_zccs(bad, 8)
