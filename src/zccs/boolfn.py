@@ -264,17 +264,18 @@ def min_blocks_exponent(p: int) -> int:
     return max(1, (p - 1).bit_length())
 
 
-def extension_exponent(p: int, q: int, s: int | None = None) -> int:
-    """The s of a rational extension by p of a function over Z_q, checked:
+def extension_exponent(p: int, q: int, s: int | None = None) -> tuple[int, int]:
+    """The (p, s) of a rational extension by p over Z_q as ints, checked:
     s >= 1 with 2**s >= p (default: the smallest such s), delta = lcm(p, q)
     in [1, MAX_DELTA], and p prime.  s is compared with p's bit length
     before any shift, and delta bounds p before the primality test, so no
     hostile value makes either slow."""
-    s = min_blocks_exponent(p) if s is None else s
+    p = operator.index(p)
+    s = min_blocks_exponent(p) if s is None else operator.index(s)
     if s < 1 or (s < p.bit_length() and 1 << s < p):
         raise InvalidParams(f"need s >= 1 and 2**s >= p, got p={p}, s={s}")
     if not 1 <= (delta := lcm(p, q)) <= MAX_DELTA:
         raise InvalidParams(f"delta = lcm(p, q) must lie in [1, {MAX_DELTA}], got {delta}")
     if not is_prime(p):
         raise InvalidParams(f"p must be prime, got {p}")
-    return s
+    return p, s

@@ -18,10 +18,12 @@ The reader treats a document as hostile: ``code_set_from_dict`` checks
 that every param is exactly an int and that 1 <= Z <= N; the family
 rules it leaves to :func:`~zccs.construct.family_params`, which the
 builders call too, and it refuses params other than those it gives for
-(q, m, k, p, s), Z aside.  It then checks the counts of codes, sequences
-and entries against K, M and N, and only then packs each sequence once,
-with ``struct.Struct(f"{N}q").pack(*seq)``, which refuses floats,
-strings, null, lists, dicts and ints outside int64; one ``b"".join`` and
+(q, m, k, p, s), Z aside.  The K codes' labels must be the builders'
+own, :func:`~zccs.construct.family_labels`, field by field and type.  It
+then checks the counts of sequences and entries against M and N, and
+only then packs each sequence once, with
+``struct.Struct(f"{N}q").pack(*seq)``, which refuses floats, strings,
+null, lists, dicts and ints outside int64; one ``b"".join`` and
 one ``np.frombuffer`` make the (K, M, N) array.  Bools, numpy ints and
 int subclasses pass that conversion, so it first checks that every
 exponent is exactly an int.  ``read_code_set`` shares that path but
@@ -62,7 +64,7 @@ import numpy as np
 
 from .algebra import form_values
 from .boolfn import parse_gbf
-from .construct import CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs, family_params
+from .construct import CodeSet, CodeSetParams, build_ccc, build_zccs, family_labels, family_params
 from .correlate import code_pair_reductions
 from .errors import FileFormatError, InvalidParams, ShapeError, ZccsError
 from .verify import verify_code_set
@@ -145,22 +147,9 @@ def _check_params(pp: CodeSetParams) -> None:
         raise FileFormatError(f"params {', '.join(differ)} disagree with (q, m, k, p, s)")
 
 
-def _label_from_dict(entry: dict, pp: CodeSetParams) -> CodeLabel:
-    label = CodeLabel(entry["family"], entry["t"], entry["lam"])
-    if label.family in ("C", "Cbar"):
-        ok = label.lam is None
-    else:
-        ok = label.family in ("U", "V") and pp.p is not None and type(label.lam) is int and 0 <= label.lam < pp.p
-    if not ok or type(label.t) is not int or not 0 <= label.t < 1 << pp.k:
-        raise FileFormatError(f"invalid code label {entry}")
-    return label
-
-
 def _exponents(codes, pp: CodeSetParams, exact_types: bool) -> np.ndarray:
-    """The (K, M, N) exponents of the code entries: the counts checked
+    """The (K, M, N) exponents of the K code entries: the counts checked
     first, then each sequence converted once (see the module docstring)."""
-    if len(codes) != pp.K:
-        raise FileFormatError(f"{len(codes)} codes, params.K={pp.K}")
     seqs = []
     for entry in codes:
         members = entry["sequences"]
@@ -189,8 +178,15 @@ def _code_set(doc: dict, exact_types: bool) -> CodeSet:
         delta = doc["delta"]
         if type(delta) is not int or delta != params.delta:
             raise FileFormatError("top-level delta disagrees with params")
-        labels = [_label_from_dict(entry["label"], params) for entry in doc["codes"]]
-        exps = _exponents(doc["codes"], params, exact_types)
+        codes = doc["codes"]
+        if len(codes) != params.K:
+            raise FileFormatError(f"{len(codes)} codes, params.K={params.K}")
+        labels = family_labels(params)
+        for mu, (entry, label) in enumerate(zip(codes, labels)):
+            got = entry["label"]  # type() too: True and 0.0 equal 1 and 0
+            if any(type(got[name]) is not type(want) or got[name] != want for name, want in vars(label).items()):
+                raise FileFormatError(f"code {mu} label {got} is not the builders' {label}")
+        exps = _exponents(codes, params, exact_types)
         if exps.min() < 0 or exps.max() >= delta:
             raise FileFormatError("exponent outside [0, delta)")
         return CodeSet(exps, labels, params)

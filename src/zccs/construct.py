@@ -15,7 +15,8 @@ member, which they must reproduce, is :mod:`zccs.reference`.
 
 :func:`family_params` holds the family's rules, the one check of (q, m,
 k, p, s) that every builder runs before the path check and that the
-file reader runs on a document's params.
+file reader runs on a document's params; :func:`family_labels` names
+the codes of such a set, for the builders and the reader alike.
 """
 from __future__ import annotations
 
@@ -75,10 +76,19 @@ def family_params(q: int, m: int, k: int, p: int | None = None, s: int | None = 
         if s is not None:
             raise InvalidParams("s needs a prime p")
         return _within_limits(CodeSetParams(K=2 << k, M=2 << k, N=1 << m, Z=1 << m, q=q, m=m, k=k, delta=q))
-    s = extension_exponent(p, q, s)
+    p, s = extension_exponent(p, q, s)
     return _within_limits(CodeSetParams(
         K=p * (2 << k), M=2 << k, N=p << m, Z=1 << m, q=q, m=m, k=k, delta=lcm(p, q), p=p, s=s,
     ))
+
+
+def family_labels(pp: CodeSetParams) -> tuple[CodeLabel, ...]:
+    """The labels of a family set's K codes in code order: "C", then "Cbar",
+    by t for a base set; "U", then "V", by lam and t for an extended set."""
+    ts = range(1 << pp.k)
+    if pp.p is None:
+        return tuple(CodeLabel(family, t) for family in ("C", "Cbar") for t in ts)
+    return tuple(CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(pp.p) for t in ts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,14 +178,7 @@ def build_ccc(
     """
     pp, deleted, gamma = _prepare(f, deleted, gamma)
     exps = _member_exponents(f, deleted, gamma).reshape(pp.K, pp.M, pp.N)
-    labels = [CodeLabel(family, t) for family in ("C", "Cbar") for t in range(1 << pp.k)]
-    return CodeSet(exps, labels, pp)
-
-
-def _extended_set(exps: np.ndarray, pp: CodeSetParams) -> CodeSet:
-    """The prime-extension set of exponents exps: "U" codes, then "V", each in lam-major order."""
-    labels = [CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(pp.p) for t in range(1 << pp.k)]
-    return CodeSet(exps.reshape(pp.K, pp.M, pp.N), labels, pp)
+    return CodeSet(exps, family_labels(pp), pp)
 
 
 def build_zccs(
@@ -202,7 +205,7 @@ def build_zccs(
     sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1, 1)
     lam, w = np.arange(p).reshape(1, p, 1, 1, 1, 1), np.arange(p).reshape(p, 1)
     exps = (pp.delta // f.q) * base + sign * (pp.delta // p) * lam * w
-    return _extended_set(exps, pp)
+    return CodeSet(exps.reshape(pp.K, pp.M, pp.N), family_labels(pp), pp)
 
 
 def build_zccs_by_concatenation(
@@ -223,4 +226,4 @@ def build_zccs_by_concatenation(
     sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1)
     lam = np.arange(p).reshape(1, p, 1, 1, 1)
     ramp = sign * (delta // p) * lam * np.repeat(np.arange(p), n)
-    return _extended_set(np.tile(source, p) + ramp, pp)
+    return CodeSet((np.tile(source, p) + ramp).reshape(pp.K, pp.M, pp.N), family_labels(pp), pp)

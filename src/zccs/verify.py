@@ -49,10 +49,10 @@ def _lower(cs: CodeSet, first: np.ndarray, rows: range, t0: int, t1: int) -> Ite
         yield tile, block
 
 
-def _check(cs: CodeSet, z: int, first: np.ndarray) -> ZccsCheck:
-    """:func:`check_zccs`, lowering ``first`` over the shifts up to z, or
-    below N: one shift past the zone, so a passing check leaves the
-    map's minimum exact when a cell fails at z."""
+def _check(cs: CodeSet, z: int, first: np.ndarray) -> tuple[int, ZccsCheck]:
+    """z as an int and :func:`check_zccs` at z, lowering ``first`` over the
+    shifts up to z, or below N: one shift past the zone, so a passing
+    check leaves the map's minimum exact when a cell fails at z."""
     n = cs.params.N
     try:
         z = operator.index(z)
@@ -64,8 +64,8 @@ def _check(cs: CodeSet, z: int, first: np.ndarray) -> ZccsCheck:
         bad = first[tile.start : tile.stop, : block.stop] < z
         if bad.any():
             mu1, mu2 = divmod(int(bad.argmax()), block.stop)
-            return ZccsCheck(False, (tile.start + mu1, mu2, int(first[tile.start + mu1, mu2])))
-    return ZccsCheck(True, None)
+            return z, ZccsCheck(False, (tile.start + mu1, mu2, int(first[tile.start + mu1, mu2])))
+    return z, ZccsCheck(True, None)
 
 
 def _width(cs: CodeSet, first: np.ndarray, start: int, witness: tuple[int, int, int] | None) -> int:
@@ -91,7 +91,7 @@ def check_zccs(cs: CodeSet, z: int) -> ZccsCheck:
     is the first non-ideal (mu1, mu2, tau) in lexicographic order; a
     tile's map rows are known up to a block's end once it is scanned.
     """
-    return _check(cs, z, np.full((cs.params.K,) * 2, cs.params.N))
+    return _check(cs, z, np.full((cs.params.K,) * 2, cs.params.N))[1]
 
 
 def max_zcz(cs: CodeSet) -> int:
@@ -105,7 +105,7 @@ def max_zcz(cs: CodeSet) -> int:
 
 def check_optimal(cs: CodeSet, z: int) -> bool:
     """Set-size bound K <= M * floor(N/Z) met with equality."""
-    ok, _ = check_zccs(cs, z)
+    z, (ok, _) = _check(cs, z, np.full((cs.params.K,) * 2, cs.params.N))
     if not ok:
         raise NotAZccs(f"set fails the zone conditions at Z={z}")
     p = cs.params
@@ -140,9 +140,8 @@ def verify_code_set(cs: CodeSet, z: int | None = None, compute_max: bool = False
     one does in every set the builders make.
     """
     pp = cs.params
-    z = pp.Z if z is None else z
     first = np.full((pp.K, pp.K), pp.N)
-    ok, witness = _check(cs, z, first)
+    z, (ok, witness) = _check(cs, pp.Z if z is None else z, first)
     width = _width(cs, first, min(z + 1, pp.N), witness) if compute_max or (ok and pp.K == pp.M) else None
     return VerificationReport(
         claimed_z=z,

@@ -10,8 +10,10 @@ read exactly:
 - ``delete_key``, ``add_key``, ``rename_key``: one key of one object;
 - ``ragged``: a sequence, member list or code list made shorter, longer
   or empty;
-- ``value``: an exponent, param or label field set to another integer
-  or label string, which may leave a valid document with another verdict;
+- ``value``: an exponent or param set to another integer, which may
+  leave a valid document with another verdict, or a label field set to
+  another integer or label string, which the reader refuses unless it
+  is the value the field already held;
 - ``true_in_string``: ``true`` or ``false`` only inside strings, such as
   an extra ``"note": "true"`` key or a label family ``"true"``;
 - ``nest``: one value wrapped in lists, some deeper than the decoder's

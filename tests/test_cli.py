@@ -457,6 +457,16 @@ class _Untouchable(list):
         raise AssertionError("the reader looked at the codes before the params")
 
 
+def _label_every_code(doc):
+    for code in doc["codes"]:
+        code["label"] = {"family": "U", "t": 0, "lam": 0}
+
+
+def _swap_labels(doc):
+    codes = doc["codes"]
+    codes[0]["label"], codes[1]["label"] = codes[1]["label"], codes[0]["label"]
+
+
 def _claim_huge_n(doc):
     doc["params"].update(N=3 << 40, m=40)
     doc["codes"] = _Untouchable()
@@ -545,6 +555,11 @@ MALFORMED = {
     "negative_s": ("zccs", _set("params", "s", -4)),
     "t_equal_to_2_to_k": ("zccs", _set("codes", 0, "label", "t", 2)),
     "negative_t": ("ccc", _set("codes", 0, "label", "t", -1)),
+    # well-formed labels that are not the builders' own at their position
+    "every_label_u_0_0": ("zccs", _label_every_code),
+    "base_label_in_zccs": ("zccs", _set("codes", 0, "label", {"family": "C", "t": 0, "lam": None})),
+    "swapped_labels": ("zccs", _swap_labels),
+    "bool_t": ("zccs", _set("codes", 1, "label", "t", True)),
     "documented_mismatch": ("zccs", _documented_mismatch),
     "m_n_above_limit": ("zccs", _claim_huge_n),
     # q must be even and >= 2, p prime, delta at most MAX_DELTA
@@ -680,6 +695,17 @@ def test_top_level_field_of_another_type_exits_2(case, documents, tmp_path, caps
     path.write_text(json.dumps(doc))
     assert main(["verify", "--in", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("case", ["every_label_u_0_0", "base_label_in_zccs", "swapped_labels", "bool_t"])
+def test_label_other_than_the_builders_exits_2(case, documents, tmp_path, capsys):
+    kind, mutate = MALFORMED[case]
+    doc = json.loads(json.dumps(documents[kind]))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1])

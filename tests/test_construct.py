@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zccs.boolfn import GeneralizedBooleanFunction, check_path_after_deletion, graph_of, min_blocks_exponent, parse_gbf
 from zccs.algebra import MAX_DELTA, MAX_TERMS
-from zccs.cli import code_set_from_dict, code_set_to_dict
+from zccs.cli import code_set_from_dict, code_set_to_dict, read_code_set, write_code_set
 from zccs.construct import (
     CodeLabel,
     CodeSet,
@@ -16,6 +16,7 @@ from zccs.construct import (
     build_ccc,
     build_zccs,
     build_zccs_by_concatenation,
+    family_labels,
 )
 from zccs.errors import InvalidGamma, InvalidParams
 from zccs.reference import PbfSpec
@@ -159,6 +160,45 @@ class TestBuildZccs:
     def test_default_gamma_is_lower_endpoint(self):
         f = parse_gbf("x1*x2", 3, 2)
         assert build_zccs(f, [0], p=3) == build_zccs(f, [0], 1, p=3)
+
+    def test_numpy_p_and_s_build_the_set_of_their_ints(self, tmp_path):
+        f = parse_gbf("x1*x2", 3, 2)
+        cs = build_zccs(f, [0], 2, p=np.int64(3), s=np.int64(2))
+        assert cs == build_zccs(f, [0], 2, p=3, s=2)
+        assert build_zccs_by_concatenation(f, [0], 2, p=np.int32(3)) == cs
+        assert {type(v) for v in vars(cs.params).values()} == {int}
+        path = tmp_path / "set.json"
+        write_code_set(cs, str(path))
+        assert read_code_set(str(path)) == cs
+
+    @pytest.mark.parametrize("builder, kwargs", [
+        (build_zccs, {"p": 3.0}),
+        (build_zccs, {"p": 3, "s": 2.0}),
+        (build_zccs_by_concatenation, {"p": 3.0}),
+    ])
+    def test_float_p_or_s_is_a_type_error(self, builder, kwargs):
+        with pytest.raises(TypeError):
+            builder(parse_gbf("x1*x2", 3, 2), [0], 2, **kwargs)
+
+
+def test_every_builder_labels_its_codes_by_family_labels():
+    # The grid of the benchmark's design-space sweep: q in (2, 4), m in
+    # (2, 3, 4), k < m deleted vertices with k <= 2, p in (2, 3, 5, 7),
+    # and K*K*N at most 2048.
+    built = 0
+    for q in (2, 4):
+        for m in (2, 3, 4):
+            for k in range(min(m, 3)):
+                f = chain_function(m, k, q)
+                sets = [build_ccc(f, range(k))]
+                for p in (2, 3, 5, 7):
+                    if (p * (2 << k)) ** 2 * (1 << m) <= 2048:
+                        sets += [build_zccs(f, range(k), p=p), build_zccs_by_concatenation(f, range(k), p=p)]
+                for cs in sets:
+                    assert cs.labels == family_labels(cs.params), (q, m, k, cs.params.p)
+                    assert len(set(cs.labels)) == cs.params.K
+                built += len(sets)
+    assert built > 30
 
 
 class TestConcatenationRoute:

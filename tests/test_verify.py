@@ -141,6 +141,14 @@ class TestReport:
         assert report.max_zcz == 8
         assert report.witness is None
 
+    @pytest.mark.parametrize("compute_max", [False, True])
+    def test_numpy_width_gives_the_report_of_its_int(self, flagship, compute_max):
+        report = verify_code_set(flagship, np.int64(8), compute_max)
+        assert report == verify_code_set(flagship, 8, compute_max)
+        assert type(report.claimed_z) is int and type(report.peak) is int
+        assert {type(v) for v in (report.is_zccs_at_claimed_z, report.optimal, report.is_ccc)} == {bool}
+        assert check_optimal(flagship, np.int64(8)) is True
+
     def test_failing_report(self, flagship):
         report = verify_code_set(corrupt(flagship, 0, 0, 0))
         assert not report.is_zccs_at_claimed_z
