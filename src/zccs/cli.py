@@ -14,17 +14,19 @@ Code sets are stored as a single JSON document (format_version 1):
 Sequences are stored as integer exponent vectors, never as floats, so a
 set survives serialization bit-exactly.
 
-The reader treats a document as hostile: ``code_set_from_dict`` checks
-that every param is exactly an int and that 1 <= Z <= N; the family
-rules it leaves to :func:`~zccs.construct.family_params`, which the
-builders call too, and it refuses params other than those it gives for
-(q, m, k, p, s), Z aside.  The K codes' labels must be the builders'
-own, :func:`~zccs.construct.family_labels`, field by field and type.  It
-then checks the counts of sequences and entries against M and N, and
-only then packs each sequence once, with
-``struct.Struct(f"{N}q").pack(*seq)``, which refuses floats, strings,
-null, lists, dicts and ints outside int64; one ``b"".join`` and
-one ``np.frombuffer`` make the (K, M, N) array.  Bools, numpy ints and
+The reader treats a document as hostile: ``code_set_from_dict`` makes
+its :class:`~zccs.construct.CodeSetParams`, which refuse a param that is
+not exactly an int, Z outside [1, N] and delta or M*N past its limit;
+the family rules it leaves to :func:`~zccs.construct.family_params`,
+which the builders call too, and it refuses params other than those it
+gives for (q, m, k, p, s), Z aside.  The K codes' labels must be the
+builders' own, :func:`~zccs.construct.family_labels`, field by field
+and type.  The writer runs these two family checks too, so it writes
+only documents the reader reads.  The reader then checks the counts of
+sequences and entries against M and N, and only then packs each
+sequence once, with ``struct.Struct(f"{N}q").pack(*seq)``, which
+refuses floats, strings, null, lists, dicts and ints outside int64; one
+``b"".join`` and one ``np.frombuffer`` make the (K, M, N) array.  Bools, numpy ints and
 int subclasses pass that conversion, so it first checks that every
 exponent is exactly an int.  ``read_code_set`` shares that path but
 skips the walk when the file's text holds neither ``true`` nor
@@ -64,7 +66,7 @@ import numpy as np
 
 from .algebra import form_values
 from .boolfn import parse_gbf
-from .construct import CodeSet, CodeSetParams, build_ccc, build_zccs, family_labels, family_params
+from .construct import CodeLabel, CodeSet, CodeSetParams, build_ccc, build_zccs, family_labels, family_params
 from .correlate import code_pair_reductions
 from .errors import FileFormatError, InvalidParams, ShapeError, ZccsError
 from .verify import verify_code_set
@@ -75,14 +77,19 @@ _PARAM_FIELDS = ("K", "M", "N", "Z", "q", "m", "k", "delta", "p", "s")
 
 
 def code_set_to_dict(cs: CodeSet) -> dict:
+    """The document of ``cs``, refused with FileFormatError, as the reader
+    would refuse it, unless its params and labels are the family's own."""
+    labels = [{"family": label.family, "t": label.t, "lam": label.lam} for label in cs.labels]
+    try:
+        _check_params(cs.params)
+    except InvalidParams as exc:
+        raise FileFormatError(f"malformed code-set document: {exc}") from None
+    _check_labels(labels, cs.params)
     return {
         "format_version": FORMAT_VERSION,
         "delta": cs.params.delta,
         "params": {name: getattr(cs.params, name) for name in _PARAM_FIELDS},
-        "codes": [
-            {"label": {"family": label.family, "t": label.t, "lam": label.lam}, "sequences": rows}
-            for label, rows in zip(cs.labels, cs.exponents.tolist())
-        ],
+        "codes": [{"label": label, "sequences": rows} for label, rows in zip(labels, cs.exponents.tolist())],
     }
 
 
@@ -135,16 +142,21 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _check_params(pp: CodeSetParams) -> None:
-    for name in _PARAM_FIELDS:
-        value = getattr(pp, name)
-        if type(value) is not int and not (value is None and name in ("p", "s")):
-            raise FileFormatError(f"params.{name} must be an integer, got {value!r}")
-    if not 1 <= pp.Z <= pp.N:
-        raise FileFormatError(f"params.Z={pp.Z} outside [1, N={pp.N}]")
     family = replace(family_params(pp.q, pp.m, pp.k, pp.p, pp.s), Z=pp.Z)
     if pp != family:
         differ = [f"{name}={getattr(pp, name)}" for name in _PARAM_FIELDS if getattr(pp, name) != getattr(family, name)]
         raise FileFormatError(f"params {', '.join(differ)} disagree with (q, m, k, p, s)")
+
+
+def _check_labels(labels: list, pp: CodeSetParams) -> tuple[CodeLabel, ...]:
+    """The builders' labels of a set of params ``pp``, which the K label
+    dicts ``labels`` must be, field by field and type: True and 0.0 equal
+    1 and 0."""
+    want = family_labels(pp)
+    for mu, (got, label) in enumerate(zip(labels, want)):
+        if any(type(got[name]) is not type(value) or got[name] != value for name, value in vars(label).items()):
+            raise FileFormatError(f"code {mu} label {got} is not the builders' {label}")
+    return want
 
 
 def _exponents(codes, pp: CodeSetParams, exact_types: bool) -> np.ndarray:
@@ -181,11 +193,7 @@ def _code_set(doc: dict, exact_types: bool) -> CodeSet:
         codes = doc["codes"]
         if len(codes) != params.K:
             raise FileFormatError(f"{len(codes)} codes, params.K={params.K}")
-        labels = family_labels(params)
-        for mu, (entry, label) in enumerate(zip(codes, labels)):
-            got = entry["label"]  # type() too: True and 0.0 equal 1 and 0
-            if any(type(got[name]) is not type(want) or got[name] != want for name, want in vars(label).items()):
-                raise FileFormatError(f"code {mu} label {got} is not the builders' {label}")
+        labels = _check_labels([entry["label"] for entry in codes], params)
         exps = _exponents(codes, params, exact_types)
         if exps.min() < 0 or exps.max() >= delta:
             raise FileFormatError("exponent outside [0, delta)")

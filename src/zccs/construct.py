@@ -13,10 +13,14 @@ assembled by concatenating p phase-rotated copies of the base codes.
 The builders work on exponent arrays only; the paper's one function per
 member, which they must reproduce, is :mod:`zccs.reference`.
 
-:func:`family_params` holds the family's rules, the one check of (q, m,
-k, p, s) that every builder runs before the path check and that the
-file reader runs on a document's params; :func:`family_labels` names
-the codes of such a set, for the builders and the reader alike.
+:class:`CodeSetParams` holds the one rule of every set's params, checked
+when they are made, so a :class:`CodeSet`, the builders and the file
+reader all refuse a param that is not exactly an int, Z outside [1, N]
+and delta or M*N past its limit.  :func:`family_params` holds the
+family's rules, the one check of (q, m, k, p, s) that every builder runs
+before the path check and that the file reader and writer run on a
+set's params; :func:`family_labels` names the codes of such a set, for
+the builders, the reader and the writer alike.
 """
 from __future__ import annotations
 
@@ -43,6 +47,10 @@ class CodeLabel:
 
 @dataclass(frozen=True)
 class CodeSetParams:
+    """A set's shape (K, M, N), zone width Z, root order delta and (q, m, k,
+    p, s), made only valid: each field exactly an int (p, s may be None; no
+    bool), delta in [1, MAX_DELTA], M*N in [1, MAX_TERMS], 1 <= Z <= N."""
+
     K: int
     M: int
     N: int
@@ -54,13 +62,16 @@ class CodeSetParams:
     p: int | None = None
     s: int | None = None
 
-
-def _within_limits(pp: CodeSetParams) -> CodeSetParams:
-    if not 1 <= pp.delta <= MAX_DELTA:
-        raise InvalidParams(f"delta must lie in [1, {MAX_DELTA}], got {pp.delta}")
-    if not (pp.M >= 1 and pp.N >= 1 and pp.M * pp.N <= MAX_TERMS):
-        raise InvalidParams(f"M*N must lie in [1, {MAX_TERMS}], got M={pp.M} N={pp.N}")
-    return pp
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int and not (value is None and name in ("p", "s")):
+                raise InvalidParams(f"params.{name} must be an integer, got {value!r}")
+        if not 1 <= self.delta <= MAX_DELTA:
+            raise InvalidParams(f"delta must lie in [1, {MAX_DELTA}], got {self.delta}")
+        if not (self.M >= 1 and self.N >= 1 and self.M * self.N <= MAX_TERMS):
+            raise InvalidParams(f"M*N must lie in [1, {MAX_TERMS}], got M={self.M} N={self.N}")
+        if not 1 <= self.Z <= self.N:
+            raise InvalidParams(f"params.Z={self.Z} outside [1, N={self.N}]")
 
 
 def family_params(q: int, m: int, k: int, p: int | None = None, s: int | None = None) -> CodeSetParams:
@@ -75,11 +86,9 @@ def family_params(q: int, m: int, k: int, p: int | None = None, s: int | None = 
     if p is None:
         if s is not None:
             raise InvalidParams("s needs a prime p")
-        return _within_limits(CodeSetParams(K=2 << k, M=2 << k, N=1 << m, Z=1 << m, q=q, m=m, k=k, delta=q))
+        return CodeSetParams(K=2 << k, M=2 << k, N=1 << m, Z=1 << m, q=q, m=m, k=k, delta=q)
     p, s = extension_exponent(p, q, s)
-    return _within_limits(CodeSetParams(
-        K=p * (2 << k), M=2 << k, N=p << m, Z=1 << m, q=q, m=m, k=k, delta=lcm(p, q), p=p, s=s,
-    ))
+    return CodeSetParams(K=p * (2 << k), M=2 << k, N=p << m, Z=1 << m, q=q, m=m, k=k, delta=lcm(p, q), p=p, s=s)
 
 
 def family_labels(pp: CodeSetParams) -> tuple[CodeLabel, ...]:
@@ -103,7 +112,7 @@ class CodeSet:
     params: CodeSetParams
 
     def __post_init__(self):
-        pp = _within_limits(self.params)
+        pp = self.params
         exps = np.mod(self.exponents, pp.delta, dtype=np.int64)
         if exps.shape != (pp.K, pp.M, pp.N) or len(self.labels) != pp.K:
             raise ShapeError(f"{len(self.labels)} labels and {exps.shape} exponents are not K={pp.K} codes")

@@ -81,7 +81,7 @@ def _width(cs: CodeSet, first: np.ndarray, start: int, witness: tuple[int, int, 
             if first.min() == start or (block.stop == k and first.min() < window):
                 break
         row = tile.stop
-    return int(first.min())
+    return int(first.min(initial=cs.params.N))
 
 
 def check_zccs(cs: CodeSet, z: int) -> ZccsCheck:

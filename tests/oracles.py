@@ -74,11 +74,6 @@ def first_violation(cs, z: int):
     return None
 
 
-def float_is_zccs(cs, z: int) -> bool:
-    width = float_zcz_width(cs)
-    return width >= z
-
-
 def brute_force_path(edges: dict, vertices: list[int], half: int):
     """Search all vertex orderings for a valid half-weight Hamiltonian path
     that uses exactly the edges present among ``vertices``.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zccs.algebra import MAX_TERMS
-from zccs.construct import family_params
+from zccs.construct import CodeLabel, family_params
 from zccs.boolfn import (
     FunctionGraph,
     GeneralizedBooleanFunction,
@@ -24,7 +24,7 @@ from zccs.errors import (
     ParseError,
     TruncateError,
 )
-from zccs.reference import PbfSpec, RootSequence, codeword_function, pbf_sequence, sequence_of
+from zccs.reference import Code, PbfSpec, RootSequence, codeword_function, pbf_sequence, sequence_of
 
 from oracles import brute_force_path, monomial_truth_table
 
@@ -421,6 +421,48 @@ class TestTruncateConjugate:
         rng = np.random.default_rng(8)
         seq = RootSequence(10, rng.integers(0, 10, size=20))
         assert seq.conjugate().conjugate() == seq
+
+
+class TestReferenceGuards:
+    @pytest.mark.parametrize("delta", [0, -4])
+    def test_root_order_below_one_refused(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            RootSequence(delta, [0, 1])
+
+    @pytest.mark.parametrize("exponents", [[], np.zeros((2, 2), int)], ids=["empty", "2-d"])
+    def test_vector_not_1d_and_non_empty_refused(self, exponents):
+        with pytest.raises(ValueError, match="1-d and non-empty"):
+            RootSequence(4, exponents)
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        seq = RootSequence(4, [0, 1])
+        assert seq.__eq__([0, 1]) is NotImplemented and seq != "seq"
+
+    def test_promoted_keeps_the_complex_values(self):
+        seq = RootSequence(6, np.arange(12) % 6)
+        up = seq.promoted(12)
+        assert up.delta == 12 and up.exponents.tolist() == (2 * seq.exponents).tolist()
+        assert np.allclose(up.to_complex(), seq.to_complex())
+        assert seq.promoted(6) == seq
+        with pytest.raises(ValueError, match="not a multiple"):
+            seq.promoted(8)
+
+    @pytest.mark.parametrize("other", [RootSequence(2, [0, 1, 1]), RootSequence(4, [0, 1])], ids=["length", "delta"])
+    def test_code_refuses_mixed_members(self, other):
+        with pytest.raises(InvalidParams, match="share length and root order"):
+            Code((RootSequence(2, [0, 1]), other), CodeLabel("C", 0))
+
+    def test_codeword_function_guards(self):
+        f = parse_gbf("x1*x2", 3, 2)
+        with pytest.raises(ArityError):
+            codeword_function(f, [0], (), (0,), 0, 2)
+        with pytest.raises(ArityError):
+            codeword_function(f, [0], (0,), (0, 1), 0, 2)
+        for d_vec, t_vec, d in (((2,), (0,), 0), ((0,), (-1,), 0), ((0,), (0,), 2)):
+            with pytest.raises(InvalidParams, match="binary"):
+                codeword_function(f, [0], d_vec, t_vec, d, 2)
+        with pytest.raises(InvalidParams, match="family"):
+            codeword_function(f, [0], (0,), (0,), 0, 2, "H")
 
 
 class TestPbfSequence:

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from itertools import product
 from math import lcm
 from pathlib import Path
@@ -19,7 +20,7 @@ from zccs import cli
 from zccs.algebra import MAX_DELTA, form_values
 from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
 from zccs.cli import build_parser, code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
-from zccs.construct import build_ccc, build_zccs
+from zccs.construct import CodeLabel, CodeSet, build_ccc, build_zccs
 from zccs.correlate import code_pair_reductions
 from zccs.errors import FileFormatError, InvalidModulus, InvalidParams
 from zccs.reference import profile
@@ -406,6 +407,26 @@ class TestFileFormat:
         path = tmp_path / "ccc.json"
         write_code_set(cs, str(path))
         assert read_code_set(str(path)) == cs
+
+    @pytest.mark.parametrize("change", ["half", "swapped_labels", "bool_t", "odd_q"])
+    def test_writer_refuses_what_the_reader_refuses(self, change, tmp_path):
+        cs = build_ccc(parse_gbf("x1*x2", 3, 2), [0], 2)
+        pp, labels = cs.params, list(cs.labels)
+        if change == "half":  # as ccc_half in test_verify.py: a zone of N, K < M
+            k = pp.K // 2
+            cs = CodeSet(cs.exponents[:k], cs.labels[:k], replace(pp, K=k))
+        elif change == "swapped_labels":
+            labels[0], labels[1] = labels[1], labels[0]
+            cs = CodeSet(cs.exponents, labels, pp)
+        elif change == "bool_t":  # equal to CodeLabel("C", 1), written as true
+            labels[1] = CodeLabel("C", True)
+            cs = CodeSet(cs.exponents, labels, pp)
+        else:
+            cs = CodeSet(cs.exponents, labels, replace(pp, q=3))
+        path = tmp_path / "out.json"
+        with pytest.raises(FileFormatError):
+            write_code_set(cs, str(path))
+        assert list(tmp_path.iterdir()) == []
 
 
 def _set(*path_and_value):

@@ -20,6 +20,7 @@ from zccs.construct import (
 )
 from zccs.errors import InvalidGamma, InvalidParams
 from zccs.reference import PbfSpec
+from zccs.verify import max_zcz, verify_code_set
 
 from oracles import TOL, float_zcz_width, naive_code_accf, reference_ccc, reference_zccs, to_complex_code
 
@@ -254,9 +255,13 @@ class TestCoefficientBound:
     def test_m_times_n_up_to_the_limit(self):
         at_limit = CodeSetParams(K=0, M=2, N=MAX_TERMS // 2, Z=1, q=2, m=19, k=0, delta=2)
         CodeSet(np.zeros((0, 2, at_limit.N), int), (), at_limit)
-        above = replace(at_limit, N=MAX_TERMS, m=20)
         with pytest.raises(InvalidParams):
-            CodeSet(np.zeros((0, 2, above.N), int), (), above)
+            replace(at_limit, N=MAX_TERMS, m=20)
+
+    def test_an_empty_set_has_width_n(self):
+        pp = CodeSetParams(K=0, M=2, N=MAX_TERMS // 2, Z=1, q=2, m=19, k=0, delta=2)
+        cs = CodeSet(np.zeros((0, 2, pp.N), int), (), pp)
+        assert max_zcz(cs) == verify_code_set(cs, compute_max=True).max_zcz == pp.N
 
     def test_empty_shapes_refused(self):
         for m, n in ((0, 4), (2, 0)):
@@ -271,6 +276,18 @@ class TestCoefficientBound:
                 CodeSet(exps, (), CodeSetParams(K=0, M=2, N=4, Z=1, q=2, m=2, k=0, delta=delta))
         with pytest.raises(InvalidParams):
             build_ccc(parse_gbf(f"{MAX_DELTA // 2 + 1}*x0*x1", 2, MAX_DELTA + 2), [])
+
+
+class TestParamsRule:
+    # A set holding any of these would trip the verifier, the writer or
+    # the reader; the params refuse them when they are made.
+    @pytest.mark.parametrize("field, value", [
+        ("Z", 25), ("Z", 0), ("Z", True), ("Z", np.int64(8)), ("K", np.int64(12)), ("p", 3.0), ("s", "2"), ("q", None),
+    ])
+    def test_the_params_refuse_what_the_set_could_not_use(self, field, value):
+        pp = build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3).params
+        with pytest.raises(InvalidParams, match=f"params.{field}"):
+            replace(pp, **{field: value})
 
 
 @st.composite
