@@ -17,7 +17,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import MAX_DELTA, is_prime
-from .errors import ArityError, InvalidModulus, InvalidParams, NotAPath, NotSecondOrder, ParseError
+from .errors import ArityError, InvalidGamma, InvalidModulus, InvalidParams, NotAPath, NotSecondOrder, ParseError
 
 Monomial = tuple[int, ...]
 
@@ -48,7 +48,7 @@ class GeneralizedBooleanFunction:
             raise InvalidParams("m must be non-negative")
         canon: dict[Monomial, int] = {}
         for mono, c in self.terms.items():
-            key = tuple(sorted(set(mono)))
+            key = tuple(sorted(set(map(operator.index, mono))))  # TypeError unless integers
             if any(v < 0 or v >= self.m for v in key):
                 raise InvalidParams(f"variable index out of range in {mono}")
             c = operator.index(c) % self.q  # TypeError unless an integer
@@ -97,10 +97,7 @@ class GeneralizedBooleanFunction:
 
     def with_term(self, mono, coeff: int) -> GeneralizedBooleanFunction:
         """New function with ``coeff * prod(mono)`` added."""
-        terms = dict(self.terms)
-        key = tuple(sorted(set(mono)))
-        terms[key] = terms.get(key, 0) + coeff
-        return GeneralizedBooleanFunction(self.m, self.q, terms)
+        return self + GeneralizedBooleanFunction(self.m, self.q, {tuple(mono): coeff})
 
     def __add__(self, other: GeneralizedBooleanFunction) -> GeneralizedBooleanFunction:
         if (self.m, self.q) != (other.m, other.q):
@@ -189,7 +186,7 @@ def parse_gbf(text: str, m: int, q: int) -> GeneralizedBooleanFunction:
                 coeff *= int(factor)
             else:
                 raise ParseError(f"bad factor {factor!r} in {text!r}")
-        key = tuple(sorted(set(variables)))
+        key = tuple(variables)
         terms[key] = terms.get(key, 0) + coeff
     return GeneralizedBooleanFunction(m, q, terms)
 
@@ -215,24 +212,36 @@ class PathCertificate:
     """Witness that deleting ``deleted`` leaves a weight-q/2 path.
 
     ``deleted`` keeps the caller's order: position i of the selector
-    vectors d and t pairs with the i-th deleted variable.
+    vectors d and t pairs with the i-th deleted variable.  Every vertex is
+    an int, and :meth:`end` is the one rule for the vertex x_gamma.
     """
 
     deleted: tuple[int, ...]
     path_order: tuple[int, ...]
     end_vertices: tuple[int, int]
 
+    def end(self, gamma=None) -> int:
+        """x_gamma's vertex: the lower-indexed end if gamma is None, else gamma
+        as an int (TypeError unless an integer) if it is an end, else InvalidGamma."""
+        if gamma is None:
+            return min(self.end_vertices)
+        if (gamma := operator.index(gamma)) not in self.end_vertices:
+            raise InvalidGamma(f"x{gamma} is not an end vertex of the path")
+        return gamma
+
 
 def check_path_after_deletion(graph: FunctionGraph, deleted, q: int) -> PathCertificate:
     """Verify the remaining vertices form a path whose edges all weigh q/2.
 
-    One walk decides it: from the lowest-indexed vertex of degree <= 1
-    (else the lowest-indexed), step to the one neighbour not just left.
-    A walk through all V vertices uses V - 1 distinct edges, so they form
-    a path iff it reaches all V and there are V - 1 edges in all.  Returns
-    the certificate, its order from the lower-indexed end, or raises NotAPath.
+    Each deleted vertex is read as an int (a float is a TypeError, never
+    the vertex it truncates to).  One walk decides the rest: from the
+    lowest-indexed vertex of degree <= 1 (else the lowest-indexed), step
+    to the one neighbour not just left.  A walk through all V vertices
+    uses V - 1 distinct edges, so they form a path iff it reaches all V
+    and there are V - 1 edges in all.  Returns the certificate, its order
+    from the lower-indexed end, or raises NotAPath.
     """
-    deleted = tuple(deleted)
+    deleted = tuple(map(operator.index, deleted))
     if len(set(deleted)) != len(deleted):
         raise InvalidParams("deleted vertices must be distinct")
     if any(v < 0 or v >= graph.m for v in deleted):

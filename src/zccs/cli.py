@@ -32,10 +32,10 @@ exponent is exactly an int.  ``read_code_set`` shares that path but
 skips the walk when the file's text holds neither ``true`` nor
 ``false``: ``json.loads`` makes every other integer exactly an int.
 ``main`` builds its argument parser once per process.  It exits 1 only
-when ``verify`` finds that the zone fails, and 2 on any error, out of
-memory too.  ``corr`` writes a pair's CSV rows ``tau,re,im,abs,exact_zero``
-from its exact reduced forms: a zero one as ``0,0,0,true``, any other as
-:func:`~zccs.algebra.form_values` (and ``CycInt.to_complex``) gives it.
+when ``verify`` finds that the zone fails, and 2 with one ``error:`` line
+on any other failure, out of memory too.  ``corr`` writes a pair's CSV
+rows ``tau,re,im,abs,exact_zero`` from its exact reduced forms: a zero one
+as ``0,0,0,true``, any other as :func:`~zccs.algebra.form_values` gives it.
 
 ``generate --out`` and ``corr --csv`` write their whole output to a new
 sibling file, ``<path>.<random hex>.tmp``, created exclusively, then move
@@ -340,18 +340,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ZccsError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # Exit 1 would read as a set that fails its zone.
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+    except Exception as exc:  # exit 1 is only the verdict "fails the zone"
+        why = "out of memory" + (f": {exc}" if str(exc) else "") if isinstance(exc, MemoryError) else exc
+        print(f"error: {why}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

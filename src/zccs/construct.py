@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import MAX_DELTA, MAX_TERMS
 from .boolfn import GeneralizedBooleanFunction, check_modulus, check_path_after_deletion, extension_exponent, graph_of
-from .errors import InvalidGamma, InvalidParams, ShapeError
+from .errors import InvalidParams, ShapeError
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,13 @@ class CodeSet:
 
 
 def _prepare(f: GeneralizedBooleanFunction, deleted, gamma: int | None, p: int | None = None, s: int | None = None):
-    """The set's params, the deleted vertices and gamma.  The params come
-    first, so no huge m or k reaches the path check."""
+    """The set's params, and the certified deleted vertices and gamma, the
+    only vertices a builder reads.  The params come first, so no huge m or
+    k reaches the path check."""
     deleted = tuple(deleted)
     pp = family_params(f.q, f.m, len(deleted), p, s)
     cert = check_path_after_deletion(graph_of(f), deleted, f.q)
-    if gamma is None:
-        gamma = min(cert.end_vertices)
-    elif gamma not in cert.end_vertices:
-        raise InvalidGamma(f"x{gamma} is not an end vertex of the path")
-    return pp, cert.deleted, gamma
+    return pp, cert.deleted, cert.end(gamma)
 
 
 def _member_exponents(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], gamma: int) -> np.ndarray:

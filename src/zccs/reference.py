@@ -25,7 +25,7 @@ from .algebra import MAX_DELTA, MAX_TERMS, CycInt, is_prime, owned_int64
 from .boolfn import GeneralizedBooleanFunction, PathCertificate, extension_exponent
 from .construct import CodeLabel
 from .correlate import _count
-from .errors import ArityError, InvalidGamma, InvalidParams, ShapeError, TruncateError
+from .errors import ArityError, InvalidParams, ShapeError, TruncateError
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +155,15 @@ def codeword_function(
     return g
 
 
-def pbf_sequence(spec: PbfSpec, d_vec, t_vec, d: int, cert: PathCertificate, gamma: int) -> RootSequence:
+def pbf_sequence(spec: PbfSpec, d_vec, t_vec, d: int, cert: PathCertificate, gamma: int | None) -> RootSequence:
     """Root-of-unity sequence of the extended function, length 2**(m+s).
 
     Index r' = r + 2**m * w (w from the s fresh variables) carries
     exponent (delta/q)*base(r) + (delta/p)*lam*w mod delta, where base is
-    the codeword function and delta = lcm(p, q).
+    the codeword function of the certificate's deleted vertices and of
+    ``cert.end(gamma)``, the builders' gamma rule, and delta = lcm(p, q).
     """
-    if gamma not in cert.end_vertices:
-        raise InvalidGamma(f"x{gamma} is not an end vertex of the path")
-    f = spec.f
+    gamma, f = cert.end(gamma), spec.f
     delta = lcm(spec.p, f.q)
     base = codeword_function(f, cert.deleted, d_vec, t_vec, d, gamma, spec.family)
     base_exp = sequence_of(base).exponents

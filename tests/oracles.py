@@ -162,7 +162,7 @@ def _member_order(k: int):
 
 def _certified(f, deleted, gamma):
     cert = check_path_after_deletion(graph_of(f), deleted, f.q)
-    return cert, min(cert.end_vertices) if gamma is None else gamma
+    return cert, cert.end(gamma)
 
 
 def reference_ccc(f, deleted, gamma=None) -> CodeSet:

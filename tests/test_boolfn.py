@@ -1,10 +1,12 @@
 import cmath
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zccs
 from zccs.algebra import MAX_TERMS
 from zccs.construct import CodeLabel, family_params
 from zccs.boolfn import (
@@ -128,6 +130,22 @@ class TestCoefficients:
         assert f.terms == {(0,): 3, (1,): 1, (): 1}
         assert f.truth_table().tolist() == [f.evaluate((r & 1, r >> 1)) for r in range(4)]
 
+    def test_a_variable_that_is_not_an_integer_is_refused(self):
+        # a float vertex passes a range check, and a builder would read
+        # the vertex it truncates to
+        for mono in ((0.5,), (0.0,), (0, 1.0), ("0",)):
+            with pytest.raises(TypeError):
+                GeneralizedBooleanFunction(2, 4, {mono: 1})
+        with pytest.raises(TypeError):
+            parse_gbf("x0", 2, 4).with_term((0.5,), 1)
+        f = GeneralizedBooleanFunction(2, 4, {(np.int64(1), True): 1, (np.int32(0),): 3})
+        assert f.terms == {(1,): 1, (0,): 3} and {type(v) for mono in f.terms for v in mono} == {int}
+
+    def test_with_term_is_a_sum(self):
+        f = parse_gbf("x0*x1 + x0", 2, 4)
+        assert f.with_term((1, 0, 1), 3) == f + GeneralizedBooleanFunction(2, 4, {(0, 1): 3}) == parse_gbf("x0", 2, 4)
+        assert f.with_term((), -5) == parse_gbf("x0*x1 + x0 + 3", 2, 4)
+
     def test_repeated_monomials_add_and_may_cancel(self):
         assert GeneralizedBooleanFunction(2, 2, {(0, 1): 1, (1, 0): 1}).terms == {}
         assert GeneralizedBooleanFunction(2, 4, {(0, 1): 1, (1, 0): 1}).terms == {(0, 1): 2}
@@ -221,6 +239,12 @@ class TestPathCheck:
         cert = check_path_after_deletion(g, [0], 2)
         assert cert.path_order == (1, 2)
         assert set(cert.end_vertices) == {1, 2}
+
+    def test_every_vertex_of_the_certificate_is_an_int(self):
+        g = graph_of(parse_gbf("x1*x2", 3, 2))
+        cert = check_path_after_deletion(g, [np.int64(0)], 2)
+        assert cert.deleted == (0,) and type(cert.deleted[0]) is int
+        assert [type(cert.end(gamma)) for gamma in (None, np.int32(2), True)] == [int] * 3
 
     def test_chain_with_no_deletion(self):
         g = graph_of(parse_gbf("x0*x1 + x1*x2", 3, 2))
@@ -529,6 +553,15 @@ class TestPbfSequence:
         spec = PbfSpec(f, p=3, s=2, lam=0)
         with pytest.raises(InvalidGamma):
             pbf_sequence(spec, (0,), (0,), 0, cert, 0)
+
+    def test_one_place_raises_invalid_gamma(self):
+        # PathCertificate.end is the gamma rule of the builders, the
+        # reference and the oracles alike
+        src = Path(zccs.__file__).parent
+        raising = {path.name: path.read_text().count("raise InvalidGamma") for path in src.glob("*.py")}
+        assert {name: n for name, n in raising.items() if n} == {"boolfn.py": 1}
+        for name in ("construct.py", "reference.py"):
+            assert "InvalidGamma" not in (src / name).read_text()
 
     def test_parameter_validation(self):
         f, _ = self._example_setup()

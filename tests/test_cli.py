@@ -99,6 +99,19 @@ class TestGenerate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [
+        ["--f", "9" * 5000 + "*x0*x1"],
+        ["--f", "x0*x1", "--delete", "x" + "1" * 5000],
+    ])
+    def test_an_integer_too_long_to_convert_exits_2(self, option, tmp_path, capsys):
+        # int() refuses more than 4300 digits with a ValueError: not a
+        # verdict, so not exit 1
+        rc = main(["generate", "--kind", "ccc", "--q", "2", "--m", "2", *option, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerify:
     def test_passing_file(self, flagship_file, capsys):
@@ -802,6 +815,15 @@ def test_out_of_memory_exits_2(command, target, flagship_file, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory: Unable to allocate 8.00 GiB for an array\n"
+
+
+def test_any_other_failure_exits_2_with_one_line(flagship_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli, "verify_code_set", broken)
+    assert main(["verify", "--in", str(flagship_file)]) == 2
+    assert capsys.readouterr().err == "error: broken\n"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the address-space size from /proc")

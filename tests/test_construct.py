@@ -1,6 +1,7 @@
 import json
 import time
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from zccs.construct import (
     family_labels,
 )
 from zccs.errors import InvalidGamma, InvalidParams
-from zccs.reference import PbfSpec
+from zccs.reference import PbfSpec, pbf_sequence
 from zccs.verify import max_zcz, verify_code_set
 
 from oracles import TOL, float_zcz_width, naive_code_accf, reference_ccc, reference_zccs, to_complex_code
@@ -288,6 +289,53 @@ class TestParamsRule:
         pp = build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3).params
         with pytest.raises(InvalidParams, match=f"params.{field}"):
             replace(pp, **{field: value})
+
+
+def _pbf_route(f, deleted, gamma):
+    """The members of one (lam, t) pair through the reference's pbf_sequence."""
+    cert = check_path_after_deletion(graph_of(f), deleted, f.q)
+    k = len(cert.deleted)
+    spec = PbfSpec(f, 3, 2, 1)
+    return [pbf_sequence(spec, d_vec, (1,) * k, d, cert, gamma) for d_vec in product((0, 1), repeat=k) for d in (0, 1)]
+
+
+VERTEX_ROUTES = {
+    "build_ccc": build_ccc,
+    "build_zccs": lambda f, deleted, gamma: build_zccs(f, deleted, gamma, p=3),
+    "build_zccs_by_concatenation": lambda f, deleted, gamma: build_zccs_by_concatenation(f, deleted, gamma, p=3),
+    "pbf_sequence": _pbf_route,
+}
+
+
+class TestVertexRule:
+    # Deleting x1 from x0*x2 over m = 3 leaves the path x0 - x2.  With a
+    # float deleted vertex, x0*x1 + x1*x2 would be certified as undeleted
+    # while int64 truncation made the builders read x0.
+    @pytest.mark.parametrize("route", VERTEX_ROUTES)
+    @pytest.mark.parametrize("deleted, gamma", [([0.5], None), ([0.0], None), ([1.0], 2), ([1], 0.5), ([1], 2.0)])
+    def test_a_vertex_that_is_not_an_integer_is_a_type_error(self, route, deleted, gamma):
+        # raised where the vertex enters, not by numpy or truth_table later
+        f = parse_gbf("x0*x1 + x1*x2", 3, 2) if deleted[0] != 1 else parse_gbf("x0*x2", 3, 2)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            VERTEX_ROUTES[route](f, deleted, gamma)
+
+    @pytest.mark.parametrize("route", VERTEX_ROUTES)
+    @pytest.mark.parametrize("text, deleted, gamma", [
+        ("x0*x2", [np.int64(1)], np.int64(2)), ("x0*x2", [np.int32(1)], np.int32(2)), ("x0*x2", [True], 2),
+        ("x0*x2", (np.int64(1),), np.int64(0)), ("x1*x2", [0], True),
+    ])
+    def test_an_integer_vertex_builds_the_set_of_its_int(self, route, text, deleted, gamma):
+        build, f = VERTEX_ROUTES[route], parse_gbf(text, 3, 2)
+        assert build(f, deleted, gamma) == build(f, [int(v) for v in deleted], int(gamma))
+
+    def test_the_builders_and_the_reference_refuse_gamma_alike(self):
+        f = parse_gbf("x1*x2 + x2*x3", 4, 2)
+        messages = set()
+        for build in (*VERTEX_ROUTES.values(), reference_ccc, reference_zccs):
+            with pytest.raises(InvalidGamma) as refused:
+                build(f, [0], 2)
+            messages.add(str(refused.value))
+        assert messages == {"x2 is not an end vertex of the path"}
 
 
 @st.composite
