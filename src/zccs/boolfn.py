@@ -158,8 +158,9 @@ def parse_gbf(text: str, m: int, q: int) -> GeneralizedBooleanFunction:
     """Parse a sum of terms like ``2*x0*x1 + x1 + 1``.
 
     Each term is an optional integer coefficient and a ``*``-separated
-    product of variables ``x<i>``; whitespace is ignored and coefficients
-    are reduced mod q.  A bare integer is a constant term.
+    product of variables ``x<i>``, both written in ASCII digits; whitespace
+    is ignored and coefficients are reduced mod q.  A bare integer is a
+    constant term.
     """
     compact = re.sub(r"\s+", "", text)
     if not compact:
@@ -177,12 +178,12 @@ def parse_gbf(text: str, m: int, q: int) -> GeneralizedBooleanFunction:
         coeff = sign
         variables: list[int] = []
         for factor in body.split("*"):
-            if re.fullmatch(r"x\d+", factor):
+            if re.fullmatch(r"x[0-9]+", factor):
                 idx = int(factor[1:])
                 if idx >= m:
                     raise ParseError(f"variable x{idx} out of range for m={m}")
                 variables.append(idx)
-            elif re.fullmatch(r"\d+", factor):
+            elif re.fullmatch(r"[0-9]+", factor):
                 coeff *= int(factor)
             else:
                 raise ParseError(f"bad factor {factor!r} in {text!r}")

@@ -23,15 +23,32 @@ gives for (q, m, k, p, s), Z aside.  The K codes' labels must be the
 builders' own, :func:`~zccs.construct.family_labels`, field by field
 and type.  The writer runs these two family checks too, so it writes
 only documents the reader reads.  The reader then checks the counts of
-sequences and entries against M and N, and only then packs each
-sequence once, with ``struct.Struct(f"{N}q").pack(*seq)``, which
-refuses floats, strings, null, lists, dicts and ints outside int64; one
-``b"".join`` and one ``np.frombuffer`` make the (K, M, N) array.  Bools, numpy ints and
-int subclasses pass that conversion, so it first checks that every
-exponent is exactly an int.  ``read_code_set`` shares that path but
-skips the walk when the file's text holds neither ``true`` nor
-``false``: ``json.loads`` makes every other integer exactly an int.
-``main`` builds its argument parser once per process.  It exits 1 only
+sequences against M and of entries against N before it reads an
+exponent.  ``code_set_from_dict`` walks a dict's exponents first, since
+bools, numpy ints and int subclasses would pass the conversion, then
+packs each sequence once with ``struct.Struct(f"{N}q").pack(*seq)``,
+which refuses ints outside int64.
+
+``read_code_set`` reads a file as bytes and hands ``json.loads`` only a
+skeleton of it.  With numpy it finds the quotes that open and close
+strings and every '[' outside them whose next byte other than ASCII
+digits, '-', ',' and JSON whitespace is ']'.  Such a body must follow
+JSON's grammar of integer lists, or the file is refused; its numbers
+are decoded in a few whole-array passes and it is replaced by a
+placeholder ``[j]``.  Every other body (floats, ``true``, strings,
+nested arrays, ``[]``) stays in the skeleton, which is decoded as UTF-8
+and parsed by ``json.loads``.  So the skeleton is valid JSON exactly
+when the file is, and its one-element lists of an int are exactly the
+placeholders: each sequence slot must hold one whose array has N
+numbers, and one index gathers the K*M arrays into the (K, M, N)
+exponents.  Numbers are exact up to four digits, which hold every
+exponent below MAX_DELTA; longer ones read as outside [0, delta), or as
+outside int64 past it.  So a file is accepted, refused and read as
+``code_set_from_dict(json.loads(text))`` reads its text.
+
+``main`` builds its argument parser once per process.  Variables and
+code indices on the command line, like Boolean-function text, are read
+in ASCII digits only.  It exits 1 only
 when ``verify`` finds that the zone fails, and 2 with one ``error:`` line
 on any other failure, out of memory too.  ``corr`` writes a pair's CSV
 rows ``tau,re,im,abs,exact_zero`` from its exact reduced forms: a zero one
@@ -159,18 +176,26 @@ def _check_labels(labels: list, pp: CodeSetParams) -> tuple[CodeLabel, ...]:
     return want
 
 
-def _exponents(codes, pp: CodeSetParams, exact_types: bool) -> np.ndarray:
-    """The (K, M, N) exponents of the K code entries: the counts checked
-    first, then each sequence converted once (see the module docstring)."""
+def _members(codes, pp: CodeSetParams) -> list:
+    """The K*M sequence slots of the K code entries, in order, each entry's
+    count checked against M."""
     seqs = []
     for entry in codes:
         members = entry["sequences"]
         if len(members) != pp.M:
             raise FileFormatError(f"a code of {len(members)} sequences, params.M={pp.M}")
         seqs += members
+    return seqs
+
+
+def _exponents(codes, pp: CodeSetParams) -> np.ndarray:
+    """The (K, M, N) exponents of the K code entries of a dict: the counts
+    checked first, then each exponent's type, then each sequence packed
+    once, which refuses any exponent outside int64."""
+    seqs = _members(codes, pp)
     if any(len(seq) != pp.N for seq in seqs):
         raise FileFormatError(f"a sequence whose length is not params.N={pp.N}")
-    if exact_types and any(set(map(type, seq)) != {int} for seq in seqs):
+    if any(set(map(type, seq)) != {int} for seq in seqs):
         raise FileFormatError("exponents must be integers")
     pack = struct.Struct(f"{pp.N}q").pack
     try:
@@ -180,7 +205,9 @@ def _exponents(codes, pp: CodeSetParams, exact_types: bool) -> np.ndarray:
     return np.frombuffer(flat, dtype=np.int64).reshape(pp.K, pp.M, pp.N)
 
 
-def _code_set(doc: dict, exact_types: bool) -> CodeSet:
+def _code_set(doc: dict, exponents) -> CodeSet:
+    """The code set of a document, its exponents read by
+    ``exponents(codes, params)`` once every other field has passed."""
     try:
         # type() first: True, 1.0 and 6.0 compare equal to the integers.
         if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
@@ -194,7 +221,7 @@ def _code_set(doc: dict, exact_types: bool) -> CodeSet:
         if len(codes) != params.K:
             raise FileFormatError(f"{len(codes)} codes, params.K={params.K}")
         labels = _check_labels([entry["label"] for entry in codes], params)
-        exps = _exponents(codes, params, exact_types)
+        exps = exponents(codes, params)
         if exps.min() < 0 or exps.max() >= delta:
             raise FileFormatError("exponent outside [0, delta)")
         return CodeSet(exps, labels, params)
@@ -205,31 +232,218 @@ def _code_set(doc: dict, exact_types: bool) -> CodeSet:
 def code_set_from_dict(doc: dict) -> CodeSet:
     """The code set of a document, refusing any exponent that is not
     exactly an int: a bool, a numpy int or an int subclass."""
-    return _code_set(doc, exact_types=True)
+    return _code_set(doc, _exponents)
+
+
+# How the file reader reads a number of an integer array: exactly up to
+# four digits, which hold every exponent below MAX_DELTA = 1024; any other
+# integer in int64 as _OUTSIDE and any past it as _PAST_INT64, both at or
+# above every delta, so the range check refuses them.
+_EXACT_DIGITS = 4
+_OUTSIDE, _PAST_INT64 = np.uint16(65534), np.uint16(65535)
+
+
+def _past_int64(b: np.ndarray, digit: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Which of the numbers whose last digits are at ``ends`` lie outside
+    int64: 20 digits or more, or 19 past 2**63 - 1 (2**63 after '-')."""
+    at = np.maximum(ends[:, None] - np.arange(19, -1, -1), 0)  # 20 bytes to each end
+    run = digit[at]
+    text = b[at[:, 1:]].view("S19").ravel()
+    limit = np.where(b[at[:, 0]] == 45, b"9223372036854775808", b"9223372036854775807")
+    return run.all(axis=1) | (run[:, 1:].all(axis=1) & (text > limit))
+
+
+def _int_arrays(data: bytes):
+    """The non-empty arrays of integers of a JSON text, outside strings,
+    decoded: ``(lo, hi, first, count, values)``, where array j's body is
+    ``data[lo[j]:hi[j]]`` and its ``count[j]`` numbers are read (see
+    _EXACT_DIGITS) as ``values[first[j]:first[j] + count[j]]``.
+
+    Such an array is a '[' outside strings whose next byte other than
+    ASCII digits, '-', ',' and JSON whitespace is ']'.  A body of those
+    bytes that breaks JSON's grammar of integer lists is refused with
+    FileFormatError.  Each step is a numpy pass over the text, or over
+    the span of its bodies, into a few reused buffers, or works on the
+    positions of rarer bytes.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    none = (np.zeros(0, dtype=np.intp),) * 5
+    if b"[" not in data:
+        return none
+    # A body opens after a '[' whose next byte is no bracket, and ends at
+    # the next ']' unless the next body opens first.  A text with no body,
+    # such as one nested too deep, goes to json.loads at once.
+    gap, tmp = np.empty((2, b.size), dtype=bool)
+    np.equal(b, 91, out=gap)
+    np.equal(b, 93, out=tmp)
+    np.logical_or(gap[1:], tmp[1:], out=tmp[:-1])
+    np.greater(gap[:-1], tmp[:-1], out=tmp[:-1])
+    tmp[-1] = False
+    lo = np.flatnonzero(tmp) + 1
+    if not lo.size:
+        return none
+    closes = np.flatnonzero(np.equal(b, 93, out=tmp))
+    at = np.searchsorted(closes, lo)
+    lo, hi = lo[at < closes.size], closes[at[at < closes.size]]
+    hi[:-1] = np.minimum(hi[:-1], lo[1:] - 1)
+    # Strings open and close at the quotes after an even run of
+    # backslashes; a body lies outside them after an even count of those.
+    quotes = np.flatnonzero(np.equal(b, 34, out=tmp))
+    if quotes.size and b"\\" in data:
+        plain = np.flatnonzero(b != 92)
+        k = np.searchsorted(plain, quotes)
+        quotes = quotes[(quotes - np.where(k > 0, plain[k - 1], -1)) % 2 == 1]
+    outside = np.searchsorted(quotes, lo) % 2 == 0
+    lo, hi = lo[outside], hi[outside]
+    if not lo.size:
+        return none
+
+    # Only the bytes from the first body's '[' to the last one's ']'
+    # matter from here on.
+    base = lo[0] - 1
+    b, gap, tmp = b[base : hi[-1] + 1], gap[base : hi[-1] + 1], tmp[base : hi[-1] + 1]
+    lo, hi = lo - base, hi - base
+    digit, minus, ws, lead = np.empty((4, b.size), dtype=bool)
+    np.greater_equal(b, 48, out=digit)
+    digit &= np.less_equal(b, 57, out=tmp)
+    np.equal(b, 32, out=ws)
+    for space in b"\t\n\r":
+        ws |= np.equal(b, space, out=tmp)
+    np.logical_or(digit, np.equal(b, 45, out=minus), out=lead)
+    np.logical_or(lead, ws, out=gap)
+    gap |= np.equal(b, 44, out=tmp)
+    # A body of integers holds only those bytes and ends at a ']'.
+    ints = np.logical_and.reduceat(gap, np.stack((lo, hi), axis=1).ravel())[::2] & (b[hi] == 93)
+    lo, hi = lo[ints], hi[ints]
+
+    # lead[i]: the first byte from i on that is not whitespace is a digit
+    # or '-', found by doubling the runs of whitespace looked across.
+    np.copyto(gap, ws)
+    step = 1
+    while gap.any():
+        np.logical_and(gap[:-step], lead[step:], out=tmp[:-step])
+        lead[:-step] |= tmp[:-step]
+        np.logical_and(gap[:-step], gap[step:], out=tmp[:-step])
+        gap[:-step] = tmp[:-step]
+        gap[-step:] = False
+        step *= 2
+    # bad: a byte that JSON's grammar of integer lists forbids before what
+    # follows it.  A body is valid when it holds no bad byte and, if it
+    # holds a digit, its first byte that is not whitespace leads a number.
+    bad = gap
+    np.logical_and(digit[:-1], ws[1:], out=bad[:-1])
+    bad[:-1] &= lead[1:]  # "1 2", "1 -2"
+    np.equal(b[:-1], 44, out=tmp[:-1])
+    bad[:-1] |= np.greater(tmp[:-1], lead[1:], out=tmp[:-1])  # ",]", ",,"
+    np.equal(b[1:-1], 48, out=tmp[1:-1])
+    tmp[1:-1] &= digit[2:]
+    bad[1:-1] |= np.greater(tmp[1:-1], digit[:-2], out=tmp[1:-1])  # "01"
+    bad[:-1] |= np.logical_and(digit[:-1], minus[1:], out=tmp[:-1])  # "1-"
+    bad[:-1] |= np.greater(minus[:-1], digit[1:], out=tmp[:-1])  # "- 1", "-]"
+    bad[-1] = False
+    wrong = np.flatnonzero(bad)
+
+    end = ws  # the last digit of each number
+    np.greater(digit[:-1], digit[1:], out=end[:-1])
+    end[-1] = digit[-1]
+    ends = np.flatnonzero(end)
+    first = np.searchsorted(ends, lo)
+    count = np.searchsorted(ends, hi) - first
+    if (np.searchsorted(wrong, lo) < np.searchsorted(wrong, hi)).any() or (~lead[lo] & (count > 0)).any():
+        raise FileFormatError("not valid JSON: an array of integers breaks JSON's grammar")
+    kept = count > 0
+    lo, hi, first, count = lo[kept], hi[kept], first[kept], count[kept]
+
+    # Horner's rule on whole arrays, read only at the ends: value[i] is
+    # 48 more than the digits of the run ending at i, run[i] marking a run
+    # of k + 1 digits there.
+    value = b
+    run = tmp
+    np.copyto(run, digit)
+    for k in range(1, _EXACT_DIGITS + 1):
+        run[k:] &= digit[:-k]
+        run[:k] = False
+        if not run.any():
+            break
+        if k == 1:
+            value, term = b.astype(np.uint16), np.empty(b.size, dtype=np.uint16)
+        if k < _EXACT_DIGITS:
+            np.subtract(b[:-k], 48, out=term[k:], dtype=np.uint16)
+            term[k:] *= run[k:]
+            value[k:] += np.multiply(term[k:], 10**k, out=term[k:])
+    values = value.take(ends) - np.uint16(48)
+    if run.any():
+        long = np.flatnonzero(run & end)
+        at = np.searchsorted(ends, long)
+        values[at] = np.where(_past_int64(b, digit, long), _PAST_INT64, _OUTSIDE)
+    at = np.searchsorted(ends, np.flatnonzero(np.logical_and(minus[:-1], digit[1:], out=tmp[:-1])) + 1)
+    signed = values[at]
+    values[at] = np.where(signed == 0, signed, np.maximum(signed, _OUTSIDE))
+    return lo + base, hi + base, first, count, values
+
+
+def _skeleton(data: bytes, lo: np.ndarray, hi: np.ndarray) -> bytes:
+    """``data`` with each body ``data[lo[j]:hi[j]]`` replaced by j in
+    decimal, assembled by two masks: where the kept bytes come from and
+    where they go."""
+    if not lo.size:
+        return data
+    marks = np.frombuffer("".join(map(str, range(lo.size))).encode(), dtype=np.uint8)
+    size = np.empty(2 * lo.size + 1, dtype=np.intp)  # kept piece, body, kept piece, ...
+    size[0::2] = np.concatenate((lo, [len(data)])) - np.concatenate(([0], hi))
+    size[1::2] = hi - lo
+    kept = np.arange(size.size) % 2 == 0
+    pieces = np.frombuffer(data, dtype=np.uint8)[np.repeat(kept, size)]
+    size[1::2] = np.searchsorted(10 ** np.arange(1, 19), np.arange(lo.size), side="right") + 1
+    to = np.repeat(kept, size)
+    out = np.empty(to.size, dtype=np.uint8)
+    out[to] = pieces
+    out[~to] = marks
+    return out.tobytes()
 
 
 def read_code_set(path: str) -> CodeSet:
+    """The code set of a file (see the module docstring): its integer
+    arrays decoded by :func:`_int_arrays`, each replaced by ``[j]`` in a
+    skeleton that ``json.loads`` reads."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lo, hi, first, count, values = _int_arrays(data)
     # UnicodeDecodeError (a ValueError) comes from bytes that are not
     # UTF-8, RecursionError from arrays or objects nested too deep.
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
+        doc = json.loads(_skeleton(data, lo, hi).decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
-    # json.loads makes ints exactly int; the one other value that
-    # struct's "q" takes, a bool, comes only from a true or false token.
-    exact_types = "true" in text or "false" in text
-    del text  # freed before the exponents are converted
-    return _code_set(doc, exact_types)
+    del data  # freed before the exponents are gathered
+
+    def exponents(codes, pp: CodeSetParams) -> np.ndarray:
+        seqs = _members(codes, pp)
+        # the skeleton's one-element lists of an int are its placeholders
+        if any(type(seq) is not list or len(seq) != 1 or type(seq[0]) is not int for seq in seqs):
+            raise FileFormatError("exponents must be integers")
+        ids = [seq[0] for seq in seqs]
+        if (count[ids] != pp.N).any():
+            raise FileFormatError(f"a sequence whose length is not params.N={pp.N}")
+        exps = values[first[ids][:, None] + np.arange(pp.N)]
+        if (exps == _PAST_INT64).any():
+            raise FileFormatError("exponents must be integers in int64")
+        return exps.reshape(pp.K, pp.M, pp.N)
+
+    return _code_set(doc, exponents)
+
+
+def _ascii_digits(token: str) -> bool:
+    # isdecimal() alone passes other scripts' digits such as "٠", which
+    # int() reads, and int() also takes "_" and signs.
+    return token.isascii() and token.isdecimal()
 
 
 def _parse_var(token: str) -> int:
     token = token.strip()
     if token.startswith("x"):
         token = token[1:]
-    # isdigit() also passes superscripts such as "²", which int() refuses.
-    if not token.isdecimal():
+    if not _ascii_digits(token):
         raise ZccsError(f"expected a variable like x0, got {token!r}")
     return int(token)
 
@@ -269,10 +483,10 @@ def cmd_verify(args) -> int:
 
 def cmd_corr(args) -> int:
     cs = read_code_set(getattr(args, "in"))
-    try:
-        mu1, mu2 = (int(tok) for tok in args.pair.split(","))
-    except ValueError:
-        raise ZccsError(f"--pair expects 'mu1,mu2', got {args.pair!r}") from None
+    tokens = [tok.strip() for tok in args.pair.split(",")]
+    if len(tokens) != 2 or not all(map(_ascii_digits, tokens)):
+        raise ZccsError(f"--pair expects 'mu1,mu2', got {args.pair!r}")
+    mu1, mu2 = map(int, tokens)
     if not (0 <= mu1 < cs.params.K and 0 <= mu2 < cs.params.K):
         raise IndexError(f"pair ({mu1},{mu2}) out of range for K={cs.params.K}")
     delta, n = cs.params.delta, cs.params.N

@@ -60,6 +60,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_gbf("x1 ** x2", 3, 2)
 
+    def test_only_ascii_digits(self):
+        # r"\d" on a str also matches other scripts' digits, which int() reads
+        for text in ("x١*x٢ + ٣", "x1*x2 + ٣", "x１"):
+            with pytest.raises(ParseError, match="bad factor"):
+                parse_gbf(text, 3, 4)
+
     def test_empty_text_or_dangling_sign_rejected(self):
         for text, why in (("", "empty"), ("  ", "empty"), ("x0 + -", "dangling"), ("+", "dangling")):
             with pytest.raises(ParseError, match=why):

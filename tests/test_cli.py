@@ -100,6 +100,16 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [
+        ["--f", "x٠*x١ + x١*x٢ + ٣"],  # r"\d" reads x0*x1 + x1*x2 + 3
+        ["--f", "x0*x1 + x1*x2", "--delete", "x٠"],  # isdecimal() passes x0
+    ], ids=["function", "delete"])
+    def test_digits_other_than_ascii_exit_2(self, option, tmp_path, capsys):
+        rc = main(["generate", "--kind", "ccc", "--q", "2", "--m", "3", *option, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option", [
         ["--f", "9" * 5000 + "*x0*x1"],
         ["--f", "x0*x1", "--delete", "x" + "1" * 5000],
     ])
@@ -272,7 +282,7 @@ class TestCorr:
             assert all(line == f"{line.split(',')[0]},0,0,0,true" for line in zero)
             assert len(lines) - len(zero) == nonzero
 
-    @pytest.mark.parametrize("pair", ["1,2,3", "a,b"])
+    @pytest.mark.parametrize("pair", ["1,2,3", "a,b", "0,1_0", "0,+1", "٠,1"])
     def test_malformed_pair_exits_2(self, pair, flagship_file, capsys):
         assert main(["corr", "--in", str(flagship_file), "--pair", pair]) == 2
         assert f"error: --pair expects 'mu1,mu2', got {pair!r}" in capsys.readouterr().err
