@@ -3,7 +3,8 @@
 Each case runs the CLI on one written code set and compares its exit
 code and the SHA-256 of its output with ``same_answers.json``.  The sets
 are the README 12x4x24 set, the 20x4x320 (delta = 20) and q = 4 CCC sets
-that CI verifies, and the 2x2x1024 delta = 1024 CCC, each as built and
+that CI verifies, the 2x2x1024 delta = 1024 CCC, and the 24x8x768 and
+28x4x1792 sets, whose spectra outgrow the scan's cache, each as built and
 with one ``oracles.corrupt_seeded`` corruption.  So that the file cannot
 freeze a wrong verdict, every verify case is also checked against the
 float oracle: its exit code, witness and ``max_zcz``.  ``corr`` runs on
@@ -42,6 +43,9 @@ SETS = {
         parse_gbf("2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5", 6, 4), [0], 1, p=5),
     "ccc_q4_m4": lambda: build_ccc(parse_gbf("2*x0*x1 + 2*x1*x2 + 2*x2*x3", 4, 4), [0, 3]),
     "ccc_delta1024": lambda: build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), []),
+    "zccs_24x8x768": lambda: build_zccs(parse_gbf("x2*x3 + x3*x4 + x4*x5 + x5*x6 + x6*x7", 8, 2), [0, 1], p=3),
+    "zccs_28x4x1792": lambda: build_zccs(
+        parse_gbf("x0*x3 + x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x6*x7", 8, 2), [0], p=7),
 }
 VERIFY_FLAGS = {"plain": [], "max": ["--max-zcz"], "z1_max": ["--zcz", "1", "--max-zcz"]}
 
