@@ -10,9 +10,9 @@ exact fallback here and, behind each :mod:`zccs.reference` value, the
 reference the engine is tested against.  The batched engine works on
 the (K, M, N) exponent array of a code set and correlates each
 unordered pair of codes once: a tile of rows takes the codes from its
-first row on.  A scan whose member sums fit one block's budget is one
-tile; otherwise a tile doubles in height while the rest of the set is
-one block.  One cyclic correlation of length >= N + t1 - 1 holds
+first row on.  :func:`scan_plan` sets the tiles, blocks, harmonic
+chunks and kept spectra before any FFT, and :func:`_harmonic_sums`
+runs them.  One cyclic correlation of length >= N + t1 - 1 holds
 theta(mu1, mu2)(tau) and theta(mu1, mu2)(-tau) for every tau < t1, and
 the second gives the mirror cell, since theta(mu2, mu1)(tau) =
 conj(theta(mu1, mu2)(-tau)).  :func:`code_reductions` recovers from
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,8 @@ RESIDUAL_TOL = 0.25
 # Byte budget of a block's member sums, one complex value per harmonic,
 # code and lag; a block holds as many codes as fit, and at least one.
 BLOCK_BYTES = 1 << 18
-# Byte budget of the spectra a scan keeps: every code's when they fit,
-# else those of the blocks it computes first.
+# Byte budget of the spectra a scan keeps, taken greedily in the order it
+# first reads them: every code's when they fit, else a prefix.
 CACHE_BYTES = 1 << 21
 
 
@@ -83,6 +84,59 @@ def _recount(exps: np.ndarray, delta: int, tile: range, block: range, t0: int, t
     ])
 
 
+ScanPlan = NamedTuple("ScanPlan", [("length", int), ("chunks", list), ("step", int), ("tiles", list), ("keep", dict)])
+
+
+def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, cols: range) -> ScanPlan:
+    """The schedule of a scan of a (K, M, N) array's rows against the codes
+    from each tile on in cols, at nh harmonics and shifts below t1.  Each
+    tile, in scan order, comes with the first code ``own`` of its block and
+    its blocks ``(lo, block)``, read from the spectra of codes lo to lo +
+    step; ``keep`` maps each spectra ``(chunk.start, lo)`` kept to its bytes.
+
+    A block holds as many codes as have member sums, one complex value
+    per harmonic and lag, that fit BLOCK_BYTES, from multiples of that
+    many codes on; when one code's do not fit, its harmonics are taken in
+    chunks that do.  A tile is one row while the codes from its start on
+    span more than one block.  Then a scan's first tile takes all the rows
+    when their member sums fit BLOCK_BYTES, else one, and each next tile
+    doubles the last one's height, capped so that its member sums fit
+    BLOCK_BYTES: a square tile spends half its cells below the diagonal.
+    In the order the tiles first read them, chunk by chunk and own block
+    first, spectra are kept while each fits CACHE_BYTES with those before.
+    """
+    # A cyclic length of n + t1 - 1 keeps every shift |tau| < t1 free of
+    # wrap-around: +tau sits at index tau and -tau at index length - tau.
+    length = _fft_length(n + t1 - 1)
+    span = max(1, min(nh, BLOCK_BYTES // (16 * length)))
+    step = max(1, BLOCK_BYTES // (16 * length * span))
+    chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
+    tiles, keep, read = [], {}, set()
+    mu1, height = rows.start, 1
+    while mu1 < rows.stop:
+        first, own = max(mu1, cols.start), mu1 - mu1 % step
+        cap = BLOCK_BYTES // (16 * length * span * max(1, cols.stop - first))
+        if own + step < k:
+            height = 1
+        elif mu1 == rows.start and cap >= len(rows):
+            height = len(rows)
+        else:
+            height = max(1, min(height, cap))
+        tile = range(mu1, min(mu1 + height, rows.stop))
+        los = range(first - first % step, cols.stop, step)
+        blocks = [(lo, range(max(lo, first), min(lo + step, cols.stop))) for lo in los]
+        tiles.append((tile, own, blocks))
+        new = [lo for lo in dict.fromkeys([own] + [lo for lo, _ in blocks]) if lo not in read]
+        read.update(new)
+        for chunk in chunks:
+            for lo in new:
+                size = 16 * len(chunk) * min(step, k - lo) * m * length
+                if sum(keep.values()) + size <= CACHE_BYTES:
+                    keep[chunk.start, lo] = size
+        mu1, height = tile.stop, 2 * len(tile)
+    return ScanPlan(length, chunks, step, tiles, keep)
+
+
 def _harmonic_sums(
     exps: np.ndarray, delta: int, harmonics: np.ndarray, rows: range, t0: int, t1: int, cols: range | None = None
 ) -> Iterator[tuple[range, range, np.ndarray]]:
@@ -94,80 +148,43 @@ def _harmonic_sums(
     harmonics[i] and h the histogram of code tile[t] with code block[j]
     at shift tau, and ``sums[t, j, 1, tau - t0, i]`` the same at -tau.
     Each exponent e maps to w^(-r*e); one einsum correlates the tile with
-    a block by FFTs along the sequence and sums over the M members.  The
-    cells below the diagonal, block[j] < tile[t], are computed too.
-
-    A block holds as many codes as have member sums, one value per
-    harmonic and lag, that fit BLOCK_BYTES, starting at multiples of that
-    many codes; when one code's do not fit, its harmonics are taken in
-    chunks that do, and a block is yielded once its last chunk is in.
-    A tile is one row while the codes from its start on span more than
-    one block.  Once they form one block, a scan's first tile takes all
-    the rows when their member sums fit BLOCK_BYTES; otherwise it is one
-    row, and each tile read through doubles the next one's height,
-    capped so that its member sums fit BLOCK_BYTES.  A tile computes its
-    cells below the diagonal too, so later tiles do not jump to take all
-    the rows left: a square tile spends half its cells there.  The
-    conjugated spectra of a block at a chunk are computed when a tile
-    first reads them and kept while the kept total fits CACHE_BYTES:
-    the whole set when it fits, else the blocks the first tiles read.  So
-    a scan that stops at a witness has computed no block it did not read.
+    a block by FFTs along the sequence and sums over the M members, the
+    cells below the diagonal too.  It runs :func:`scan_plan`: spectra are
+    computed when a tile reads them, and stored when the plan keeps them,
+    so a scan that stops at a witness computed no block it did not read.
     """
     k, m, n = exps.shape
     if not (isinstance(t0, (int, np.integer)) and isinstance(t1, (int, np.integer)) and 0 <= t0 < t1 <= n):
         raise ValueError(f"need integers 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
-    cols = range(k) if cols is None else cols
     width, nh = t1 - t0, len(harmonics)
-    # A cyclic length of n + t1 - 1 keeps every shift |tau| < t1 free of
-    # wrap-around: +tau sits at index tau and -tau at index length - tau.
-    length = _fft_length(n + t1 - 1)
+    plan = scan_plan(k, m, n, nh, rows, t1, range(k) if cols is None else cols)
     taus = np.arange(t0, t1)
-    ends = np.concatenate([taus, -taus % length])
-    span = max(1, min(nh, BLOCK_BYTES // (16 * length)))
-    step = max(1, BLOCK_BYTES // (16 * length * span))
-    chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
+    ends = np.concatenate([taus, -taus % plan.length])
     store: dict[tuple[int, int], np.ndarray] = {}
-    kept = 0
 
-    def spectra(chunk: range, start: int) -> np.ndarray:
-        nonlocal kept
-        spec = store.get((chunk.start, start))
+    def spectra(chunk: range, lo: int) -> np.ndarray:
+        spec = store.get((chunk.start, lo))
         if spec is None:
             table = roots(delta)[-np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta]
-            codes = exps[start : start + step]
+            codes = exps[lo : lo + plan.step]
             # Each member's roots, one take for all the block's codes, go
             # into the zero-padded array, which is transformed in place,
             # so a block's spectra take one array.
-            spec = np.empty((len(chunk), len(codes), m, length), dtype=complex)
+            spec = np.empty((len(chunk), len(codes), m, plan.length), dtype=complex)
             spec[..., n:] = 0
             for j in range(m):
                 spec[:, :, j, :n] = np.take(table, codes[:, j], axis=1)
             np.conjugate(np.fft.fft(spec, out=spec), out=spec)
-            if kept + spec.nbytes <= CACHE_BYTES:
-                store[chunk.start, start] = spec
-                kept += spec.nbytes
+            if (chunk.start, lo) in plan.keep:
+                store[chunk.start, lo] = spec
         return spec
 
-    mu1, height = rows.start, 1
-    while mu1 < rows.stop:
-        first, own = max(mu1, cols.start), mu1 - mu1 % step
-        # More rows than one only when the codes from mu1 on form one
-        # block, and only as many as keep the tile's member sums in
-        # BLOCK_BYTES: all the rows when the first tile fits them.
-        cap = BLOCK_BYTES // (16 * length * span * max(1, cols.stop - first))
-        if own + step < k:
-            height = 1
-        elif mu1 == rows.start and cap >= len(rows):
-            height = len(rows)
-        else:
-            height = max(1, min(height, cap))
-        tile = range(mu1, min(mu1 + height, rows.stop))
+    for tile, own, blocks in plan.tiles:
         pending: dict[int, np.ndarray] = {}
-        for chunk in chunks:
+        for chunk in plan.chunks:
             mine = spectra(chunk, own)
             tile_spec = mine[:, tile.start - own : tile.stop - own].conj()
-            for lo in range(first - first % step, cols.stop, step):
-                block = range(max(lo, first), min(lo + step, cols.stop))
+            for lo, block in blocks:
                 spec = mine if lo == own else spectra(chunk, lo)
                 sums = np.einsum("htnl,hjnl->htjl", tile_spec, spec[:, block.start - lo : block.stop - lo])
                 halves = np.fft.ifft(sums, out=sums)[..., ends]
@@ -177,7 +194,6 @@ def _harmonic_sums(
                     len(chunk), len(tile), len(block), 2, width).transpose(1, 2, 3, 4, 0)
                 if chunk.stop == nh:
                     yield tile, block, pending.pop(block.start)
-        mu1, height = tile.stop, 2 * len(tile)
 
 
 def code_reductions(

@@ -8,6 +8,7 @@ them must not depend on whether a block was accepted from the FFT or
 recounted exactly.
 """
 import csv
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -62,32 +63,37 @@ def code_histograms(exps, delta, rows, t0, t1):
         yield tile, block, hist
 
 
-def _one_tile(exps, delta, rows, t1):
-    """Whether the rows' member sums against the codes from their first
-    on, at every primitive harmonic, fit BLOCK_BYTES, and those codes lie
-    in one block: then the engine takes the rows as one tile."""
-    k, _, n = exps.shape
-    per_code = 16 * correlate._fft_length(n + t1 - 1) * len(harmonic_reduction(delta)[0])
-    step = correlate.BLOCK_BYTES // per_code
-    return len(rows) * (k - rows.start) * per_code <= correlate.BLOCK_BYTES and rows.start // step == (k - 1) // step
+def _plan(exps, delta, rows, t1):
+    """The plan of a scan of the rows against every code at every primitive harmonic."""
+    k, m, n = exps.shape
+    return correlate.scan_plan(k, m, n, len(harmonic_reduction(delta)[0]), rows, t1, range(k))
+
+
+def _forward_ffts(plan):
+    """The forward FFTs a run of the plan makes: one per kept spectra, one per read of any other."""
+    reads = [(chunk.start, lo) for _, own, blocks in plan.tiles for chunk in plan.chunks
+             for lo in dict.fromkeys([own] + [lo for lo, _ in blocks])]
+    return len(plan.keep) + sum(read not in plan.keep for read in reads)
+
+
+def _budget(n, t1, values):
+    """The BLOCK_BYTES of ``values`` complex member sums at the plan's FFT length."""
+    return 16 * correlate.scan_plan(0, 1, n, 1, range(0), t1, range(0)).length * values
 
 
 def _tiles(exps, delta, t0, t1, engine=code_histograms, rows=None):
     """The engine's ``(tile, block, values)`` over the rows, checked for shape.
 
-    The tiles must come in order and cover the rows, the first one a
-    single row, or every row when their member sums fit one tile, and
-    each tile's blocks must come in order and cover exactly the codes
-    from its first row on."""
+    They must be the plan's, in its order: tiles that cover the rows, each
+    with blocks that cover exactly the codes from its first row on."""
     k = len(exps)
     rows = range(k) if rows is None else rows
     out = list(engine(exps, delta, rows, t0, t1))
-    tiles = list(dict.fromkeys(tile for tile, _, _ in out))
-    assert [mu for tile in tiles for mu in tile] == list(rows)
-    assert len(tiles[0]) == (len(rows) if _one_tile(exps, delta, rows, t1) else 1)
-    for tile in tiles:
-        blocks = [block for t, block, _ in out if t == tile]
-        assert [mu for block in blocks for mu in block] == list(range(tile.start, k))
+    plan = _plan(exps, delta, rows, t1)
+    assert [(tile, block) for tile, block, _ in out] == [(tile, b) for tile, _, bs in plan.tiles for _, b in bs]
+    assert [mu for tile, _, _ in plan.tiles for mu in tile] == list(rows)
+    for tile, _, blocks in plan.tiles:
+        assert [mu for _, block in blocks for mu in block] == list(range(tile.start, k))
     for tile, block, values in out:
         assert values.shape[:4] == (len(tile), len(block), 2, t1 - t0)
     return out
@@ -184,11 +190,8 @@ def test_aligned_blocks_and_harmonic_chunks(engine, span, step, no_fallback, mon
     pp = cs.params
     harmonics, table = _engine_setup(engine, cs)
     # The budget that gives blocks of `step` codes, or chunks of `span`
-    # harmonics, over the full window: a code's member sums take 16 * L
-    # bytes a harmonic.
-    per_harmonic = 16 * correlate._fft_length(2 * pp.N - 1)
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or len(harmonics)) * step)
-    assert pp.K * len(harmonics) * pp.M * per_harmonic <= correlate.CACHE_BYTES
+    # harmonics, over the full window.
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.N, (span or len(harmonics)) * step))
     for cache_bytes in CACHE_REGIMES:
         monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
         blocks = [(tile, block) for tile, block, _ in engine(cs.exponents, pp.delta, range(pp.K), 0, pp.N)]
@@ -224,7 +227,7 @@ def test_tiles_match_code_accf_cell_by_cell(engine, height, no_fallback, monkeyp
     for t0, t1, first in ((0, pp.N, 0), (0, 5, 3), (4, 9, 0), (13, pp.N, 5)):
         # The budget of `height` rows' member sums against every code: one
         # block, and tiles capped at `height` rows while many codes remain.
-        per_code = 16 * correlate._fft_length(pp.N + t1 - 1) * len(harmonics)
+        per_code = _budget(pp.N, t1, len(harmonics))
         monkeypatch.setattr(correlate, "BLOCK_BYTES", per_code * pp.K * height)
         out = _tiles(cs.exponents, pp.delta, t0, t1, engine, range(first, pp.K))
         heights = [len(tile) for tile in dict.fromkeys(tile for tile, _, _ in out)]
@@ -245,15 +248,12 @@ def test_tiles_start_where_the_column_blocks_end(engine, no_fallback, monkeypatc
     # Blocks of 6 codes: rows 0-11 take single-row tiles over several
     # blocks, though the budget alone would give row 11 two rows, and
     # rows 12-13, whose codes form the last block, one tile.
-    per_code = 16 * correlate._fft_length(2 * pp.N - 1) * len(harmonics)
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_code * 6)
-    for cache_bytes in CACHE_REGIMES:
-        monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
-        out = _tiles(cs.exponents, pp.delta, 0, pp.N, engine)
-        tiles = list(dict.fromkeys(tile for tile, _, _ in out))
-        assert tiles == [range(mu1, mu1 + 1) for mu1 in range(12)] + [range(12, 14)]
-        assert [block for tile, block, _ in out if tile.start == 9] == [range(9, 12), range(12, 14)]
-        _check_cells(out, table, 0, pp.N)
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.N, 6 * len(harmonics)))
+    out = _tiles(cs.exponents, pp.delta, 0, pp.N, engine)
+    tiles = list(dict.fromkeys(tile for tile, _, _ in out))
+    assert tiles == [range(mu1, mu1 + 1) for mu1 in range(12)] + [range(12, 14)]
+    assert [block for tile, block, _ in out if tile.start == 9] == [range(9, 12), range(12, 14)]
+    _check_cells(out, table, 0, pp.N)
 
 
 def _recording_tiles(monkeypatch) -> list:
@@ -276,22 +276,13 @@ def test_passing_scan_doubles_its_tiles(no_fallback, monkeypatch):
     assert (pp.K, pp.M, pp.N, pp.Z) == (20, 4, 40, 8)
     # The budget of rows 7-14 against codes 7-19: the set does not fit one
     # tile and no tile is capped, so ceil(log2(K + 1)) = 5 tiles of 1, 2,
-    # 4, 8 and 5 rows.
-    per_code = 16 * correlate._fft_length(pp.N + pp.Z) * len(harmonic_reduction(pp.delta)[0])
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_code * 8 * 13)
-    tiles = _recording_tiles(monkeypatch)
-    assert check_zccs(cs, pp.Z).ok
-    assert tiles == [range(0, 1), range(1, 3), range(3, 7), range(7, 15), range(15, 20)]
-    # The default budget caps the fourth tile at 6 rows.
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", BLOCK_BYTES)
-    tiles.clear()
-    assert check_zccs(cs, pp.Z).ok
-    assert [len(tile) for tile in tiles] == [1, 2, 4, 6, 7]
-    # A budget the whole set fits takes it as one tile.
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", 1 << 40)
-    tiles.clear()
-    assert check_zccs(cs, pp.Z).ok
-    assert tiles == [range(0, 20)]
+    # 4, 8 and 5 rows.  The default budget caps the fourth tile at 6 rows,
+    # and a budget the whole set fits takes it as one tile.
+    per_code = _budget(pp.N, pp.Z + 1, len(harmonic_reduction(pp.delta)[0]))
+    for block_bytes, heights in ((per_code * 8 * 13, [1, 2, 4, 8, 5]), (BLOCK_BYTES, [1, 2, 4, 6, 7]), (1 << 40, [20])):
+        monkeypatch.setattr(correlate, "BLOCK_BYTES", block_bytes)
+        assert [len(tile) for tile, _, _ in _plan(cs.exponents, pp.delta, range(pp.K), pp.Z + 1).tiles] == heights
+        assert check_zccs(cs, pp.Z).ok
 
 
 def _sweep_grid_sets():
@@ -308,22 +299,15 @@ def _sweep_grid_sets():
                         yield build_zccs(f, range(k), p=p)
 
 
-def test_sweep_sets_that_fit_are_one_tile(no_fallback, monkeypatch):
-    tiles = _recording_tiles(monkeypatch)
+def test_sweep_sets_that_fit_are_one_tile(no_fallback):
     one = 0
     for cs in _sweep_grid_sets():
         pp = cs.params
-        checks = [(pp.Z, lambda: check_zccs(cs, pp.Z).ok)]
-        if pp.K == pp.M:
-            checks.append((pp.N, lambda: check_ccc(cs)))
-        for z, check in checks:
-            tiles.clear()
-            assert check()
-            if _one_tile(cs.exponents, pp.delta, range(pp.K), min(z + 1, pp.N)):
-                assert tiles == [range(pp.K)], (pp, z)
-                one += 1
-            else:
-                assert tiles[0] == range(1), (pp, z)
+        for z, ok in [(pp.Z, check_zccs(cs, pp.Z).ok)] + [(pp.N, check_ccc(cs))] * (pp.K == pp.M):
+            assert ok
+            tiles = [tile for tile, _, _ in _plan(cs.exponents, pp.delta, range(pp.K), min(z + 1, pp.N)).tiles]
+            assert tiles[0] in (range(pp.K), range(1)), (pp, z)
+            one += tiles == [range(pp.K)]
     # At the default budget 59 of the 68 checks fit one tile.
     assert one == 59
 
@@ -356,59 +340,69 @@ def _counting_fft(monkeypatch) -> list:
     return calls
 
 
+def test_harmonic_sums_runs_its_plan(monkeypatch):
+    # Budgets from one harmonic to whole sets, caches of none, a prefix or all; K = 0 has no rows.
+    calls, rng, plans = _counting_fft(monkeypatch), np.random.default_rng(0), []
+    grid = itertools.product(((0, 2, 8, 6), (1, 1, 5, 28), (5, 2, 12, 20), (14, 2, 28, 28), (2, 2, 8, 1024)),
+                             (1, 1 << 13, BLOCK_BYTES, 1 << 40), (0, 1 << 15, 1 << 40))
+    for (k, m, n, delta), block_bytes, cache_bytes in grid:
+        monkeypatch.setattr(correlate, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
+        exps, harmonics = rng.integers(0, delta, (k, m, n)), harmonic_reduction(delta)[0]
+        for rows, t0, t1, cols in ((range(k), 0, n, range(k)), (range(k // 2, k), n // 2, n, range(k)),
+                                   (range(min(1, k)), 1, 3, range(min(1, k), k))):
+            calls.clear()
+            sums = correlate._harmonic_sums(exps, delta, harmonics, rows, t0, t1, cols)
+            plans.append(correlate.scan_plan(k, m, n, len(harmonics), rows, t1, cols))
+            assert [(t, b) for t, b, _ in sums] == [(t, b) for t, _, bs in plans[-1].tiles for _, b in bs]
+            assert len(calls) == _forward_ffts(plans[-1])
+    assert any(len(plan.chunks) > 1 for plan in plans)
+    assert any(0 < len(plan.keep) < _forward_ffts(plan) for plan in plans)
+
+
 @pytest.mark.parametrize("span", [None, 2])
 def test_one_block_scan_takes_one_forward_fft_per_chunk(span, monkeypatch):
     cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
     pp = cs.params
-    harmonics, _ = harmonic_reduction(pp.delta)
     if span is not None:
         # A one-code set whose harmonics come in chunks of `span`.
         cs = CodeSet(cs.exponents[:1], cs.labels[:1], replace(pp, K=1))
-        per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z)
-        monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * span)
-    calls = _counting_fft(monkeypatch)
+        monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, span))
+    plan = _plan(cs.exponents, pp.delta, range(cs.params.K), pp.Z + 1)
+    assert _forward_ffts(plan) == len(plan.chunks) == (1 if span is None else 3)
     assert check_zccs(cs, pp.Z).ok
-    chunks = 1 if span is None else -(-len(harmonics) // span)
-    assert chunks == (1 if span is None else 3)
-    assert len(calls) == chunks
 
 
 @pytest.mark.parametrize("span", [None, 2])
 def test_cached_scan_takes_one_forward_fft_per_block_and_chunk(span, monkeypatch):
     cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
     pp = cs.params
-    harmonics, _ = harmonic_reduction(pp.delta)
     # Blocks of 3 codes, or of one code whose harmonics come in chunks of `span`.
-    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z)
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * (span or 3 * len(harmonics)))
-    assert pp.K * len(harmonics) * pp.M * per_harmonic <= correlate.CACHE_BYTES
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, span or 3 * len(harmonic_reduction(pp.delta)[0])))
     blocks, chunks = (5, 1) if span is None else (pp.K, 3)
-    calls = _counting_fft(monkeypatch)
+    assert _forward_ffts(_plan(cs.exponents, pp.delta, range(pp.K), pp.Z + 1)) == blocks * chunks
     assert check_zccs(cs, pp.Z).ok
-    assert len(calls) == blocks * chunks
     # Keeping no spectra takes more.
     monkeypatch.setattr(correlate, "CACHE_BYTES", 0)
-    calls.clear()
+    assert _forward_ffts(_plan(cs.exponents, pp.delta, range(pp.K), pp.Z + 1)) > 2 * blocks * chunks
     assert check_zccs(cs, pp.Z).ok
-    assert len(calls) > 2 * blocks * chunks
 
 
 def test_set_past_the_cap_keeps_a_prefix_of_its_blocks(no_fallback, monkeypatch):
     cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
     pp = cs.params
-    harmonics, _ = harmonic_reduction(pp.delta)
     # Blocks of 3 codes, 5 in all; the cap holds the spectra of two.
-    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z)
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * 3 * len(harmonics))
-    calls = _counting_fft(monkeypatch)
-    counts, forms = [], []
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, 3 * len(harmonic_reduction(pp.delta)[0])))
+    counts, kept, forms = [], [], []
     for cache_bytes in (0, 2 * pp.M * correlate.BLOCK_BYTES, 1 << 40):
         monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
-        calls.clear()
+        plan = _plan(cs.exponents, pp.delta, range(pp.K), pp.Z + 1)
+        counts.append(_forward_ffts(plan))
+        kept.append(sorted(lo for _, lo in plan.keep))
         assert check_zccs(cs, pp.Z).ok
-        counts.append(len(calls))
         forms.append(_upper(cs.exponents, pp.delta, 0, pp.Z, code_reductions))
     assert counts[0] > counts[1] > counts[2] == 5
+    assert kept == [[], [0, 3], [0, 3, 6, 9, 12]]
     for upper in forms[1:]:
         assert all(np.array_equal(upper[mu1], forms[0][mu1]) for mu1 in range(pp.K))
 
@@ -426,10 +420,8 @@ def _corrupt_code_0_or_5(code):
 def test_row_0_witness_computes_no_later_block(code, monkeypatch):
     cs = _corrupt_code_0_or_5(code)
     pp = cs.params
-    harmonics, _ = harmonic_reduction(pp.delta)
     # Blocks of 2 codes.
-    per_harmonic = 16 * correlate._fft_length(pp.N + pp.Z)
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", per_harmonic * len(harmonics) * 2)
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, 2 * len(harmonic_reduction(pp.delta)[0])))
     calls = _counting_fft(monkeypatch)
     tiles = _recording_tiles(monkeypatch)
     ok, witness = check_zccs(cs, pp.Z)
@@ -513,20 +505,23 @@ def test_built_set_report_takes_its_width_from_the_zone_check(name, no_fallback,
     assert report.is_ccc == (pp.K == pp.M)
 
 
+def _peak(call):
+    """The call's result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_cached_verification_memory():
     cs = build_zccs(parse_gbf("2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5", 6, 4), [0], 1, p=5)
     pp = cs.params
     assert (pp.K, pp.M, pp.N, pp.Z, pp.delta) == (20, 4, 320, 64, 20)
-    # The spectra of 4 primitive harmonics of every code at FFT length 384
-    # fit the cache and outgrow four BLOCK_BYTES budgets.
-    spectra = 16 * 4 * pp.K * pp.M * correlate._fft_length(pp.N + pp.Z)
-    assert 4 * correlate.BLOCK_BYTES < spectra <= correlate.CACHE_BYTES
-    tracemalloc.start()
-    try:
-        report = verify_code_set(cs, compute_max=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # The zone check keeps the spectra of every code: 1.97 MB in 2 blocks.
+    plan = _plan(cs.exponents, pp.delta, range(pp.K), pp.Z + 1)
+    assert _forward_ffts(plan) == len(plan.keep) == 2 and sum(plan.keep.values()) == 1966080
+    report, peak = _peak(lambda: verify_code_set(cs, compute_max=True))
     assert report.is_zccs_at_claimed_z and report.max_zcz == pp.Z
     # About 2.9 MB: the 1.97 MB of kept spectra, one block's sums and forms.
     assert peak < 4e6
@@ -536,19 +531,13 @@ def test_reductions_of_a_root_order_1024_ccc(no_fallback):
     cs = build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), [])
     pp = cs.params
     assert (pp.K, pp.M, pp.N, pp.delta) == (2, 2, 1024, 1024)
-    # The spectra of one code, 512 primitive harmonics of 2 sequences at
-    # FFT length 2048, outgrow BLOCK_BYTES, so its harmonics are split.
-    assert 16 * 512 * pp.M * 2048 > correlate.BLOCK_BYTES
+    # One code's member sums at 256 primitive harmonics outgrow BLOCK_BYTES.
+    assert len(_plan(cs.exponents, pp.delta, range(pp.K), pp.N).chunks) == 32
     upper = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
     for mu1 in range(pp.K):
         (hist,) = RECOUNT(cs.exponents, pp.delta, range(mu1, mu1 + 1), range(mu1, pp.K), 0, pp.N)
         assert np.array_equal(upper[mu1], reduced_forms(hist))
-    tracemalloc.start()
-    try:
-        report = verify_code_set(cs, compute_max=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = _peak(lambda: verify_code_set(cs, compute_max=True))
     assert report.is_ccc and report.max_zcz == pp.N
     # About 41 MB with the split.
     assert peak < 48e6
@@ -558,12 +547,8 @@ def test_complex_values_of_a_profile_stay_small(tmp_path):
     cs = corrupt_seeded(build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), []), 0)
     path, out = tmp_path / "ccc.json", tmp_path / "prof.csv"
     write_code_set(cs, str(path))
-    tracemalloc.start()
-    try:
-        assert main(["corr", "--in", str(path), "--pair", "1,1", "--csv", str(out)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    status, peak = _peak(lambda: main(["corr", "--in", str(path), "--pair", "1,1", "--csv", str(out)]))
+    assert status == 0
     # About 26 MB: the pair's harmonics and their product with the basis,
     # 8.4 MB each.  The histograms of every harmonic took 52.8 MB.
     assert peak < 32e6
@@ -707,11 +692,10 @@ def test_exact_fallback_reports_the_same(seed, monkeypatch, tmp_path):
     fast = _reports_and_rows(cs, path)
 
     recounted = []
-    recount = correlate._recount
 
     def counting(*args):
         recounted.append(args)
-        return recount(*args)
+        return RECOUNT(*args)
 
     monkeypatch.setattr(correlate, "RESIDUAL_TOL", 0.0)
     monkeypatch.setattr(correlate, "_recount", counting)
