@@ -360,6 +360,34 @@ def test_harmonic_sums_runs_its_plan(monkeypatch):
     assert any(0 < len(plan.keep) < _forward_ffts(plan) for plan in plans)
 
 
+def _chain(q, m, first=0):
+    """The path function sum of (q/2)*x_i*x_(i+1) over i = first..m-2."""
+    return parse_gbf(" + ".join(f"{q // 2}*x{i}*x{i + 1}" for i in range(first, m - 1)), m, q)
+
+
+# The forward FFTs of a full report, compute_max included, on sets whose
+# plans span one tile to many, with and without harmonic chunks.
+SCHEDULES = {
+    "zccs_20x4x320": (lambda: build_zccs(_chain(4, 6, 1), [0], 1, p=5), 2),
+    "zccs_20x4x640": (lambda: build_zccs(_chain(4, 7, 1), [0], 1, p=5), 36),
+    "zccs_24x8x768": (lambda: build_zccs(parse_gbf("x2*x3 + x3*x4 + x4*x5 + x5*x6 + x6*x7", 8, 2), [0, 1], p=3), 20),
+    "zccs_28x4x1792": (lambda: build_zccs(
+        parse_gbf("x0*x3 + x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x6*x7", 8, 2), [0], p=7), 206),
+    "ccc_2x2x1024_delta1024": (lambda: build_ccc(_chain(1024, 10), []), 94),
+    "ccc_2x2x4096_delta1024": (lambda: build_ccc(_chain(1024, 12), []), 382),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_report_keeps_its_forward_fft_count(name, monkeypatch):
+    build, ffts = SCHEDULES[name]
+    cs = build()
+    calls = _counting_fft(monkeypatch)
+    report = verify_code_set(cs, compute_max=True)
+    assert report.is_zccs_at_claimed_z and report.max_zcz == cs.params.Z
+    assert len(calls) == ffts
+
+
 @pytest.mark.parametrize("span", [None, 2])
 def test_one_block_scan_takes_one_forward_fft_per_chunk(span, monkeypatch):
     cs = ENGINE_SETS["zccs_14x2x28_delta28"]()
