@@ -10,7 +10,7 @@ exact fallback here and, behind each :mod:`zccs.reference` value, the
 reference the engine is tested against.  The batched engine works on
 the (K, M, N) exponent array of a code set and correlates each
 unordered pair of codes once: a tile of rows takes the codes from its
-first row on.  :func:`scan_plan` sets the tiles, blocks, harmonic
+first row on, in :func:`blocks`.  :func:`scan_plan` sets tiles, harmonic
 chunks and kept spectra before any FFT, and :func:`_harmonic_sums`
 runs them.  One cyclic correlation of length >= N + t1 - 1 holds
 theta(mu1, mu2)(tau) and theta(mu1, mu2)(-tau) for every tau < t1, and
@@ -87,12 +87,19 @@ def _recount(exps: np.ndarray, delta: int, tile: range, block: range, t0: int, t
 ScanPlan = NamedTuple("ScanPlan", [("length", int), ("chunks", list), ("step", int), ("tiles", list), ("keep", dict)])
 
 
-def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, cols: range) -> ScanPlan:
+def blocks(codes: range, step: int) -> Iterator[tuple[int, range]]:
+    """The block rule: ``(lo, block)`` for each multiple lo of step with codes in [lo, lo + step), block those codes."""
+    for lo in range(codes.start - codes.start % step, codes.stop, step):
+        yield lo, range(max(lo, codes.start), min(lo + step, codes.stop))
+
+
+def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, col: int = 0) -> ScanPlan:
     """The schedule of a scan of a (K, M, N) array's rows against the codes
-    from each tile on in cols, at nh harmonics and shifts below t1.  Each
-    tile, in scan order, comes with the first code ``own`` of its block and
-    its blocks ``(lo, block)``, read from the spectra of codes lo to lo +
-    step; ``keep`` maps each spectra ``(chunk.start, lo)`` kept to its bytes.
+    from each tile and from col on, at nh harmonics and shifts below t1.
+    Each tile, in scan order, comes with the first code ``own`` of its
+    block and the ``codes`` it reads, whose :func:`blocks` ``(lo, block)``
+    read the spectra of codes lo to lo + step; ``keep`` maps each spectra
+    ``(chunk.start, lo)`` kept to its bytes.
 
     A block holds as many codes as have member sums, one complex value
     per harmonic and lag, that fit BLOCK_BYTES, from multiples of that
@@ -102,8 +109,10 @@ def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, cols: range
     when their member sums fit BLOCK_BYTES, else one, and each next tile
     doubles the last one's height, capped so that its member sums fit
     BLOCK_BYTES: a square tile spends half its cells below the diagonal.
-    In the order the tiles first read them, chunk by chunk and own block
-    first, spectra are kept while each fits CACHE_BYTES with those before.
+    In the order the scan first reads them, chunk by chunk (the first
+    tile's own block and blocks, then each later tile's own block, as its
+    codes are a suffix of the first tile's), spectra are kept while each
+    fits CACHE_BYTES with those before.
     """
     # A cyclic length of n + t1 - 1 keeps every shift |tau| < t1 free of
     # wrap-around: +tau sits at index tau and -tau at index length - tau.
@@ -111,11 +120,10 @@ def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, cols: range
     span = max(1, min(nh, BLOCK_BYTES // (16 * length)))
     step = max(1, BLOCK_BYTES // (16 * length * span))
     chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
-    tiles, keep, read = [], {}, set()
-    mu1, height = rows.start, 1
+    tiles, keep, total, mu1, height = [], {}, 0, rows.start, 1
     while mu1 < rows.stop:
-        first, own = max(mu1, cols.start), mu1 - mu1 % step
-        cap = BLOCK_BYTES // (16 * length * span * max(1, cols.stop - first))
+        codes, own = range(max(mu1, col), k), mu1 - mu1 % step
+        cap = BLOCK_BYTES // (16 * length * span * max(1, len(codes)))
         if own + step < k:
             height = 1
         elif mu1 == rows.start and cap >= len(rows):
@@ -123,27 +131,24 @@ def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, cols: range
         else:
             height = max(1, min(height, cap))
         tile = range(mu1, min(mu1 + height, rows.stop))
-        los = range(first - first % step, cols.stop, step)
-        blocks = [(lo, range(max(lo, first), min(lo + step, cols.stop))) for lo in los]
-        tiles.append((tile, own, blocks))
-        new = [lo for lo in dict.fromkeys([own] + [lo for lo, _ in blocks]) if lo not in read]
-        read.update(new)
-        for chunk in chunks:
-            for lo in new:
-                size = 16 * len(chunk) * min(step, k - lo) * m * length
-                if sum(keep.values()) + size <= CACHE_BYTES:
-                    keep[chunk.start, lo] = size
+        tiles.append((tile, own, codes))
         mu1, height = tile.stop, 2 * len(tile)
+    reads = [dict.fromkeys([own, *(lo for lo, _ in blocks(codes, step))]) for _, own, codes in tiles[:1]]
+    reads += [[own] for own in dict.fromkeys(own for _, own, _ in tiles[1:]) if own not in reads[0]]
+    for chunk, lo in ((chunk, lo) for los in reads for chunk in chunks for lo in los):
+        size = 16 * len(chunk) * min(step, k - lo) * m * length
+        if total + size <= CACHE_BYTES:
+            keep[chunk.start, lo], total = size, total + size
     return ScanPlan(length, chunks, step, tiles, keep)
 
 
 def _harmonic_sums(
-    exps: np.ndarray, delta: int, harmonics: np.ndarray, rows: range, t0: int, t1: int, cols: range | None = None
+    exps: np.ndarray, delta: int, harmonics: np.ndarray, rows: range, t0: int, t1: int, col: int = 0
 ) -> Iterator[tuple[range, range, np.ndarray]]:
     """The harmonics of the histograms of tiles of row codes against the codes from each tile on.
 
     For each tile of the rows, yields block by block of the codes mu2 >=
-    tile.start in cols (default: all of them) ``(tile, block, sums)``:
+    max(tile.start, col) ``(tile, block, sums)``:
     ``sums[t, j, 0, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r =
     harmonics[i] and h the histogram of code tile[t] with code block[j]
     at shift tau, and ``sums[t, j, 1, tau - t0, i]`` the same at -tau.
@@ -157,7 +162,7 @@ def _harmonic_sums(
     if not (isinstance(t0, (int, np.integer)) and isinstance(t1, (int, np.integer)) and 0 <= t0 < t1 <= n):
         raise ValueError(f"need integers 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
     width, nh = t1 - t0, len(harmonics)
-    plan = scan_plan(k, m, n, nh, rows, t1, range(k) if cols is None else cols)
+    plan = scan_plan(k, m, n, nh, rows, t1, col)
     taus = np.arange(t0, t1)
     ends = np.concatenate([taus, -taus % plan.length])
     store: dict[tuple[int, int], np.ndarray] = {}
@@ -179,12 +184,12 @@ def _harmonic_sums(
                 store[chunk.start, lo] = spec
         return spec
 
-    for tile, own, blocks in plan.tiles:
+    for tile, own, codes in plan.tiles:
         pending: dict[int, np.ndarray] = {}
         for chunk in plan.chunks:
             mine = spectra(chunk, own)
             tile_spec = mine[:, tile.start - own : tile.stop - own].conj()
-            for lo, block in blocks:
+            for lo, block in blocks(codes, plan.step):
                 spec = mine if lo == own else spectra(chunk, lo)
                 sums = np.einsum("htnl,hjnl->htjl", tile_spec, spec[:, block.start - lo : block.stop - lo])
                 halves = np.fft.ifft(sums, out=sums)[..., ends]
@@ -197,16 +202,16 @@ def _harmonic_sums(
 
 
 def code_reductions(
-    exps: np.ndarray, delta: int, rows: range, t0: int, t1: int, cols: range | None = None
+    exps: np.ndarray, delta: int, rows: range, t0: int, t1: int, col: int = 0
 ) -> Iterator[tuple[range, range, np.ndarray]]:
     """Reduced forms of the correlations of tiles of row codes against the codes from each tile on.
 
     ``exps`` is a (K, M, N) array of exponents mod delta, such as
     ``CodeSet.exponents``.  For shifts t0 <= tau < t1 (0 <= t0 < t1 <= N)
     yields, tile by tile of the rows and block by block of the codes mu2
-    >= tile.start in cols (default: all of them), ``(tile, block, c)``
-    with c an int64 array of shape (len(tile), len(block), 2, t1 - t0,
-    phi(delta)): ``c[t, j, 0, tau - t0]`` and ``c[t, j, 1, tau - t0]`` are
+    >= max(tile.start, col), ``(tile, block, c)`` with c an int64 array
+    of shape (len(tile), len(block), 2, t1 - t0, phi(delta)):
+    ``c[t, j, 0, tau - t0]`` and ``c[t, j, 1, tau - t0]`` are
     ``h @ reduction_matrix(delta)`` for h the coefficients of the
     correlation of code tile[t] with code block[j] at shifts tau and
     -tau, as :func:`~zccs.reference.code_accf` counts them, so each is
@@ -218,7 +223,7 @@ def code_reductions(
     harmonics, basis = harmonic_reduction(delta)
     # |c[., tau, i]| <= sum_d h[d] |R[d, i]| <= M * (N - |tau|) * max_d |R[d, i]|.
     bound = m * (n - np.arange(t0, t1))[:, None] * reduction_max(delta)
-    for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1, cols):
+    for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1, col):
         approx = sums.view(np.float64) @ basis
         # The checks run in place: with the harmonics in chunks a tile holds
         # all its blocks until the last chunk, and a copy would outgrow them.
@@ -239,6 +244,5 @@ def code_pair_reductions(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np
     reduction_matrix(delta)``.  Only the pair's own cell is computed.
     """
     pair = exps[[mu1]] if mu1 == mu2 else exps[[mu1, mu2]]
-    n = exps.shape[-1]
-    ((_, _, c),) = code_reductions(pair, delta, range(1), 0, n, range(len(pair) - 1, len(pair)))
+    ((_, _, c),) = code_reductions(pair, delta, range(1), 0, exps.shape[-1], len(pair) - 1)
     return np.concatenate([c[0, 0, 1, :0:-1], c[0, 0, 0]])

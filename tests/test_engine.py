@@ -66,19 +66,19 @@ def code_histograms(exps, delta, rows, t0, t1):
 def _plan(exps, delta, rows, t1):
     """The plan of a scan of the rows against every code at every primitive harmonic."""
     k, m, n = exps.shape
-    return correlate.scan_plan(k, m, n, len(harmonic_reduction(delta)[0]), rows, t1, range(k))
+    return correlate.scan_plan(k, m, n, len(harmonic_reduction(delta)[0]), rows, t1)
 
 
 def _forward_ffts(plan):
     """The forward FFTs a run of the plan makes: one per kept spectra, one per read of any other."""
-    reads = [(chunk.start, lo) for _, own, blocks in plan.tiles for chunk in plan.chunks
-             for lo in dict.fromkeys([own] + [lo for lo, _ in blocks])]
+    reads = [(chunk.start, lo) for _, own, codes in plan.tiles for chunk in plan.chunks
+             for lo in dict.fromkeys([own] + [lo for lo, _ in correlate.blocks(codes, plan.step)])]
     return len(plan.keep) + sum(read not in plan.keep for read in reads)
 
 
 def _budget(n, t1, values):
     """The BLOCK_BYTES of ``values`` complex member sums at the plan's FFT length."""
-    return 16 * correlate.scan_plan(0, 1, n, 1, range(0), t1, range(0)).length * values
+    return 16 * correlate.scan_plan(0, 1, n, 1, range(0), t1).length * values
 
 
 def _tiles(exps, delta, t0, t1, engine=code_histograms, rows=None):
@@ -90,10 +90,11 @@ def _tiles(exps, delta, t0, t1, engine=code_histograms, rows=None):
     rows = range(k) if rows is None else rows
     out = list(engine(exps, delta, rows, t0, t1))
     plan = _plan(exps, delta, rows, t1)
-    assert [(tile, block) for tile, block, _ in out] == [(tile, b) for tile, _, bs in plan.tiles for _, b in bs]
-    assert [mu for tile, _, _ in plan.tiles for mu in tile] == list(rows)
-    for tile, _, blocks in plan.tiles:
-        assert [mu for _, block in blocks for mu in block] == list(range(tile.start, k))
+    blocks = [(tile, list(correlate.blocks(codes, plan.step))) for tile, _, codes in plan.tiles]
+    assert [(tile, block) for tile, block, _ in out] == [(tile, b) for tile, bs in blocks for _, b in bs]
+    assert [mu for tile, _ in blocks for mu in tile] == list(rows)
+    for tile, bs in blocks:
+        assert [mu for _, block in bs for mu in block] == list(range(tile.start, k))
     for tile, block, values in out:
         assert values.shape[:4] == (len(tile), len(block), 2, t1 - t0)
     return out
@@ -342,6 +343,7 @@ def _counting_fft(monkeypatch) -> list:
 
 def test_harmonic_sums_runs_its_plan(monkeypatch):
     # Budgets from one harmonic to whole sets, caches of none, a prefix or all; K = 0 has no rows.
+    # Rows from 0 against codes from K/2 on: each later tile reads its own block first.
     calls, rng, plans = _counting_fft(monkeypatch), np.random.default_rng(0), []
     grid = itertools.product(((0, 2, 8, 6), (1, 1, 5, 28), (5, 2, 12, 20), (14, 2, 28, 28), (2, 2, 8, 1024)),
                              (1, 1 << 13, BLOCK_BYTES, 1 << 40), (0, 1 << 15, 1 << 40))
@@ -349,13 +351,17 @@ def test_harmonic_sums_runs_its_plan(monkeypatch):
         monkeypatch.setattr(correlate, "BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(correlate, "CACHE_BYTES", cache_bytes)
         exps, harmonics = rng.integers(0, delta, (k, m, n)), harmonic_reduction(delta)[0]
-        for rows, t0, t1, cols in ((range(k), 0, n, range(k)), (range(k // 2, k), n // 2, n, range(k)),
-                                   (range(min(1, k)), 1, 3, range(min(1, k), k))):
+        for rows, t0, t1, col in ((range(k), 0, n, 0), (range(k // 2, k), n // 2, n, 0),
+                                  (range(min(1, k)), 1, 3, min(1, k)), (range(k), 0, n, k // 2)):
             calls.clear()
-            sums = correlate._harmonic_sums(exps, delta, harmonics, rows, t0, t1, cols)
-            plans.append(correlate.scan_plan(k, m, n, len(harmonics), rows, t1, cols))
-            assert [(t, b) for t, b, _ in sums] == [(t, b) for t, _, bs in plans[-1].tiles for _, b in bs]
-            assert len(calls) == _forward_ffts(plans[-1])
+            sums = correlate._harmonic_sums(exps, delta, harmonics, rows, t0, t1, col)
+            plan = correlate.scan_plan(k, m, n, len(harmonics), rows, t1, col)
+            plans.append(plan)
+            blocks = [(t, b) for t, _, codes in plan.tiles for _, b in correlate.blocks(codes, plan.step)]
+            assert [(t, b) for t, b, _ in sums] == blocks
+            assert len(calls) == _forward_ffts(plan)
+            # A cache that holds every spectra computes each once.
+            assert cache_bytes < 1 << 40 or len(calls) == len(plan.keep)
     assert any(len(plan.chunks) > 1 for plan in plans)
     assert any(0 < len(plan.keep) < _forward_ffts(plan) for plan in plans)
 
@@ -553,6 +559,16 @@ def test_cached_verification_memory():
     assert report.is_zccs_at_claimed_z and report.max_zcz == pp.Z
     # About 2.9 MB: the 1.97 MB of kept spectra, one block's sums and forms.
     assert peak < 4e6
+
+
+def test_plan_holds_one_entry_per_tile():
+    # The p = 509, k = 1 shape of family_params at one code a block and one
+    # harmonic: 2036 one-row tiles, each over the codes from its row on.
+    plan, peak = _peak(lambda: correlate.scan_plan(2036, 4, 16288, 1, range(2036), 33, 0))
+    assert plan.step == 1 and len(plan.tiles) == 2036
+    assert all(codes == range(tile.start, 2036) for tile, _, codes in plan.tiles)
+    # About 0.8 MB; a list of every tile's blocks would hold K^2/2 pairs.
+    assert peak < 10e6
 
 
 def test_reductions_of_a_root_order_1024_ccc(no_fallback):
