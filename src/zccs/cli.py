@@ -26,8 +26,7 @@ only documents the reader reads.  The reader then checks the counts of
 sequences against M and of entries against N before it reads an
 exponent.  ``code_set_from_dict`` walks a dict's exponents first, since
 bools, numpy ints and int subclasses would pass the conversion, then
-packs each sequence once with ``struct.Struct(f"{N}q").pack(*seq)``,
-which refuses ints outside int64.
+converts them all with numpy, which refuses ints outside int64.
 
 ``read_code_set`` reads a file as bytes and hands ``json.loads`` only a
 skeleton of it.  With numpy it finds the quotes that open and close
@@ -74,10 +73,10 @@ import argparse
 import json
 import os
 import stat
-import struct
 import sys
 from dataclasses import replace
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -190,19 +189,19 @@ def _members(codes, pp: CodeSetParams) -> list:
 
 def _exponents(codes, pp: CodeSetParams) -> np.ndarray:
     """The (K, M, N) exponents of the K code entries of a dict: the counts
-    checked first, then each exponent's type, then each sequence packed
-    once, which refuses any exponent outside int64."""
+    checked first, then each exponent's type, then all of them read by one
+    ``np.fromiter`` over the sequences, which refuses any exponent outside
+    int64.  It takes each sequence as iterating it gives (``np.array``
+    would refuse one that is a dict or bytes)."""
     seqs = _members(codes, pp)
     if any(len(seq) != pp.N for seq in seqs):
         raise FileFormatError(f"a sequence whose length is not params.N={pp.N}")
     if any(set(map(type, seq)) != {int} for seq in seqs):
         raise FileFormatError("exponents must be integers")
-    pack = struct.Struct(f"{pp.N}q").pack
     try:
-        flat = b"".join([pack(*seq) for seq in seqs])
-    except struct.error:
+        return np.fromiter(chain.from_iterable(seqs), np.int64, pp.K * pp.M * pp.N).reshape(pp.K, pp.M, pp.N)
+    except OverflowError:
         raise FileFormatError("exponents must be integers in int64") from None
-    return np.frombuffer(flat, dtype=np.int64).reshape(pp.K, pp.M, pp.N)
 
 
 def _code_set(doc: dict, exponents) -> CodeSet:
@@ -271,8 +270,9 @@ def _int_arrays(data: bytes):
     if b"[" not in data:
         return none
     # A body opens after a '[' whose next byte is no bracket, and ends at
-    # the next ']' unless the next body opens first.  A text with no body,
-    # such as one nested too deep, goes to json.loads at once.
+    # the next ']' unless the next body opens first.  A text with no body
+    # outside strings, such as one nested too deep, leaves at the string
+    # filter below and goes to json.loads whole.
     gap, tmp = np.empty((2, b.size), dtype=bool)
     np.equal(b, 91, out=gap)
     np.equal(b, 93, out=tmp)
@@ -280,8 +280,6 @@ def _int_arrays(data: bytes):
     np.greater(gap[:-1], tmp[:-1], out=tmp[:-1])
     tmp[-1] = False
     lo = np.flatnonzero(tmp) + 1
-    if not lo.size:
-        return none
     closes = np.flatnonzero(np.equal(b, 93, out=tmp))
     at = np.searchsorted(closes, lo)
     lo, hi = lo[at < closes.size], closes[at[at < closes.size]]

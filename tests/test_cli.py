@@ -730,6 +730,14 @@ def test_dict_reader_refuses_exponents_that_are_not_exactly_int(value, documents
         code_set_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1])
+def test_dict_reader_refuses_exponents_outside_int64(value, documents):
+    doc = json.loads(json.dumps(documents["zccs"]))
+    _set(*FIRST_EXPONENT, value)(doc)
+    with pytest.raises(FileFormatError, match="exponents must be integers in int64"):
+        code_set_from_dict(doc)
+
+
 @pytest.mark.parametrize("case", ["integral_float_delta", "bool_format_version", "float_format_version"])
 def test_top_level_field_of_another_type_exits_2(case, documents, tmp_path, capsys):
     kind, mutate = MALFORMED[case]

@@ -587,6 +587,26 @@ def test_reductions_of_a_root_order_1024_ccc(no_fallback):
     assert peak < 48e6
 
 
+@pytest.mark.parametrize("build", [
+    ENGINE_SETS["zccs_12x4x24_delta6"],
+    SCHEDULES["zccs_20x4x320"][0],
+    SCHEDULES["zccs_28x4x1792"][0],
+    SCHEDULES["ccc_2x2x1024_delta1024"][0],
+], ids=["zccs_12x4x24", "zccs_20x4x320", "zccs_28x4x1792", "ccc_2x2x1024_delta1024"])
+def test_fft_recovery_lands_near_integers(build):
+    # RESIDUAL_TOL (0.25) and the exact recount would hide a loss of
+    # precision, such as complex64 FFTs (1.5e-5 at delta = 1024); a whole
+    # scan's largest residual is 2.8e-14 to 1.8e-12 on these sets.
+    cs = build()
+    pp = cs.params
+    harmonics, basis = harmonic_reduction(pp.delta)
+    residual = 0.0
+    for _, _, sums in correlate._harmonic_sums(cs.exponents, pp.delta, harmonics, range(pp.K), 0, pp.N):
+        approx = sums.view(np.float64) @ basis
+        residual = max(residual, np.abs(approx - np.rint(approx)).max())
+    assert residual < 1e-9
+
+
 def test_complex_values_of_a_profile_stay_small(tmp_path):
     cs = corrupt_seeded(build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), []), 0)
     path, out = tmp_path / "ccc.json", tmp_path / "prof.csv"

@@ -7,7 +7,7 @@ product-side entry is ``CodeSet.codes``.  The reference takes nothing
 from the engine but its direct count, ``correlate._count``, so what the
 engine is checked against never runs the engine.  The public names stay
 where they were: ``zccs.__all__`` re-exports each one from its defining
-module.
+module.  No module checks with ``assert``, which ``python -O`` strips.
 """
 import ast
 import importlib
@@ -97,3 +97,14 @@ def test_the_reference_takes_only_the_direct_count_from_the_engine():
         for alias in node.names
     ]
     assert imported == ["_count"]
+
+
+def test_no_module_checks_with_assert():
+    # python -O strips assert statements, so every check must raise.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

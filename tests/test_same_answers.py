@@ -11,7 +11,11 @@ float oracle: its exit code, witness and ``max_zcz``.  ``corr`` runs on
 the pairs (0, 1) and (1, 0) of every set and, on a corrupted set, also
 on the shifted code mu with itself and with code 0, (mu, mu) and
 (0, mu), whose rows are mostly not exact zeros, so the digits of the
-values are pinned too.
+values are pinned too.  On the three smallest sets the library calls are
+pinned as well, each checked against the float oracle: verify_code_set
+with and without compute_max and check_zccs at z in {1, 2, Z, N}, and
+max_zcz and check_ccc, by the verdict, witness, max_zcz and is_ccc they
+return.
 
 Rewrite the expected file, printing the cases that changed, with
 
@@ -31,6 +35,7 @@ import pytest
 from zccs.boolfn import parse_gbf
 from zccs.cli import main, write_code_set
 from zccs.construct import build_ccc, build_zccs
+from zccs.verify import check_ccc, check_zccs, max_zcz, verify_code_set
 
 from oracles import corrupt_seeded, first_violation, float_zcz_width
 
@@ -47,6 +52,9 @@ SETS = {
     "zccs_28x4x1792": lambda: build_zccs(
         parse_gbf("x0*x3 + x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x6*x7", 8, 2), [0], p=7),
 }
+# The sets whose library calls are pinned too; the float oracle's
+# witness search is too slow for the larger ones.
+LIBRARY_SETS = ("readme_12x4x24", "k20_20x4x320", "ccc_q4_m4")
 VERIFY_FLAGS = {"plain": [], "max": ["--max-zcz"], "z1_max": ["--zcz", "1", "--max-zcz"]}
 
 
@@ -74,8 +82,18 @@ def _corr_pairs(set_name: str) -> list[str]:
     return list(dict.fromkeys(pairs))
 
 
+def _library_calls(set_name: str) -> list[str]:
+    """verify_code_set with and without compute_max and check_zccs at
+    each z in {1, 2, Z, N}, then max_zcz and check_ccc."""
+    pp = code_set(set_name).params
+    zones = sorted({1, 2, pp.Z, pp.N})
+    calls = [f"verify_code_set-z{z}{max_}" for z in zones for max_ in ("", "-max")]
+    return calls + [f"check_zccs-z{z}" for z in zones] + ["max_zcz", "check_ccc"]
+
+
 VERIFY_CASES = [f"{s}/verify-{flag}" for s in _set_names() for flag in VERIFY_FLAGS]
 CORR_CASES = [f"{s}/corr-{pair}" for s in _set_names() for pair in _corr_pairs(s)]
+LIBRARY_CASES = [f"{s}/{call}" for s in _set_names() if s.split("/")[0] in LIBRARY_SETS for call in _library_calls(s)]
 
 
 def run_case(case: str, directory: Path) -> tuple[dict, str]:
@@ -96,6 +114,23 @@ def run_case(case: str, directory: Path) -> tuple[dict, str]:
     return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}, text
 
 
+def library_answer(case: str) -> dict:
+    """What one library call returns of the verdict, the witness, max_zcz
+    and is_ccc."""
+    set_name, call = case.rsplit("/", 1)
+    cs = code_set(set_name)
+    name, *args = call.split("-")
+    if name == "verify_code_set":
+        report = verify_code_set(cs, int(args[0][1:]), compute_max=args[1:] == ["max"])
+        answer = {"ok": report.is_zccs_at_claimed_z, "witness": report.witness, "max_zcz": report.max_zcz,
+                  "is_ccc": report.is_ccc}
+    elif name == "check_zccs":
+        answer = check_zccs(cs, int(args[0][1:]))._asdict()
+    else:
+        answer = {"max_zcz": max_zcz(cs)} if name == "max_zcz" else {"is_ccc": check_ccc(cs)}
+    return json.loads(json.dumps(answer))  # the witness as a list
+
+
 @pytest.fixture(scope="module")
 def expected():
     return json.loads(EXPECTED.read_text())
@@ -111,8 +146,31 @@ def oracle_width(set_name: str) -> int:
     return float_zcz_width(code_set(set_name))
 
 
+@cache
+def oracle_witness(set_name: str, z: int) -> list[int] | None:
+    witness = first_violation(code_set(set_name), z) if oracle_width(set_name) < z else None
+    return None if witness is None else list(witness)
+
+
+def oracle_answer(case: str) -> dict:
+    """What the float oracle says of the fields a library call returns."""
+    set_name, call = case.rsplit("/", 1)
+    pp = code_set(set_name).params
+    width = oracle_width(set_name)
+    _, *args = call.split("-")
+    if not args:  # max_zcz and check_ccc
+        return {"max_zcz": width, "is_ccc": pp.K == pp.M and width == pp.N}
+    z = int(args[0][1:])
+    return {
+        "ok": width >= z,
+        "witness": oracle_witness(set_name, z),
+        "max_zcz": width if args[1:] == ["max"] else None,
+        "is_ccc": pp.K == pp.M and width == pp.N,
+    }
+
+
 def test_the_expected_file_lists_every_case(expected):
-    assert sorted(expected) == sorted(VERIFY_CASES + CORR_CASES)
+    assert sorted(expected) == sorted(VERIFY_CASES + CORR_CASES + LIBRARY_CASES)
 
 
 @pytest.mark.parametrize("case", VERIFY_CASES)
@@ -126,7 +184,7 @@ def test_verify(case, expected, workdir):
     width = oracle_width(set_name)
     lines = dict(line.split(": ", 1) for line in text.splitlines())
     assert answer["exit"] == (0 if width >= z else 1)
-    witness = first_violation(cs, z) if width < z else None
+    witness = oracle_witness(set_name, z)
     assert lines.get("witness") == (None if witness is None else "mu1={} mu2={} tau={}".format(*witness))
     assert lines.get("max_zcz") == (str(width) if "--max-zcz" in flags else None)
 
@@ -134,6 +192,14 @@ def test_verify(case, expected, workdir):
 @pytest.mark.parametrize("case", CORR_CASES)
 def test_corr(case, expected, workdir):
     assert run_case(case, workdir)[0] == expected[case]
+
+
+@pytest.mark.parametrize("case", LIBRARY_CASES)
+def test_library_call(case, expected):
+    answer = library_answer(case)
+    assert answer == expected[case]
+    oracle = oracle_answer(case)
+    assert answer == {field: oracle[field] for field in answer}
 
 
 def test_pinned_corr_values_have_fractional_digits(workdir):
@@ -155,6 +221,7 @@ def write(directory: Path) -> None:
     """Rewrite the expected file and print the cases whose answers changed."""
     old = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}
     new = {case: run_case(case, directory)[0] for case in VERIFY_CASES + CORR_CASES}
+    new.update({case: library_answer(case) for case in LIBRARY_CASES})
     for case in sorted(set(old) | set(new)):
         if old.get(case) != new.get(case):
             print(f"{case}: {old.get(case)} -> {new.get(case)}")
