@@ -9,6 +9,7 @@ recounted exactly.
 """
 import csv
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -605,6 +606,42 @@ def test_fft_recovery_lands_near_integers(build):
         approx = sums.view(np.float64) @ basis
         residual = max(residual, np.abs(approx - np.rint(approx)).max())
     assert residual < 1e-9
+
+
+def _near_zero_pair(delta, e, j, rng):
+    """A raw (2, 1, N) exponent array whose tau = 0 cell (0, 1) is
+    w^e (1 - w)^j: code a holds one exponent per term of the expansion, in
+    a seeded order, and code b is all zeros.  -1 is w^(delta/2) for even
+    delta, and the sum of the four nontrivial 5th roots for delta = 935."""
+    minus = [delta // 2] if delta % 2 == 0 else [t * delta // 5 for t in range(1, 5)]
+    terms = [e + i + s for i in range(j + 1) for s in ([0] if i % 2 == 0 else minus) for _ in range(math.comb(j, i))]
+    a = rng.permutation(np.array(terms) % delta)
+    return np.stack([a, np.zeros_like(a)])[:, None, :]
+
+
+@pytest.mark.parametrize("delta", [14, 20, 935, 1024])
+def test_near_zero_cells_recover_exactly(delta, no_fallback):
+    # The cell's harmonics are its conjugates, H_r of modulus |1 - w^r|^j;
+    # |H_1| falls to about 5e-14 at delta = 1024 and j = 6.
+    rng = np.random.default_rng(delta)
+    harmonics, basis = harmonic_reduction(delta)
+    assert harmonics[0] == 1
+    for j in range(1, 7):
+        exps = _near_zero_pair(delta, int(rng.integers(delta)), j, rng)
+        n = exps.shape[-1]
+        assert n == (2 ** j if delta % 2 == 0 else 5 * 2 ** (j - 1))
+        for tile, block, c in code_reductions(exps, delta, range(2), 0, n):
+            assert np.array_equal(c, reduced_forms(RECOUNT(exps, delta, tile, block, 0, n))), (j, tile, block)
+        residual, smallest = 0.0, None
+        for tile, block, sums in correlate._harmonic_sums(exps, delta, harmonics, range(2), 0, n):
+            approx = sums.view(np.float64) @ basis
+            residual = max(residual, np.abs(approx - np.rint(approx)).max())
+            if 0 in tile and 1 in block:
+                smallest = abs(sums[0 - tile.start, 1 - block.start, 0, 0, 0])
+        assert residual < 1e-9, (j, residual)
+        # |1 - w| = 2 sin(pi/delta); the FFT's error here stays below 1e-12.
+        assert abs(smallest - (2 * np.sin(np.pi / delta)) ** j) < 1e-11, (j, smallest)
+    assert delta != 1024 or smallest < 1e-13
 
 
 def test_complex_values_of_a_profile_stay_small(tmp_path):
