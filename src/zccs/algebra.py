@@ -142,9 +142,9 @@ def reduced_forms(h: np.ndarray) -> np.ndarray:
     holds non-negative counts summing to at most MAX_TERMS, and
     max|R| <= 5 for delta <= MAX_DELTA, so every partial sum is an integer
     below 5 * 2**20 < 2**53: the product is taken in float64, where numpy
-    uses BLAS, and cast back to int64 exactly.
+    uses BLAS, and is exact there, as the FFT recovery's forms are.
     """
-    return (h.astype(np.float64) @ reduction_matrix(h.shape[-1]).astype(np.float64)).astype(np.int64)
+    return h.astype(np.float64) @ reduction_matrix(h.shape[-1]).astype(np.float64)
 
 
 @lru_cache(maxsize=32)

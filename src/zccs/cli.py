@@ -23,10 +23,11 @@ gives for (q, m, k, p, s), Z aside.  The K codes' labels must be the
 builders' own, :func:`~zccs.construct.family_labels`, field by field
 and type.  The writer runs these two family checks too, so it writes
 only documents the reader reads.  The reader then checks the counts of
-sequences against M and of entries against N before it reads an
-exponent.  ``code_set_from_dict`` walks a dict's exponents first, since
-bools, numpy ints and int subclasses would pass the conversion, then
-converts them all with numpy, which refuses ints outside int64.
+sequences against M, that each holds integers, and their lengths
+against N, before it converts an exponent.  ``code_set_from_dict``
+takes only lists of ints, since bytes, tuples, ranges, dicts, bools,
+numpy ints and int subclasses would pass the conversion, then converts
+them all with numpy, which refuses ints outside int64.
 
 ``read_code_set`` reads a file as bytes and hands ``json.loads`` only a
 skeleton of it.  With numpy it finds the quotes that open and close
@@ -188,16 +189,15 @@ def _members(codes, pp: CodeSetParams) -> list:
 
 
 def _exponents(codes, pp: CodeSetParams) -> np.ndarray:
-    """The (K, M, N) exponents of the K code entries of a dict: the counts
-    checked first, then each exponent's type, then all of them read by one
-    ``np.fromiter`` over the sequences, which refuses any exponent outside
-    int64.  It takes each sequence as iterating it gives (``np.array``
-    would refuse one that is a dict or bytes)."""
+    """The (K, M, N) exponents of the K code entries of a dict, checked in
+    the file reader's order: the entries' counts, that each sequence is a
+    list of ints (a bytes, tuple, range or dict is not), the lengths, then
+    one ``np.fromiter`` over them all, which refuses any outside int64."""
     seqs = _members(codes, pp)
+    if any(type(seq) is not list or set(map(type, seq)) != {int} for seq in seqs):
+        raise FileFormatError("exponents must be integers")
     if any(len(seq) != pp.N for seq in seqs):
         raise FileFormatError(f"a sequence whose length is not params.N={pp.N}")
-    if any(set(map(type, seq)) != {int} for seq in seqs):
-        raise FileFormatError("exponents must be integers")
     try:
         return np.fromiter(chain.from_iterable(seqs), np.int64, pp.K * pp.M * pp.N).reshape(pp.K, pp.M, pp.N)
     except OverflowError:

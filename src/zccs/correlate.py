@@ -3,7 +3,7 @@
 Each correlation value is accumulated in the group ring (see
 :mod:`zccs.algebra`): a product of two unit entries is a single root of
 unity, so a correlation sum is a histogram of exponent differences.
-Zero tests are deferred to the caller and are bit-exact.
+The one zero test, in :func:`code_nonzero`, is bit-exact.
 
 :func:`_count` builds one histogram by direct counting: it is the
 exact fallback here and, behind each :mod:`zccs.reference` value, the
@@ -21,8 +21,9 @@ phi(delta)/2 primitive harmonics, the ones that survive reduction modulo
 Phi_delta, and maps them straight to the reduced forms (see
 :func:`~zccs.algebra.harmonic_reduction`).  It accepts a block only when
 every coordinate lies within RESIDUAL_TOL of an integer and inside the
-bound M*(N - |tau|)*max_d|R[d, i]|.  The verifier reads every cell from
-it, and ``zccs corr`` one pair's, through :func:`code_pair_reductions`.
+bound M*(N - |tau|)*max_d|R[d, i]|.  The verifier reads only which
+cells are nonzero, from :func:`code_nonzero`, and ``zccs corr`` one
+pair's forms, from :func:`code_pair_reductions`.
 
 The values are integers of at most 5*MAX_TERMS, so double-precision
 round-off is far below 1/2 (Percival, Math. Comp. 72, 2003).  Any block
@@ -209,8 +210,8 @@ def code_reductions(
     ``exps`` is a (K, M, N) array of exponents mod delta, such as
     ``CodeSet.exponents``.  For shifts t0 <= tau < t1 (0 <= t0 < t1 <= N)
     yields, tile by tile of the rows and block by block of the codes mu2
-    >= max(tile.start, col), ``(tile, block, c)`` with c an int64 array
-    of shape (len(tile), len(block), 2, t1 - t0, phi(delta)):
+    >= max(tile.start, col), ``(tile, block, c)`` with c a float64 array
+    of integers, shape (len(tile), len(block), 2, t1 - t0, phi(delta)):
     ``c[t, j, 0, tau - t0]`` and ``c[t, j, 1, tau - t0]`` are
     ``h @ reduction_matrix(delta)`` for h the coefficients of the
     correlation of code tile[t] with code block[j] at shifts tau and
@@ -230,11 +231,16 @@ def code_reductions(
         del sums
         reduced = np.rint(approx)
         approx -= reduced
-        if np.abs(approx, out=approx).max() < RESIDUAL_TOL and (np.abs(reduced, out=approx) <= bound).all():
-            del approx
-            yield tile, block, reduced.astype(np.int64)
-        else:
-            yield tile, block, reduced_forms(_recount(exps, delta, tile, block, t0, t1))
+        exact = np.abs(approx, out=approx).max() < RESIDUAL_TOL and (np.abs(reduced, out=approx) <= bound).all()
+        del approx
+        yield tile, block, reduced if exact else reduced_forms(_recount(exps, delta, tile, block, t0, t1))
+
+
+def code_nonzero(exps: np.ndarray, delta: int, rows: range, t0: int, t1: int) -> Iterator[tuple[range, range, np.ndarray]]:
+    """``(tile, block, c.any(axis=-1))`` for each ``(tile, block, c)`` of
+    :func:`code_reductions`: True at each cell whose correlation is nonzero."""
+    for tile, block, c in code_reductions(exps, delta, rows, t0, t1):
+        yield tile, block, c.any(axis=-1)
 
 
 def code_pair_reductions(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np.ndarray:

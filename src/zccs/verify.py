@@ -5,8 +5,8 @@ is M*N for every code a CodeSet admits, or when its correlation reduces
 to zero modulo the delta-th cyclotomic polynomial; no verdict depends on
 a floating-point tolerance.  Every answer is read from a K x K map of
 each ordered pair's first non-ideal shift in the window scanned, N when
-there is none.  One scan lowers it, tile by tile of rows, from the exact
-reduced forms that :func:`~zccs.correlate.code_reductions` gives of the
+there is none.  One scan lowers it, tile by tile of rows, from which
+cells :func:`~zccs.correlate.code_nonzero` finds nonzero among the
 correlations of each row with the codes from its tile on, at tau and
 -tau; the -tau half is the mirror pair's.  The zone check's witness, the
 maximal width (the map's minimum) and a report's width scan, which goes
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .construct import CodeSet
-from .correlate import code_reductions
+from .correlate import code_nonzero
 from .errors import InvalidZ, NotAZccs
 
 
@@ -37,8 +37,7 @@ def _lower(cs: CodeSet, first: np.ndarray, rows: range, t0: int, t1: int) -> Ite
     """Lowers ``first`` to the first non-ideal shifts in [t0, t1) of the
     rows' cells, yielding ``(tile, block)`` after each tile and block."""
     taus = np.arange(t0, t1)
-    for tile, block, c in code_reductions(cs.exponents, cs.params.delta, rows, t0, t1):
-        bad = c.any(axis=-1)
+    for tile, block, bad in code_nonzero(cs.exponents, cs.params.delta, rows, t0, t1):
         if t0 == 0:
             for mu in range(max(tile.start, block.start), min(tile.stop, block.stop)):
                 bad[mu - tile.start, mu - block.start, :, 0] = False

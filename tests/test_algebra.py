@@ -196,7 +196,7 @@ class TestReductionMatrix:
         assert (hist.sum(axis=1) == MAX_TERMS).all()
         assert np.abs(reduce).max() == (5 if delta == 935 else 1)
         assert np.array_equal(reduced_forms(hist), hist @ reduce)
-        assert reduced_forms(hist).dtype == np.int64
+        assert reduced_forms(hist).dtype == np.float64
 
     def test_counts_at_the_term_limit_are_exact_in_float64_for_every_delta(self):
         # reduced_forms takes h @ R in float64 for counts summing to MAX_TERMS

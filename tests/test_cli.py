@@ -730,6 +730,20 @@ def test_dict_reader_refuses_exponents_that_are_not_exactly_int(value, documents
         code_set_from_dict(doc)
 
 
+@pytest.mark.parametrize("container", [bytes, tuple, lambda seq: seq, dict.fromkeys], ids=["bytes", "tuple", "range", "dict"])
+def test_dict_reader_refuses_sequences_that_are_not_lists(container):
+    # Each holds the exponents 0..N-1, with which a list reads as a set; the
+    # file reader refuses a slot that holds no integer array.
+    doc = code_set_to_dict(build_zccs(parse_gbf("2*x0*x1 + x1", 2, 4), [], 0, p=5))
+    n = doc["params"]["N"]
+    assert n == doc["delta"] == 20
+    doc["codes"][0]["sequences"][0] = list(range(n))
+    code_set_from_dict(doc)
+    doc["codes"][0]["sequences"][0] = container(range(n))
+    with pytest.raises(FileFormatError, match="^exponents must be integers$"):
+        code_set_from_dict(doc)
+
+
 @pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1])
 def test_dict_reader_refuses_exponents_outside_int64(value, documents):
     doc = json.loads(json.dumps(documents["zccs"]))

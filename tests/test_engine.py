@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zccs import correlate, verify
+from zccs import algebra, correlate, verify
 from zccs.algebra import MAX_TERMS, harmonic_reduction, reduced_forms, reduction_matrix
 from zccs.boolfn import parse_gbf
 from zccs.cli import main, write_code_set
 from zccs.construct import CodeLabel, CodeSet, build_ccc, build_zccs
-from zccs.correlate import code_pair_reductions, code_reductions
+from zccs.correlate import code_nonzero, code_pair_reductions, code_reductions
 from zccs.reference import Code, RootSequence, code_accf
 from zccs.verify import check_ccc, check_zccs, max_zcz, verify_code_set
 
@@ -166,7 +166,7 @@ def test_reductions_match_reduced_code_accf(name, seed, block_bytes, no_fallback
         rng = np.random.default_rng(seed)
         upper = _upper(cs.exponents, pp.delta, 0, pp.N, code_reductions)
         for mu1 in range(pp.K):
-            assert upper[mu1].dtype == np.int64
+            assert upper[mu1].dtype == np.float64
             assert np.array_equal(upper[mu1], _expected(table, mu1, 0, pp.N))
         for _ in range(3):
             t0 = int(rng.integers(1, pp.N))
@@ -261,14 +261,14 @@ def test_tiles_start_where_the_column_blocks_end(engine, no_fallback, monkeypatc
 def _recording_tiles(monkeypatch) -> list:
     """Record the tile of every block the verifier reads."""
     tiles = []
-    reductions = verify.code_reductions
+    nonzero = verify.code_nonzero
 
     def recording(*args):
-        for tile, block, c in reductions(*args):
+        for tile, block, bad in nonzero(*args):
             tiles.append(tile)
-            yield tile, block, c
+            yield tile, block, bad
 
-    monkeypatch.setattr(verify, "code_reductions", recording)
+    monkeypatch.setattr(verify, "code_nonzero", recording)
     return tiles
 
 
@@ -562,6 +562,17 @@ def test_cached_verification_memory():
     assert peak < 4e6
 
 
+def test_root_order_1024_report_copies_no_forms():
+    cs = build_ccc(_chain(1024, 10), [])
+    # Traced as a first run: the tables of delta = 1024 are built inside it.
+    for table in (algebra.roots, algebra.reduction_matrix, algebra.reduction_max, algebra.harmonic_reduction):
+        table.cache_clear()
+    report, peak = _peak(lambda: verify_code_set(cs, compute_max=True))
+    assert report.is_ccc and report.max_zcz == cs.params.N
+    # About 41.2 MB; an int64 copy of each block's forms took it to 48.4 MB.
+    assert peak < 44e6
+
+
 def test_plan_holds_one_entry_per_tile():
     # The p = 509, k = 1 shape of family_params at one code a block and one
     # harmonic: 2036 one-row tiles, each over the codes from its row on.
@@ -630,8 +641,12 @@ def test_near_zero_cells_recover_exactly(delta, no_fallback):
         exps = _near_zero_pair(delta, int(rng.integers(delta)), j, rng)
         n = exps.shape[-1]
         assert n == (2 ** j if delta % 2 == 0 else 5 * 2 ** (j - 1))
-        for tile, block, c in code_reductions(exps, delta, range(2), 0, n):
+        forms = list(code_reductions(exps, delta, range(2), 0, n))
+        for tile, block, c in forms:
             assert np.array_equal(c, reduced_forms(RECOUNT(exps, delta, tile, block, 0, n))), (j, tile, block)
+        masks = list(code_nonzero(exps, delta, range(2), 0, n))
+        assert [(tile, block) for tile, block, _ in masks] == [(tile, block) for tile, block, _ in forms]
+        assert all(np.array_equal(bad, c.any(-1)) for (_, _, bad), (_, _, c) in zip(masks, forms))
         residual, smallest = 0.0, None
         for tile, block, sums in correlate._harmonic_sums(exps, delta, harmonics, range(2), 0, n):
             approx = sums.view(np.float64) @ basis
