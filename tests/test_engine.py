@@ -595,7 +595,8 @@ def test_reductions_of_a_root_order_1024_ccc(no_fallback):
         assert np.array_equal(upper[mu1], reduced_forms(hist))
     report, peak = _peak(lambda: verify_code_set(cs, compute_max=True))
     assert report.is_ccc and report.max_zcz == pp.N
-    # About 41 MB with the split.
+    # About 35 MB with delta = 1024's tables cached, and 42 MB when each
+    # block's forms were copied to int64.
     assert peak < 48e6
 
 
