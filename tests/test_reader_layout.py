@@ -58,6 +58,14 @@ def _first_exponent(text: str) -> str:
     return TEXT[:FIRST] + text + TEXT[FIRST + 1 :]
 
 
+# The README text holds no '-', tab, CR or LF, so in each "lone" layout
+# below the one such byte, or CRLF, lies in one place only: in a key,
+# between tokens before the first integer array, after the last array's
+# ']' or inside one body.  The "lone_quote" layouts hold their only '"'
+# between two bodies.
+assert not set("-\t\r\n") & set(TEXT)
+_WHITESPACE = [("tab", "\t"), ("cr", "\r"), ("lf", "\n")]
+
 ACCEPTED = {
     "crlf_and_tab_in_arrays": TEXT.replace(", ", ",\r\n\t"),
     "whitespace_around_every_token": TEXT.replace(", ", " \t, \n").replace("[", "[\r\n ").replace("]", " \t]"),
@@ -69,6 +77,13 @@ ACCEPTED = {
     "string_holding_an_array": '{"note": "[1, 2]", ' + TEXT[1:],
     "string_holding_an_escaped_quote": '{"note": "\\"[1 2]", ' + TEXT[1:],
     "string_ending_in_a_backslash": '{"note": "[\\\\", "more": [1, 2], ' + TEXT[1:],
+    "lone_minus_in_a_key": '{"a-b": 0, ' + TEXT[1:],
+    "lone_minus_in_a_string_after_the_arrays": TEXT[:-1] + ', "note": "-1"}',
+    **{f"lone_{name}_before_the_arrays": "{" + ch + TEXT[1:] for name, ch in _WHITESPACE},
+    **{f"lone_{name}_after_the_arrays": TEXT[:-1] + ch + "}" for name, ch in _WHITESPACE},
+    "lone_tab_in_a_body": TEXT[:FIRST] + "0,\t" + TEXT[FIRST + 3 :],
+    "lone_crlf_in_a_body": TEXT[:FIRST] + "0,\r\n" + TEXT[FIRST + 3 :],
+    "lone_lf_in_a_body": TEXT[:FIRST] + "0,\n" + TEXT[FIRST + 3 :],
 }
 
 REFUSED = {
@@ -83,6 +98,11 @@ REFUSED = {
     "float_exponent": _first_exponent("0.0"),
     "exponent_past_int64": _first_exponent("9223372036854775808"),
     "negative_exponent": _first_exponent("-1"),
+    "lone_minus_before_the_arrays": "{-" + TEXT[1:],
+    "lone_minus_after_the_arrays": TEXT[:-1] + "-}",
+    **{f"lone_{name}_in_a_key": '{"a' + ch + 'b": 0, ' + TEXT[1:] for name, ch in _WHITESPACE},
+    "lone_quote_between_two_bodies": '[[0, 1]"[2]]',
+    "lone_quote_between_two_bodies_of_a_list": '[[0, 1], "[2], [3]]',
 }
 
 

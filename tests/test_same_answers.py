@@ -15,7 +15,11 @@ values are pinned too.  On the three smallest sets the library calls are
 pinned as well, each checked against the float oracle: verify_code_set
 with and without compute_max and check_zccs at z in {1, 2, Z, N}, and
 max_zcz and check_ccc, by the verdict, witness, max_zcz and is_ccc they
-return.
+return.  Last, ``zccs verify`` reads each document of the seeded
+``docfuzz`` corpus from a file of its own, and each mutation kind is
+pinned by one SHA-256 over the exit codes, stdout and stderr of its
+documents in corpus order, so every refusal message is pinned byte for
+byte.
 
 Rewrite the expected file, printing the cases that changed, with
 
@@ -25,7 +29,7 @@ import hashlib
 import io
 import json
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
 
@@ -37,6 +41,7 @@ from zccs.cli import main, write_code_set
 from zccs.construct import build_ccc, build_zccs
 from zccs.verify import check_ccc, check_zccs, max_zcz, verify_code_set
 
+from docfuzz import KINDS, mutations
 from oracles import corrupt_seeded, first_violation, float_zcz_width
 
 EXPECTED = Path(__file__).with_name("same_answers.json")
@@ -94,6 +99,8 @@ def _library_calls(set_name: str) -> list[str]:
 VERIFY_CASES = [f"{s}/verify-{flag}" for s in _set_names() for flag in VERIFY_FLAGS]
 CORR_CASES = [f"{s}/corr-{pair}" for s in _set_names() for pair in _corr_pairs(s)]
 LIBRARY_CASES = [f"{s}/{call}" for s in _set_names() if s.split("/")[0] in LIBRARY_SETS for call in _library_calls(s)]
+FUZZ_SEED, FUZZ_COUNT = 777, 3000
+FUZZ_CASES = [f"fuzz/{kind}" for kind in KINDS]
 
 
 def run_case(case: str, directory: Path) -> tuple[dict, str]:
@@ -129,6 +136,20 @@ def library_answer(case: str) -> dict:
     else:
         answer = {"max_zcz": max_zcz(cs)} if name == "max_zcz" else {"is_ccc": check_ccc(cs)}
     return json.loads(json.dumps(answer))  # the witness as a list
+
+
+def fuzz_answers(directory: Path) -> dict:
+    """The answer of each fuzz case: one SHA-256 over the exit code, stdout
+    and stderr of ``zccs verify`` on each document of its kind, each read
+    from a file of its own, in corpus order."""
+    digests = {kind: hashlib.sha256() for kind in KINDS}
+    for i, (kind, data) in enumerate(mutations(FUZZ_SEED, FUZZ_COUNT)):
+        path = directory / f"fuzz-{i:04d}.json"
+        path.write_bytes(data)
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(["verify", "--in", str(path)])
+        digests[kind].update(json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+    return {f"fuzz/{kind}": {"sha256": digest.hexdigest()} for kind, digest in digests.items()}
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +191,7 @@ def oracle_answer(case: str) -> dict:
 
 
 def test_the_expected_file_lists_every_case(expected):
-    assert sorted(expected) == sorted(VERIFY_CASES + CORR_CASES + LIBRARY_CASES)
+    assert sorted(expected) == sorted(VERIFY_CASES + CORR_CASES + LIBRARY_CASES + FUZZ_CASES)
 
 
 @pytest.mark.parametrize("case", VERIFY_CASES)
@@ -202,6 +223,16 @@ def test_library_call(case, expected):
     assert answer == {field: oracle[field] for field in answer}
 
 
+@pytest.fixture(scope="module")
+def fuzz_answered(tmp_path_factory):
+    return fuzz_answers(tmp_path_factory.mktemp("fuzz"))
+
+
+@pytest.mark.parametrize("case", FUZZ_CASES)
+def test_fuzz_kind(case, expected, fuzz_answered):
+    assert fuzz_answered[case] == expected[case]
+
+
 def test_pinned_corr_values_have_fractional_digits(workdir):
     # A column printed with fewer digits, or rounded to integers, would
     # change a digest only if some pinned value has a fraction.
@@ -222,6 +253,7 @@ def write(directory: Path) -> None:
     old = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}
     new = {case: run_case(case, directory)[0] for case in VERIFY_CASES + CORR_CASES}
     new.update({case: library_answer(case) for case in LIBRARY_CASES})
+    new.update(fuzz_answers(directory))
     for case in sorted(set(old) | set(new)):
         if old.get(case) != new.get(case):
             print(f"{case}: {old.get(case)} -> {new.get(case)}")
