@@ -34,13 +34,14 @@ skeleton of it.  With numpy it finds the quotes that open and close
 strings and every '[' outside them whose next byte other than ASCII
 digits, '-', ',' and JSON whitespace is ']'.  Such a body must follow
 JSON's grammar of integer lists, or the file is refused; its numbers
-are decoded in a few whole-array passes and it is replaced by a
-placeholder ``[j]``.  Every other body (floats, ``true``, strings,
-nested arrays, ``[]``) stays in the skeleton, which is decoded as UTF-8
-and parsed by ``json.loads``.  So the skeleton is valid JSON exactly
-when the file is, and its one-element lists of an int are exactly the
-placeholders: each sequence slot must hold one whose array has N
-numbers, and one index gathers the K*M arrays into the (K, M, N)
+are decoded in a few whole-array passes (see :func:`_int_arrays`) and
+it is replaced by a placeholder ``[j]``.  Every other body (floats,
+``true``, strings, nested arrays, ``[]``) stays in the skeleton, which
+is decoded as UTF-8 and parsed by ``json.loads``.  So the skeleton is
+valid JSON exactly when the file is, and its one-element lists of an
+int are exactly the placeholders: each sequence slot must hold one
+whose array has N numbers, and one gather of row views (a sliding
+window over the numbers) takes the K*M arrays into the (K, M, N)
 exponents.  Numbers are exact up to four digits, which hold every
 exponent below MAX_DELTA; longer ones read as outside [0, delta), or as
 outside int64 past it.  So a file is accepted, refused and read as
@@ -263,7 +264,9 @@ def _int_arrays(data: bytes):
     bytes that breaks JSON's grammar of integer lists is refused with
     FileFormatError.  Each step is a numpy pass over the text, or over
     the span of its bodies, into a few reused buffers, or works on the
-    positions of rarer bytes.
+    positions of rarer bytes: one pass finds every bracket and quote,
+    and the passes for '-', tab, LF and CR run only if ``data.find``
+    finds such a byte in the span.
     """
     b = np.frombuffer(data, dtype=np.uint8)
     none = (np.zeros(0, dtype=np.intp),) * 5
@@ -273,20 +276,16 @@ def _int_arrays(data: bytes):
     # the next ']' unless the next body opens first.  A text with no body
     # outside strings, such as one nested too deep, leaves at the string
     # filter below and goes to json.loads whole.
-    gap, tmp = np.empty((2, b.size), dtype=bool)
-    np.equal(b, 91, out=gap)
-    np.equal(b, 93, out=tmp)
-    np.logical_or(gap[1:], tmp[1:], out=tmp[:-1])
-    np.greater(gap[:-1], tmp[:-1], out=tmp[:-1])
-    tmp[-1] = False
-    lo = np.flatnonzero(tmp) + 1
-    closes = np.flatnonzero(np.equal(b, 93, out=tmp))
+    found = np.flatnonzero((b == 91) | (b == 93) | (b == 34))
+    mark = b[found]
+    opens, closes, quotes = found[mark == 91], found[mark == 93], found[mark == 34]
+    after = b[np.minimum(opens + 1, b.size - 1)]  # a last '[' sees itself
+    lo = opens[(after != 91) & (after != 93)] + 1
     at = np.searchsorted(closes, lo)
     lo, hi = lo[at < closes.size], closes[at[at < closes.size]]
     hi[:-1] = np.minimum(hi[:-1], lo[1:] - 1)
     # Strings open and close at the quotes after an even run of
     # backslashes; a body lies outside them after an even count of those.
-    quotes = np.flatnonzero(np.equal(b, 34, out=tmp))
     if quotes.size and b"\\" in data:
         plain = np.flatnonzero(b != 92)
         k = np.searchsorted(plain, quotes)
@@ -298,16 +297,20 @@ def _int_arrays(data: bytes):
 
     # Only the bytes from the first body's '[' to the last one's ']'
     # matter from here on.
-    base = lo[0] - 1
-    b, gap, tmp = b[base : hi[-1] + 1], gap[base : hi[-1] + 1], tmp[base : hi[-1] + 1]
+    base, stop = lo[0] - 1, hi[-1] + 1
+    b = b[base:stop]
     lo, hi = lo - base, hi - base
-    digit, minus, ws, lead = np.empty((4, b.size), dtype=bool)
+    signed = data.find(b"-", base, stop) >= 0
+    digit, minus, ws, lead, gap, tmp = np.empty((6, b.size), dtype=bool)
     np.greater_equal(b, 48, out=digit)
     digit &= np.less_equal(b, 57, out=tmp)
     np.equal(b, 32, out=ws)
     for space in b"\t\n\r":
-        ws |= np.equal(b, space, out=tmp)
-    np.logical_or(digit, np.equal(b, 45, out=minus), out=lead)
+        if data.find(space, base, stop) >= 0:
+            ws |= np.equal(b, space, out=tmp)
+    np.copyto(lead, digit)
+    if signed:
+        lead |= np.equal(b, 45, out=minus)
     np.logical_or(lead, ws, out=gap)
     gap |= np.equal(b, 44, out=tmp)
     # A body of integers holds only those bytes and ends at a ']'.
@@ -336,8 +339,9 @@ def _int_arrays(data: bytes):
     np.equal(b[1:-1], 48, out=tmp[1:-1])
     tmp[1:-1] &= digit[2:]
     bad[1:-1] |= np.greater(tmp[1:-1], digit[:-2], out=tmp[1:-1])  # "01"
-    bad[:-1] |= np.logical_and(digit[:-1], minus[1:], out=tmp[:-1])  # "1-"
-    bad[:-1] |= np.greater(minus[:-1], digit[1:], out=tmp[:-1])  # "- 1", "-]"
+    if signed:
+        bad[:-1] |= np.logical_and(digit[:-1], minus[1:], out=tmp[:-1])  # "1-"
+        bad[:-1] |= np.greater(minus[:-1], digit[1:], out=tmp[:-1])  # "- 1", "-]"
     bad[-1] = False
     wrong = np.flatnonzero(bad)
 
@@ -374,9 +378,10 @@ def _int_arrays(data: bytes):
         long = np.flatnonzero(run & end)
         at = np.searchsorted(ends, long)
         values[at] = np.where(_past_int64(b, digit, long), _PAST_INT64, _OUTSIDE)
-    at = np.searchsorted(ends, np.flatnonzero(np.logical_and(minus[:-1], digit[1:], out=tmp[:-1])) + 1)
-    signed = values[at]
-    values[at] = np.where(signed == 0, signed, np.maximum(signed, _OUTSIDE))
+    if signed:
+        at = np.searchsorted(ends, np.flatnonzero(np.logical_and(minus[:-1], digit[1:], out=tmp[:-1])) + 1)
+        negated = values[at]
+        values[at] = np.where(negated == 0, negated, np.maximum(negated, _OUTSIDE))
     return lo + base, hi + base, first, count, values
 
 
@@ -423,7 +428,7 @@ def read_code_set(path: str) -> CodeSet:
         ids = [seq[0] for seq in seqs]
         if (count[ids] != pp.N).any():
             raise FileFormatError(f"a sequence whose length is not params.N={pp.N}")
-        exps = values[first[ids][:, None] + np.arange(pp.N)]
+        exps = np.lib.stride_tricks.sliding_window_view(values, pp.N)[first[ids]]
         if (exps == _PAST_INT64).any():
             raise FileFormatError("exponents must be integers in int64")
         return exps.reshape(pp.K, pp.M, pp.N)

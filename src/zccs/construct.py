@@ -105,7 +105,8 @@ class CodeSet:
     """K codes of M sequences of length N over delta-th roots of unity,
     held as one read-only int64 (K, M, N) array ``exponents`` reduced mod
     delta: entry [mu, nu, i] is the exponent of entry i of sequence nu of
-    code mu, whose label is ``labels[mu]``."""
+    code mu, whose label is ``labels[mu]``.  Integers that already lie in
+    [0, delta), as the file reader's do, are copied without the modulo."""
 
     exponents: np.ndarray = field(repr=False)
     labels: tuple[CodeLabel, ...]
@@ -113,7 +114,9 @@ class CodeSet:
 
     def __post_init__(self):
         pp = self.params
-        exps = np.mod(self.exponents, pp.delta, dtype=np.int64)
+        exps = np.asarray(self.exponents)
+        reduced = exps.dtype.kind in "iu" and exps.size and exps.min() >= 0 and exps.max() < pp.delta
+        exps = exps.astype(np.int64) if reduced else np.mod(exps, pp.delta, dtype=np.int64)
         if exps.shape != (pp.K, pp.M, pp.N) or len(self.labels) != pp.K:
             raise ShapeError(f"{len(self.labels)} labels and {exps.shape} exponents are not K={pp.K} codes")
         exps.flags.writeable = False

@@ -660,6 +660,23 @@ def test_near_zero_cells_recover_exactly(delta, no_fallback):
     assert delta != 1024 or smallest < 1e-13
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), []),
+    lambda: build_ccc(parse_gbf("x1*x2", 3, 2), [0], 2),
+], ids=["ccc_2x2x1024_delta1024", "ccc_4x4x8_delta2"])
+def test_nonzero_map_is_any_of_the_forms(build):
+    # code_nonzero tests a sum of squares; on the forms of each block it
+    # must mark exactly the cells where some coordinate is nonzero.
+    cs = corrupt_seeded(build(), 0)
+    pp = cs.params
+    forms = list(code_reductions(cs.exponents, pp.delta, range(pp.K), 0, pp.N))
+    masks = list(code_nonzero(cs.exponents, pp.delta, range(pp.K), 0, pp.N))
+    assert [(tile, block) for tile, block, _ in masks] == [(tile, block) for tile, block, _ in forms]
+    for (_, _, nonzero), (_, _, c) in zip(masks, forms):
+        assert np.array_equal(nonzero, c.any(-1))
+    assert any(nonzero.any() and not nonzero.all() for _, _, nonzero in masks)
+
+
 def test_complex_values_of_a_profile_stay_small(tmp_path):
     cs = corrupt_seeded(build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(9)), 10, 1024), []), 0)
     path, out = tmp_path / "ccc.json", tmp_path / "prof.csv"
