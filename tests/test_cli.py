@@ -425,6 +425,23 @@ class TestFileFormat:
         digest = hashlib.sha256(flagship_file.read_bytes()).hexdigest()
         assert digest == "0539c1bb681a918bf3e92d4e034a12512f4006284f9e6488b5fa421b9271cc10"
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_ccc(parse_gbf("x0*x1", 2, 2), []),
+        lambda: build_ccc(parse_gbf("2*x0*x1 + 2*x1*x2 + 2*x2*x3", 4, 4), [0, 3]),
+        lambda: build_zccs(parse_gbf("x1*x2", 3, 2), [0], 2, p=3),
+        lambda: build_zccs(parse_gbf("2*x1*x2 + x0 + 3", 3, 4), [0], p=3),
+        lambda: build_zccs(parse_gbf("2*x0*x1 + x1", 2, 4), [], 0, p=5),
+        lambda: build_ccc(parse_gbf("512*x0*x1 + 1001*x0 + 7", 2, 1024), []),
+        lambda: build_zccs(parse_gbf("512*x1*x2 + 1001*x1 + 999", 3, 1024), [0], p=2),
+        lambda: corrupt_seeded(build_zccs(parse_gbf("2*x1*x2", 3, 4), [0], p=5), 2),
+    ], ids=["ccc_d2", "ccc_d4", "zccs_d6", "zccs_d12", "zccs_d20", "ccc_d1024", "zccs_d1024", "corrupted_d20"])
+    def test_written_bytes_are_json_dumps_of_the_dict(self, build, tmp_path):
+        # delta 2 to 1024: exponents of one to four digits.
+        cs = build()
+        path = tmp_path / "set.json"
+        write_code_set(cs, str(path))
+        assert path.read_bytes() == (json.dumps(code_set_to_dict(cs)) + "\n").encode()
+
     def test_write_read_identity(self, tmp_path):
         cs = build_ccc(parse_gbf("x0*x1", 2, 2), [])
         path = tmp_path / "ccc.json"
