@@ -51,9 +51,12 @@ outside int64 past it.  So a file is accepted, refused and read as
 code indices on the command line, like Boolean-function text, are read
 in ASCII digits only.  It exits 1 only
 when ``verify`` finds that the zone fails, and 2 with one ``error:`` line
-on any other failure, out of memory too.  ``corr`` writes a pair's CSV
-rows ``tau,re,im,abs,exact_zero`` from its exact reduced forms: a zero one
-as ``0,0,0,true``, any other as :func:`~zccs.algebra.form_values` gives it.
+on any other failure, out of memory too.  ``generate`` writes the bytes
+of ``json.dumps(code_set_to_dict(cs))`` and a newline, each row joined
+from a table of the exponents' decimal strings.  ``corr`` writes a pair's
+CSV rows ``tau,re,im,abs,exact_zero`` from its exact reduced forms: each
+run of zero ones as ``tau,0,0,0,true`` in one format call, any other as
+:func:`~zccs.algebra.form_values` gives it.
 
 ``generate --out`` and ``corr --csv`` write their whole output to a new
 sibling file, ``<path>.<random hex>.tmp``, created exclusively, then move
@@ -94,31 +97,38 @@ FORMAT_VERSION = 1
 _PARAM_FIELDS = ("K", "M", "N", "Z", "q", "m", "k", "delta", "p", "s")
 
 
-def code_set_to_dict(cs: CodeSet) -> dict:
-    """The document of ``cs``, refused with FileFormatError, as the reader
-    would refuse it, unless its params and labels are the family's own."""
+def _header(cs: CodeSet) -> tuple[dict, list]:
+    """The document of ``cs`` without its codes, and its K label dicts,
+    refused as :func:`code_set_to_dict` refuses a set."""
     labels = [{"family": label.family, "t": label.t, "lam": label.lam} for label in cs.labels]
     try:
         _check_params(cs.params)
     except InvalidParams as exc:
         raise FileFormatError(f"malformed code-set document: {exc}") from None
     _check_labels(labels, cs.params)
-    return {
-        "format_version": FORMAT_VERSION,
-        "delta": cs.params.delta,
-        "params": {name: getattr(cs.params, name) for name in _PARAM_FIELDS},
-        "codes": [{"label": label, "sequences": rows} for label, rows in zip(labels, cs.exponents.tolist())],
-    }
+    params = {name: getattr(cs.params, name) for name in _PARAM_FIELDS}
+    return {"format_version": FORMAT_VERSION, "delta": cs.params.delta, "params": params}, labels
+
+
+def code_set_to_dict(cs: CodeSet) -> dict:
+    """The document of ``cs``, refused with FileFormatError, as the reader
+    would refuse it, unless its params and labels are the family's own."""
+    doc, labels = _header(cs)
+    doc["codes"] = [{"label": label, "sequences": rows} for label, rows in zip(labels, cs.exponents.tolist())]
+    return doc
 
 
 def write_code_set(cs: CodeSet, path: str) -> None:
-    # The bytes of json.dump(doc) and a newline.  json.dumps runs the C
-    # encoder, which json.dump does not, and taking one code at a time
-    # keeps its list of tokens short.
-    doc = code_set_to_dict(cs)
-    codes = doc.pop("codes")
-    text = json.dumps(doc)[:-1] + ', "codes": [' + ", ".join(map(json.dumps, codes)) + "]}\n"
-    _write_output(path, text)
+    # The bytes of json.dumps(code_set_to_dict(cs)) and a newline: header
+    # and labels by json.dumps, each row joined from a table of the decimal
+    # strings of 0..delta-1, which one numpy take of the exponents reads.
+    doc, labels = _header(cs)
+    digits = np.array([str(e) for e in range(cs.params.delta)], dtype=object)
+    codes = (
+        '{"label": %s, "sequences": [[%s]]}' % (json.dumps(label), "], [".join(map(", ".join, rows)))
+        for label, rows in zip(labels, digits[cs.exponents].tolist())
+    )
+    _write_output(path, json.dumps(doc)[:-1] + ', "codes": [' + ", ".join(codes) + "]}\n")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -224,7 +234,7 @@ def _code_set(doc: dict, exponents) -> CodeSet:
         exps = exponents(codes, params)
         if exps.min() < 0 or exps.max() >= delta:
             raise FileFormatError("exponent outside [0, delta)")
-        return CodeSet(exps, labels, params)
+        return CodeSet._of_reduced(exps, labels, params)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidParams, ShapeError) as exc:
         raise FileFormatError(f"malformed code-set document: {exc}") from None
 
@@ -496,16 +506,16 @@ def cmd_corr(args) -> int:
     c = code_pair_reductions(cs.exponents, delta, mu1, mu2)
     nonzero = np.flatnonzero(c.any(axis=1)).tolist()
     # The rows csv.writer would write: no field needs quoting, and lines
-    # end in CRLF.  One format call takes the fields row by row.  A row
-    # whose reduced form is zero reads 0,0,0,true; only the others are
-    # evaluated.  abs is Python's: np.abs differs from it in the last bit
-    # of some values.
-    fields: list = [0] * (5 * (2 * n - 1))
-    fields[0::5] = range(-n + 1, n)
-    fields[4::5] = ["true"] * (2 * n - 1)
+    # end in CRLF.  Each run of rows whose reduced form is zero is one
+    # format call of "tau,0,0,0,true" rows; only the other rows are
+    # evaluated, one by one.  abs is Python's: np.abs differs from it in
+    # the last bit of some values.
+    taus, start, parts = range(-n + 1, n), 0, ["tau,re,im,abs,exact_zero\r\n"]
     for row, z in zip(nonzero, form_values(c[nonzero], delta).tolist()):
-        fields[5 * row + 1 : 5 * row + 5] = z.real, z.imag, abs(z), "false"
-    text = "tau,re,im,abs,exact_zero\r\n" + "%d,%.12g,%.12g,%.12g,%s\r\n" * (2 * n - 1) % tuple(fields)
+        parts.append("%d,0,0,0,true\r\n" * (row - start) % tuple(taus[start:row]))
+        parts.append("%d,%.12g,%.12g,%.12g,false\r\n" % (taus[row], z.real, z.imag, abs(z)))
+        start = row + 1
+    text = "".join(parts) + "%d,0,0,0,true\r\n" * (len(taus) - start) % tuple(taus[start:])
     if args.csv:
         _write_output(args.csv, text)
     else:

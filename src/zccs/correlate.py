@@ -239,10 +239,11 @@ def code_reductions(
 def code_nonzero(exps: np.ndarray, delta: int, rows: range, t0: int, t1: int) -> Iterator[tuple[range, range, np.ndarray]]:
     """``(tile, block, c.any(axis=-1))`` for each ``(tile, block, c)`` of
     :func:`code_reductions`: True at each cell whose correlation is nonzero,
-    taken as ``vecdot(c, c) > 0``: c holds integers, so a sum of their
-    squares is at least 1 exactly when some coordinate is nonzero."""
+    taken as ``einsum("...i,...i->...", c, c) > 0``: c holds integers, so
+    a sum of their squares is at least 1 exactly when some coordinate is
+    nonzero."""
     for tile, block, c in code_reductions(exps, delta, rows, t0, t1):
-        yield tile, block, np.vecdot(c, c) > 0
+        yield tile, block, np.einsum("...i,...i->...", c, c) > 0
 
 
 def code_pair_reductions(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np.ndarray:
