@@ -234,7 +234,7 @@ def _code_set(doc: dict, exponents) -> CodeSet:
         exps = exponents(codes, params)
         if exps.min() < 0 or exps.max() >= delta:
             raise FileFormatError("exponent outside [0, delta)")
-        return CodeSet._of_reduced(exps, labels, params)
+        return CodeSet(exps, labels, params)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidParams, ShapeError) as exc:
         raise FileFormatError(f"malformed code-set document: {exc}") from None
 

@@ -123,16 +123,6 @@ class CodeSet:
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    @classmethod
-    def _of_reduced(cls, exps: np.ndarray, labels: tuple[CodeLabel, ...], params: CodeSetParams) -> CodeSet:
-        """The set of (K, M, N) integer ``exps`` that the caller has found
-        in [0, delta), K ``labels`` and ``params``: made as the constructor
-        makes it, without taking the range of ``exps`` a second time."""
-        cs = cls.__new__(cls)
-        cs.__dict__.update(exponents=exps.astype(np.int64), labels=labels, params=params)
-        cs.exponents.flags.writeable = False
-        return cs
-
     @cached_property
     def codes(self) -> tuple:
         """The codes as reference ``Code`` objects (see :mod:`zccs.reference`),
