@@ -121,12 +121,12 @@ def code_set_to_dict(cs: CodeSet) -> dict:
 def write_code_set(cs: CodeSet, path: str) -> None:
     # The bytes of json.dumps(code_set_to_dict(cs)) and a newline: header
     # and labels by json.dumps, each row joined from a table of the decimal
-    # strings of 0..delta-1, which one numpy take of the exponents reads.
+    # strings of 0..delta-1, read by a numpy take of one code at a time.
     doc, labels = _header(cs)
     digits = np.array([str(e) for e in range(cs.params.delta)], dtype=object)
     codes = (
-        '{"label": %s, "sequences": [[%s]]}' % (json.dumps(label), "], [".join(map(", ".join, rows)))
-        for label, rows in zip(labels, digits[cs.exponents].tolist())
+        '{"label": %s, "sequences": [[%s]]}' % (json.dumps(label), "], [".join(map(", ".join, digits[rows].tolist())))
+        for label, rows in zip(labels, cs.exponents)
     )
     _write_output(path, json.dumps(doc)[:-1] + ', "codes": [' + ", ".join(codes) + "]}\n")
 
