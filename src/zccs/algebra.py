@@ -13,14 +13,13 @@ wrapping.  Every term produced by a correlation has unit magnitude, so a
 code correlation of M sequences of length N has coefficients bounded by
 M*N.  :data:`MAX_TERMS` caps M*N and :data:`MAX_DELTA` caps the root
 order; ``CodeSet`` and the file reader refuse larger sets, and
-``CycInt`` refuses a larger root order.  Under those caps the
-floating-point accumulation in :mod:`zccs.correlate` rounds back to
-exact counts.
+``CycInt`` refuses a larger root order.  Under those caps
+:func:`fft_error` bounds the floating-point steps of :mod:`zccs.correlate`.
 
 A zero test is linear algebra, the reduced form c = h @ R with
 R = :func:`reduction_matrix`.  :func:`harmonic_reduction` gives c from
-the phi(delta)/2 primitive harmonics of h, which is how the verifier and
-``zccs corr`` get it from their FFTs; :func:`reduced_forms` takes the
+the phi(delta)/2 primitive harmonics of h, which is how ``zccs corr``
+gets it from its FFT; :func:`reduced_forms` takes the
 product in float64 for count histograms, which MAX_TERMS keeps exact,
 when the engine recounts a block; and ``CycInt.reduced`` folds any int64
 coefficients by Phi_delta's nonzero terms in Python ints.  A value's
@@ -33,7 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import expm1, gcd, isqrt, log1p, sqrt
 
 import numpy as np
 
@@ -43,6 +42,9 @@ MAX_TERMS = 1 << 20
 """Largest M*N (unit terms in one code correlation) a code set may have."""
 MAX_DELTA = 1 << 10
 """Largest root order delta a code set may have."""
+ROOT_ERROR = 2.0**-48
+"""Bound on |roots(delta)[j] - exp(2*pi*i*j/delta)|: the angle's three roundings and cos and sin."""
+RESIDUAL_TOL = 0.25  # the largest |c - rint(c)| accepted from an FFT recovery of reduced forms
 
 
 def owned_int64(values) -> np.ndarray:
@@ -160,6 +162,44 @@ def roots(delta: int) -> np.ndarray:
     return out
 
 
+def fft_error(m: int, n: int, length: int) -> float:
+    """eps >= |H^ - H| for every harmonic sum of every cell and lag of a
+    scan of a (K, m, n) array at a 5-smooth FFT length L (ValueError for
+    others), in Percival's form (Math. Comp. 72, 2003), with u = 2^-53 and
+    g(k) = k*u/(1 - k*u) (Higham, Accuracy and Stability, ch. 3 and 24).
+    pocketfft runs L in passes of radix 2, 3, 4, 5 or 8.  A pass output, a
+    twiddle read within mu = 2^-49 times sum_k w_k z_k over p inputs, takes
+    at most 8 roundings on any path, with coefficients of modulus <= 1 per
+    input part, so it is off by c*sum|z_k| at most, c = 2g(8) +
+    (sqrt(2)g(2)(1 + mu) + mu)(1 + 2g(8)).  A pass's moduli are all-ones
+    blocks, of norm p = sqrt(p)*||A_p||, multiplying to the all-ones |F|,
+    so a transform of z is off by theta*||z||_1 per output and
+    phi*sqrt(L)*||z||_2 in norm at most: theta = (1 + c)^P - 1 and phi =
+    prod(1 + c*sqrt(p)) - 1 over the P prime factors p of L, which bound
+    any grouping into passes.  Members of n units read within rho =
+    ROOT_ERROR give ||F x^ - F x||_2 <= a*sqrt(L*n), a = phi*(1 + rho) +
+    rho.  Products and the sum over m members add kappa = (1 + sqrt(2)g(2))
+    (1 + g(m - 1)) - 1 of sum|F x^||F y^|, so by Cauchy-Schwarz, as
+    sum ||x||*||y|| = m*n, the summed spectra are off by m*L*n*e in 1-norm,
+    e = kappa*(1 + a)^2 + a*(2 + a).  The inverse and its rounded 1/L add
+    theta + g(2)(1 + theta) of their 1-norm over L, at most m*n*(1 + e).
+    eps is the sum, raised by 2^-40 for its own rounding.
+    """
+    primes = []
+    for p in (2, 3, 5):
+        while length % p == 0:
+            primes, length = primes + [p], length // p
+    if length != 1:
+        raise ValueError("the FFT error bound covers 5-smooth lengths only")
+    mu, (g2, g8, gm) = 2.0**-49, (k * 2.0**-53 / (1 - k * 2.0**-53) for k in (2, 8, m - 1))
+    c = 2 * g8 + (sqrt(2) * g2 * (1 + mu) + mu) * (1 + 2 * g8)
+    theta, phi = expm1(len(primes) * log1p(c)), expm1(sum(log1p(c * sqrt(p)) for p in primes))
+    a = phi * (1 + ROOT_ERROR) + ROOT_ERROR
+    kappa = sqrt(2) * g2 + gm + sqrt(2) * g2 * gm
+    e = kappa * (1 + a) ** 2 + a * (2 + a)
+    return m * n * (e + (theta + g2 * (1 + theta)) * (1 + e)) * (1 + 2.0**-40)
+
+
 def form_values(c: np.ndarray, delta: int) -> np.ndarray:
     """The complex values sum_i c[..., i] w^i of reduced forms c of shape
     (..., phi(delta)), with w^i read from :func:`roots`.
@@ -191,10 +231,9 @@ def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
 
     An error e in every harmonic moves c by at most e times the error
     gain, the largest column sum of |B_r| (13.1 at most, at
-    delta = 935).  FFT round-off in a sum of MAX_TERMS unit terms is of
-    order MAX_TERMS * 2**-52 times a log factor (Percival, Math. Comp. 72,
-    2003), and a check raises ZccsError unless gain times that stays far
-    below 1/2.
+    delta = 935).  A check raises ZccsError unless gain times :func:`fft_error`
+    at MAX_TERMS members and the FFT length 2*MAX_TERMS, which bounds every
+    scan the caps admit, is at most RESIDUAL_TOL.
 
     >>> harmonics, basis = harmonic_reduction(6)
     >>> harmonics.tolist()
@@ -209,7 +248,7 @@ def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     spectrum = weights[:, None] * np.fft.rfft(reduction_matrix(delta), axis=0)[harmonics] / delta
     basis = np.stack((spectrum.real, spectrum.imag), axis=1).reshape(-1, spectrum.shape[1])
     gain = float(np.hypot(basis[0::2], basis[1::2]).sum(axis=0).max())
-    if gain * MAX_TERMS * 2.0**-52 >= 2.0**-20:
+    if gain * fft_error(MAX_TERMS, 1, 2 * MAX_TERMS) > RESIDUAL_TOL:
         raise ZccsError(f"delta={delta}: harmonic error gain {gain:.4g} leaves no room for FFT round-off")
     harmonics.flags.writeable = False
     basis.flags.writeable = False

@@ -3,7 +3,6 @@
 Each correlation value is accumulated in the group ring (see
 :mod:`zccs.algebra`): a product of two unit entries is a single root of
 unity, so a correlation sum is a histogram of exponent differences.
-The one zero test, in :func:`code_nonzero`, is bit-exact.
 
 :func:`_count` builds one histogram by direct counting: it is the
 exact fallback here and, behind each :mod:`zccs.reference` value, the
@@ -21,15 +20,13 @@ phi(delta)/2 primitive harmonics, the ones that survive reduction modulo
 Phi_delta, and maps them straight to the reduced forms (see
 :func:`~zccs.algebra.harmonic_reduction`).  It accepts a block only when
 every coordinate lies within RESIDUAL_TOL of an integer and inside the
-bound M*(N - |tau|)*max_d|R[d, i]|.  The verifier reads only which
-cells are nonzero, from :func:`code_nonzero`, and ``zccs corr`` one
-pair's forms, from :func:`code_pair_reductions`.
-
-The values are integers of at most 5*MAX_TERMS, so double-precision
-round-off is far below 1/2 (Percival, Math. Comp. 72, 2003).  Any block
-that fails a check is recounted exactly, row by row, by :func:`_count`,
-and reduced by :func:`~zccs.algebra.reduced_forms`, so no result rests
-on a floating tolerance.
+bound M*(N - |tau|)*max_d|R[d, i]|; ``zccs corr`` reads one pair's
+forms from :func:`code_pair_reductions`.  The verifier reads only which
+cells are nonzero, from :func:`code_nonzero`, which correlates just the
+harmonics its norm bound needs.  :func:`~zccs.algebra.fft_error` bounds
+every harmonic sum's round-off: a verdict rests on it and the norm bound,
+a form on it and the basis's gain.  A block whose values it rules out is
+recounted exactly by :func:`_count` and :func:`~zccs.algebra.reduced_forms`.
 """
 from __future__ import annotations
 
@@ -39,10 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import harmonic_reduction, reduced_forms, reduction_max, roots
+from .algebra import RESIDUAL_TOL, fft_error, harmonic_reduction, reduced_forms, reduction_max, roots
+from .errors import ZccsError
 
-# Largest |h - rint(h)| accepted from the FFT before a block is recounted.
-RESIDUAL_TOL = 0.25
 # Byte budget of a block's member sums, one complex value per harmonic,
 # code and lag; a block holds as many codes as fit, and at least one.
 BLOCK_BYTES = 1 << 18
@@ -236,14 +232,39 @@ def code_reductions(
         yield tile, block, reduced if exact else reduced_forms(_recount(exps, delta, tile, block, t0, t1))
 
 
+def _screen(terms: int, nh: int, error: float) -> tuple[int, float]:
+    """``(s, T)``: the fewest s of nh harmonics whose T = terms^(-(nh - s)/s),
+    taken 2^-30 low for the rounding of the power, exceeds 2 * error."""
+    for s in range(1, nh + 1):
+        if (threshold := terms ** ((s - nh) / s) * (1 - 2.0**-30)) > 2 * error:
+            return s, threshold
+    raise ZccsError(f"FFT error bound {error:.3g} leaves no room to decide zero")
+
+
 def code_nonzero(exps: np.ndarray, delta: int, rows: range, t0: int, t1: int) -> Iterator[tuple[range, range, np.ndarray]]:
-    """``(tile, block, c.any(axis=-1))`` for each ``(tile, block, c)`` of
-    :func:`code_reductions`: True at each cell whose correlation is nonzero,
-    taken as ``einsum("...i,...i->...", c, c) > 0``: c holds integers, so
-    a sum of their squares is at least 1 exactly when some coordinate is
-    nonzero."""
-    for tile, block, c in code_reductions(exps, delta, rows, t0, t1):
-        yield tile, block, np.einsum("...i,...i->...", c, c) > 0
+    """``(tile, block, mask)`` over the tiles and blocks of
+    :func:`code_reductions`: True at each cell whose correlation is nonzero.
+
+    A cell's alpha = sum_d h[d] w^d in Z[w] has as harmonics H_r, at the
+    m = len(harmonics) primitive r <= delta/2, one of each pair of its
+    Galois conjugates (alpha itself if delta <= 2), so prod_r |H_r| =
+    |N(alpha)|^(1/2) >= 1 unless alpha = 0 (Washington, Introduction to
+    Cyclotomic Fields, ch. 2).  Each |H_r| <= M*(N - |tau|) <= B = M*N, so
+    max_{r<s} |H_r| >= T = B^(-(m - s)/s).  With eps the scan's
+    :func:`~zccs.algebra.fft_error` and the fewest s with T > 2*eps, a cell
+    is nonzero iff max_{r<s} |H^_r| >= T/2; a block with a cell in
+    (eps, T - eps), which eps rules out, is recounted exactly.  So the
+    verdict is the integer test modulo Phi_delta (alpha = 0 iff its reduced
+    form is, iff its norm is), read from s harmonics, exact while eps holds.
+    """
+    _, m, n = exps.shape
+    harmonics = harmonic_reduction(delta)[0]
+    error = fft_error(m, n, _fft_length(n + t1 - 1))  # at scan_plan's length
+    s, threshold = _screen(m * n, len(harmonics), error)
+    for tile, block, sums in _harmonic_sums(exps, delta, harmonics[:s], rows, t0, t1):
+        peak = np.abs(sums).max(axis=-1)
+        exact = not ((peak > error) & (peak < threshold - error)).any()
+        yield tile, block, peak >= threshold / 2 if exact else reduced_forms(_recount(exps, delta, tile, block, t0, t1)).any(-1)
 
 
 def code_pair_reductions(exps: np.ndarray, delta: int, mu1: int, mu2: int) -> np.ndarray:

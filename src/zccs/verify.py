@@ -2,12 +2,12 @@
 
 A cell (mu1, mu2, tau) is ideal when it is a code's own zero shift, which
 is M*N for every code a CodeSet admits, or when its correlation reduces
-to zero modulo the delta-th cyclotomic polynomial; no verdict depends on
-a floating-point tolerance.  Every answer is read from a K x K map of
-each ordered pair's first non-ideal shift in the window scanned, N when
-there is none.  One scan lowers it, tile by tile of rows, from which
-cells :func:`~zccs.correlate.code_nonzero` finds nonzero among the
-correlations of each row with the codes from its tile on, at tau and
+to zero modulo the delta-th cyclotomic polynomial, decided from a few
+harmonics under a proven FFT error bound.  Every answer is read from a
+K x K map of each ordered pair's first non-ideal shift in the window
+scanned, N when there is none.  One scan lowers it, tile by tile of rows,
+from which cells :func:`~zccs.correlate.code_nonzero` finds nonzero among
+the correlations of each row with the codes from its tile on, at tau and
 -tau; the -tau half is the mirror pair's.  The zone check's witness, the
 maximal width (the map's minimum) and a report's width scan, which goes
 on from the check's map, all read it.  The check at width z scans one

@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 
@@ -8,8 +9,10 @@ from zccs import algebra
 from zccs.algebra import (
     MAX_DELTA,
     MAX_TERMS,
+    ROOT_ERROR,
     CycInt,
     cyclotomic_poly,
+    fft_error,
     form_values,
     harmonic_reduction,
     is_prime,
@@ -267,17 +270,63 @@ class TestHarmonicReduction:
             assert error < 1e-6
             worst_gain = max(worst_gain, gain)
         # The error gain the docstring quotes; harmonic_reduction checks
-        # gain * MAX_TERMS * 2**-52 < 2**-20.
+        # gain * fft_error at the caps <= RESIDUAL_TOL.
         assert 13.1 < worst_gain < 13.2
 
     def test_a_broken_error_bound_raises(self, monkeypatch):
-        # At 2**30 terms the bound holds for delta = 6 (gain 1.15) and
-        # breaks for delta = 935 (gain 13.1).  The check is not an assert,
-        # so it also runs under python -O.
-        monkeypatch.setattr(algebra, "MAX_TERMS", 1 << 30)
+        # At 2**24 terms fft_error at the caps is 0.031, so the bound holds
+        # for delta = 6 (gain 1.15) and breaks for delta = 935 (gain 13.1).
+        # The check is not an assert, so it also runs under python -O.
+        monkeypatch.setattr(algebra, "MAX_TERMS", 1 << 24)
         assert harmonic_reduction.__wrapped__(6)[0].tolist() == [1]
         with pytest.raises(ZccsError, match="delta=935: harmonic error gain 13.1 "):
             harmonic_reduction.__wrapped__(935)
+
+
+def _cos_sin(x):
+    """cos x and sin x by their Taylor series, in the current decimal context."""
+    c, s, term, k = Decimal(0), Decimal(0), Decimal(1), 0
+    while abs(term) > Decimal("1e-45"):
+        if k % 2 == 0:
+            c += term if k % 4 == 0 else -term
+        else:
+            s += term if k % 4 == 1 else -term
+        k += 1
+        term = term * x / k
+    return c, s
+
+
+class TestFftError:
+    def test_root_table_is_within_its_bound(self):
+        # Against w^j at 40 digits, stepped from w by the angle-addition
+        # formulas; the worst |error| measured is about 15.7 * 2**-53.
+        worst = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            pi = Decimal("3.141592653589793238462643383279502884197169399")
+            for delta in range(1, MAX_DELTA + 1):
+                c1, s1 = _cos_sin(2 * pi / delta)
+                c, s = Decimal(1), Decimal(0)
+                for value in roots(delta).tolist():
+                    worst = max(worst, (Decimal(value.real) - c) ** 2 + (Decimal(value.imag) - s) ** 2)
+                    c, s = c * c1 - s * s1, s * c1 + c * s1
+        assert worst.sqrt() <= Decimal(ROOT_ERROR) / 2
+
+    def test_the_caps_bound_every_scan(self):
+        # harmonic_reduction checks the bound at M*N = MAX_TERMS members and
+        # the FFT length 2 * MAX_TERMS; every 5-smooth length up to it and
+        # every split of the terms into members give less.
+        caps = fft_error(MAX_TERMS, 1, 2 * MAX_TERMS)
+        smooth = [2**a * 3**b * 5**c for a in range(22) for b in range(14) for c in range(10)]
+        for length in (n for n in smooth if n <= 2 * MAX_TERMS):
+            for m in (1 << i for i in range(21)):
+                assert fft_error(m, MAX_TERMS // m, length) <= caps
+        assert fft_error(1, MAX_TERMS, 2 * MAX_TERMS) < 4e-7 and caps < 2e-4
+
+    def test_other_lengths_are_refused(self):
+        for length in (7, 14, 2 * 3 * 5 * 11):
+            with pytest.raises(ValueError, match="5-smooth"):
+                fft_error(2, 16, length)
 
 
 class TestPrimeOrbitSums:

@@ -877,8 +877,8 @@ def test_any_other_failure_exits_2_with_one_line(flagship_file, monkeypatch, cap
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the address-space size from /proc")
 def test_verify_past_its_address_space_exits_2(tmp_path):
-    # The 2x2x16384 delta = 1024 CCC needs about 670 MB to verify.  The
-    # child caps its address space 200 MB above what it maps once imported,
+    # The 2x2x16384 delta = 1024 CCC needs about 160 MB to verify.  The
+    # child caps its address space 100 MB above what it maps once imported,
     # then runs verify, which must report the failed allocation with exit 2.
     cs = build_ccc(parse_gbf(" + ".join(f"512*x{i}*x{i + 1}" for i in range(13)), 14, 1024), [])
     assert (cs.params.K, cs.params.N, cs.params.delta) == (2, 16384, 1024)
@@ -888,7 +888,7 @@ def test_verify_past_its_address_space_exits_2(tmp_path):
         "import re, resource, sys\n"
         "from zccs.cli import main\n"
         "size = int(re.search(r'VmSize:\\s*(\\d+) kB', open('/proc/self/status').read())[1]) << 10\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (size + (200 << 20),) * 2)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (100 << 20),) * 2)\n"
         "sys.exit(main(['verify', '--in', sys.argv[1]]))\n"
     )
     src = str(Path(cli.__file__).parents[1])

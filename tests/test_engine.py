@@ -24,6 +24,7 @@ from zccs.boolfn import parse_gbf
 from zccs.cli import main, write_code_set
 from zccs.construct import CodeLabel, CodeSet, build_ccc, build_zccs
 from zccs.correlate import code_nonzero, code_pair_reductions, code_reductions
+from zccs.errors import ZccsError
 from zccs.reference import Code, RootSequence, code_accf
 from zccs.verify import check_ccc, check_zccs, max_zcz, verify_code_set
 
@@ -80,6 +81,13 @@ def _forward_ffts(plan):
 def _budget(n, t1, values):
     """The BLOCK_BYTES of ``values`` complex member sums at the plan's FFT length."""
     return 16 * correlate.scan_plan(0, 1, n, 1, range(0), t1).length * values
+
+
+def _screened(cs, t1):
+    """The harmonics ``code_nonzero`` correlates in a scan of the set at shifts below t1."""
+    pp = cs.params
+    error = algebra.fft_error(pp.M, pp.N, correlate._fft_length(pp.N + t1 - 1))
+    return correlate._screen(pp.M * pp.N, len(harmonic_reduction(pp.delta)[0]), error)[0]
 
 
 def _tiles(exps, delta, t0, t1, engine=code_histograms, rows=None):
@@ -375,13 +383,13 @@ def _chain(q, m, first=0):
 # The forward FFTs of a full report, compute_max included, on sets whose
 # plans span one tile to many, with and without harmonic chunks.
 SCHEDULES = {
-    "zccs_20x4x320": (lambda: build_zccs(_chain(4, 6, 1), [0], 1, p=5), 2),
-    "zccs_20x4x640": (lambda: build_zccs(_chain(4, 7, 1), [0], 1, p=5), 36),
+    "zccs_20x4x320": (lambda: build_zccs(_chain(4, 6, 1), [0], 1, p=5), 1),
+    "zccs_20x4x640": (lambda: build_zccs(_chain(4, 7, 1), [0], 1, p=5), 2),
     "zccs_24x8x768": (lambda: build_zccs(parse_gbf("x2*x3 + x3*x4 + x4*x5 + x5*x6 + x6*x7", 8, 2), [0, 1], p=3), 20),
     "zccs_28x4x1792": (lambda: build_zccs(
-        parse_gbf("x0*x3 + x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x6*x7", 8, 2), [0], p=7), 206),
-    "ccc_2x2x1024_delta1024": (lambda: build_ccc(_chain(1024, 10), []), 94),
-    "ccc_2x2x4096_delta1024": (lambda: build_ccc(_chain(1024, 12), []), 382),
+        parse_gbf("x0*x3 + x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x6*x7", 8, 2), [0], p=7), 52),
+    "ccc_2x2x1024_delta1024": (lambda: build_ccc(_chain(1024, 10), []), 25),
+    "ccc_2x2x4096_delta1024": (lambda: build_ccc(_chain(1024, 12), []), 121),
 }
 
 
@@ -393,6 +401,28 @@ def test_report_keeps_its_forward_fft_count(name, monkeypatch):
     report = verify_code_set(cs, compute_max=True)
     assert report.is_zccs_at_claimed_z and report.max_zcz == cs.params.Z
     assert len(calls) == ffts
+
+
+def test_the_screen_decides_every_root_order_at_the_caps():
+    # At MAX_TERMS and the longest FFT the caps admit, some s <= m of every
+    # delta's m primitive harmonics passes T(s) > 2 * eps.  At s = m the
+    # threshold is 1, so any eps below 1/2 leaves a screen; none above.
+    for error in (algebra.fft_error(MAX_TERMS, 1, 2 * MAX_TERMS), algebra.fft_error(1, MAX_TERMS, 2 * MAX_TERMS)):
+        for delta in range(1, algebra.MAX_DELTA + 1):
+            nh = sum(math.gcd(r, delta) == 1 for r in range(delta // 2 + 1))
+            s, threshold = correlate._screen(MAX_TERMS, nh, error)
+            assert s <= nh and threshold > 2 * error
+    assert correlate._screen(MAX_TERMS, 256, 0.4999) == (256, 1 - 2.0**-30)
+    with pytest.raises(ZccsError, match="leaves no room"):
+        correlate._screen(MAX_TERMS, 256, 0.5)
+
+
+def test_no_built_set_is_recounted(no_fallback):
+    # The scheduled sets, from 20x4x320 to the delta = 1024 CCCs, and the
+    # sweep grid: every block is decided from the screen's harmonics.
+    for cs in [build() for build, _ in SCHEDULES.values()] + list(_sweep_grid_sets()):
+        report = verify_code_set(cs, compute_max=True)
+        assert report.is_zccs_at_claimed_z and report.max_zcz >= cs.params.Z
 
 
 @pytest.mark.parametrize("span", [None, 2])
@@ -456,7 +486,7 @@ def test_row_0_witness_computes_no_later_block(code, monkeypatch):
     cs = _corrupt_code_0_or_5(code)
     pp = cs.params
     # Blocks of 2 codes.
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, 2 * len(harmonic_reduction(pp.delta)[0])))
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, 2 * _screened(cs, pp.Z + 1)))
     calls = _counting_fft(monkeypatch)
     tiles = _recording_tiles(monkeypatch)
     ok, witness = check_zccs(cs, pp.Z)
@@ -470,6 +500,9 @@ def test_row_0_witness_computes_no_later_block(code, monkeypatch):
 @pytest.mark.parametrize("code", [0, 5])
 def test_row_0_witness_in_one_block_computes_one_row(code, monkeypatch):
     cs = _corrupt_code_0_or_5(code)
+    pp = cs.params
+    # One row's member sums against all 14 codes fit, two rows' do not.
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, pp.K * _screened(cs, pp.Z + 1)))
     calls = _counting_fft(monkeypatch)
     tiles = _recording_tiles(monkeypatch)
     ok, witness = check_zccs(cs, cs.params.Z)
@@ -645,9 +678,8 @@ def test_near_zero_cells_recover_exactly(delta, no_fallback):
         forms = list(code_reductions(exps, delta, range(2), 0, n))
         for tile, block, c in forms:
             assert np.array_equal(c, reduced_forms(RECOUNT(exps, delta, tile, block, 0, n))), (j, tile, block)
-        masks = list(code_nonzero(exps, delta, range(2), 0, n))
-        assert [(tile, block) for tile, block, _ in masks] == [(tile, block) for tile, block, _ in forms]
-        assert all(np.array_equal(bad, c.any(-1)) for (_, _, bad), (_, _, c) in zip(masks, forms))
+        for tile, block, bad in code_nonzero(exps, delta, range(2), 0, n):
+            assert np.array_equal(bad, reduced_forms(RECOUNT(exps, delta, tile, block, 0, n)).any(-1)), (j, tile, block)
         residual, smallest = 0.0, None
         for tile, block, sums in correlate._harmonic_sums(exps, delta, harmonics, range(2), 0, n):
             approx = sums.view(np.float64) @ basis
@@ -658,6 +690,66 @@ def test_near_zero_cells_recover_exactly(delta, no_fallback):
         # |1 - w| = 2 sin(pi/delta); the FFT's error here stays below 1e-12.
         assert abs(smallest - (2 * np.sin(np.pi / delta)) ** j) < 1e-11, (j, smallest)
     assert delta != 1024 or smallest < 1e-13
+
+
+def _exact_harmonics(hist, delta, harmonics):
+    """sum_d hist[..., d] w^(-r*d) for each r of harmonics, in extended precision."""
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    angles = 2 * pi * (-np.outer(np.arange(delta), harmonics) % delta).astype(np.longdouble) / delta
+    return hist.astype(np.longdouble) @ (np.cos(angles) + 1j * np.sin(angles))
+
+
+def _adversarial_corpus():
+    """``(name, exps, delta, t1)``: raw arrays whose cells sit where the
+    screen decides.  For delta in {14, 20, 935, 1024}: every exponent
+    equal; zero codes with single-exponent spikes; and the pair whose
+    tau = 0 cell is w^e (1 - w)^j, tiny at every harmonic the screen reads,
+    with j grown until the screen needs more harmonics than at j = 1 (its
+    threshold binds), and at least to 6.  Last, the 2x2x2^19 CCC at
+    delta = 14, so M*N = MAX_TERMS, with one exponent shifted."""
+    rng = np.random.default_rng(1024)
+    for delta in (14, 20, 935, 1024):
+        yield f"equal/{delta}", np.full((2, 2, 32), rng.integers(delta)), delta, 32
+        spikes = np.zeros((3, 2, 32), dtype=np.int64)
+        spikes[1:, 0, rng.integers(32, size=2)] = rng.integers(1, delta, size=2)
+        yield f"spikes/{delta}", spikes, delta, 32
+        first = None
+        for j in itertools.count(1):
+            exps = _near_zero_pair(delta, int(rng.integers(delta)), j, rng)
+            n = exps.shape[-1]
+            error = algebra.fft_error(1, n, correlate._fft_length(n + min(n, 8) - 1))
+            s = correlate._screen(n, len(harmonic_reduction(delta)[0]), error)[0]
+            first = first or s
+            yield f"tiny/{delta}/j{j}", exps, delta, min(n, 8)
+            if j >= 6 and s > first:
+                break
+    ccc = build_ccc(_chain(2, 19), []).exponents * 7
+    ccc[1, 0, int(rng.integers(1 << 19))] += int(rng.integers(1, 14))
+    yield "max_terms/14", ccc % 14, 14, 4
+
+
+@pytest.mark.parametrize("name, exps, delta, t1", [pytest.param(*case, id=case[0]) for case in _adversarial_corpus()])
+def test_adversarial_corpus_is_decided_by_the_screen(name, exps, delta, t1, no_fallback, record_property):
+    # Each mask equals the exact recount's; the margins to T/2 and the
+    # largest measured |H^ - H| against eps are recorded.
+    k, m, n = exps.shape
+    harmonics = harmonic_reduction(delta)[0]
+    error = algebra.fft_error(m, n, correlate._fft_length(n + t1 - 1))
+    s, threshold = correlate._screen(m * n, len(harmonics), error)
+    masks = list(code_nonzero(exps, delta, range(k), 0, t1))
+    zero_margin = nonzero_margin = np.inf
+    measured = 0.0
+    for (tile, block, bad), (_, _, sums) in zip(masks, correlate._harmonic_sums(exps, delta, harmonics[:s], range(k), 0, t1)):
+        hist = RECOUNT(exps, delta, tile, block, 0, t1)
+        assert np.array_equal(bad, reduced_forms(hist).any(-1)), (name, tile, block)
+        peak = np.abs(sums).max(axis=-1)
+        zero_margin = min(zero_margin, (threshold / 2 - peak[~bad]).min(initial=np.inf))
+        nonzero_margin = min(nonzero_margin, (peak[bad] - threshold / 2).min(initial=np.inf))
+        measured = max(measured, float(np.abs(sums - _exact_harmonics(hist, delta, harmonics[:s])).max()))
+    record_property("margins", {"s": s, "T": threshold, "zero": zero_margin, "nonzero": nonzero_margin,
+                                "measured": measured, "eps": error})
+    assert zero_margin > 0 and nonzero_margin > 0
+    assert measured <= error
 
 
 @pytest.mark.parametrize("build", [
