@@ -242,8 +242,8 @@ def _screen(terms: int, nh: int, error: float) -> tuple[int, float]:
 
 
 def code_nonzero(exps: np.ndarray, delta: int, rows: range, t0: int, t1: int) -> Iterator[tuple[range, range, np.ndarray]]:
-    """``(tile, block, mask)`` over the tiles and blocks of
-    :func:`code_reductions`: True at each cell whose correlation is nonzero.
+    """``(tile, block, mask)`` over the tiles and blocks of a scan at s
+    harmonics: True at each cell whose correlation is nonzero.
 
     A cell's alpha = sum_d h[d] w^d in Z[w] has as harmonics H_r, at the
     m = len(harmonics) primitive r <= delta/2, one of each pair of its

@@ -83,11 +83,11 @@ def _budget(n, t1, values):
     return 16 * correlate.scan_plan(0, 1, n, 1, range(0), t1).length * values
 
 
-def _screened(cs, t1):
-    """The harmonics ``code_nonzero`` correlates in a scan of the set at shifts below t1."""
-    pp = cs.params
-    error = algebra.fft_error(pp.M, pp.N, correlate._fft_length(pp.N + t1 - 1))
-    return correlate._screen(pp.M * pp.N, len(harmonic_reduction(pp.delta)[0]), error)[0]
+def _screen_of(exps, delta, t1):
+    """``(s, T, eps)`` of the screen ``code_nonzero`` runs on a (K, M, N) array at shifts below t1."""
+    _, m, n = exps.shape
+    error = algebra.fft_error(m, n, correlate._fft_length(n + t1 - 1))
+    return (*correlate._screen(m * n, len(harmonic_reduction(delta)[0]), error), error)
 
 
 def _tiles(exps, delta, t0, t1, engine=code_histograms, rows=None):
@@ -486,7 +486,7 @@ def test_row_0_witness_computes_no_later_block(code, monkeypatch):
     cs = _corrupt_code_0_or_5(code)
     pp = cs.params
     # Blocks of 2 codes.
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, 2 * _screened(cs, pp.Z + 1)))
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, 2 * _screen_of(cs.exponents, pp.delta, pp.Z + 1)[0]))
     calls = _counting_fft(monkeypatch)
     tiles = _recording_tiles(monkeypatch)
     ok, witness = check_zccs(cs, pp.Z)
@@ -502,7 +502,7 @@ def test_row_0_witness_in_one_block_computes_one_row(code, monkeypatch):
     cs = _corrupt_code_0_or_5(code)
     pp = cs.params
     # One row's member sums against all 14 codes fit, two rows' do not.
-    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, pp.K * _screened(cs, pp.Z + 1)))
+    monkeypatch.setattr(correlate, "BLOCK_BYTES", _budget(pp.N, pp.Z + 1, pp.K * _screen_of(cs.exponents, pp.delta, pp.Z + 1)[0]))
     calls = _counting_fft(monkeypatch)
     tiles = _recording_tiles(monkeypatch)
     ok, witness = check_zccs(cs, cs.params.Z)
@@ -586,13 +586,14 @@ def test_cached_verification_memory():
     cs = build_zccs(parse_gbf("2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5", 6, 4), [0], 1, p=5)
     pp = cs.params
     assert (pp.K, pp.M, pp.N, pp.Z, pp.delta) == (20, 4, 320, 64, 20)
-    # The zone check keeps the spectra of every code: 1.97 MB in 2 blocks.
-    plan = _plan(cs.exponents, pp.delta, range(pp.K), pp.Z + 1)
-    assert _forward_ffts(plan) == len(plan.keep) == 2 and sum(plan.keep.values()) == 1966080
+    # The zone check reads one of the four primitive harmonics and keeps
+    # the spectra of every code: 0.49 MB in one block (1.97 MB in 2 at four).
+    plan = correlate.scan_plan(pp.K, pp.M, pp.N, _screen_of(cs.exponents, pp.delta, pp.Z + 1)[0], range(pp.K), pp.Z + 1)
+    assert _forward_ffts(plan) == len(plan.keep) == 1 and sum(plan.keep.values()) == 491520
     report, peak = _peak(lambda: verify_code_set(cs, compute_max=True))
     assert report.is_zccs_at_claimed_z and report.max_zcz == pp.Z
-    # About 2.9 MB: the 1.97 MB of kept spectra, one block's sums and forms.
-    assert peak < 4e6
+    # About 1.4 MB: the kept spectra and one block's sums (2.9 MB with forms at four harmonics).
+    assert peak < 2e6
 
 
 def test_root_order_1024_report_copies_no_forms():
@@ -602,7 +603,8 @@ def test_root_order_1024_report_copies_no_forms():
         table.cache_clear()
     report, peak = _peak(lambda: verify_code_set(cs, compute_max=True))
     assert report.is_ccc and report.max_zcz == cs.params.N
-    # About 41.2 MB; an int64 copy of each block's forms took it to 48.4 MB.
+    # About 15.8 MB at the screen's 68 harmonics; 41.2 MB at all 256 with
+    # reduced forms, and an int64 copy of each block's forms took it to 48.4 MB.
     assert peak < 44e6
 
 
@@ -716,11 +718,10 @@ def _adversarial_corpus():
         first = None
         for j in itertools.count(1):
             exps = _near_zero_pair(delta, int(rng.integers(delta)), j, rng)
-            n = exps.shape[-1]
-            error = algebra.fft_error(1, n, correlate._fft_length(n + min(n, 8) - 1))
-            s = correlate._screen(n, len(harmonic_reduction(delta)[0]), error)[0]
+            t1 = min(exps.shape[-1], 8)
+            s = _screen_of(exps, delta, t1)[0]
             first = first or s
-            yield f"tiny/{delta}/j{j}", exps, delta, min(n, 8)
+            yield f"tiny/{delta}/j{j}", exps, delta, t1
             if j >= 6 and s > first:
                 break
     ccc = build_ccc(_chain(2, 19), []).exponents * 7
@@ -732,10 +733,9 @@ def _adversarial_corpus():
 def test_adversarial_corpus_is_decided_by_the_screen(name, exps, delta, t1, no_fallback, record_property):
     # Each mask equals the exact recount's; the margins to T/2 and the
     # largest measured |H^ - H| against eps are recorded.
-    k, m, n = exps.shape
+    k = len(exps)
     harmonics = harmonic_reduction(delta)[0]
-    error = algebra.fft_error(m, n, correlate._fft_length(n + t1 - 1))
-    s, threshold = correlate._screen(m * n, len(harmonics), error)
+    s, threshold, error = _screen_of(exps, delta, t1)
     masks = list(code_nonzero(exps, delta, range(k), 0, t1))
     zero_margin = nonzero_margin = np.inf
     measured = 0.0
