@@ -26,6 +26,10 @@ coefficients by Phi_delta's nonzero terms in Python ints.  A value's
 complex number is read from c alone, by :func:`form_values` over the
 table :func:`roots`, exact at the quarter turns, so ``zccs corr`` and
 ``CycInt.to_complex`` print the same digits.
+
+The tables of a root order, and :func:`fft_error`, are cached by
+``lru_cache``; :func:`shape_cache` is the byte-bounded cache that the
+other modules put on what they compute from a set's shape alone.
 """
 from __future__ import annotations
 
@@ -45,6 +49,38 @@ MAX_DELTA = 1 << 10
 ROOT_ERROR = 2.0**-48
 """Bound on |roots(delta)[j] - exp(2*pi*i*j/delta)|: the angle's three roundings and cos and sin."""
 RESIDUAL_TOL = 0.25  # the largest |c - rint(c)| accepted from an FFT recovery of reduced forms
+
+
+class _ShapeCache:
+    """A function and the values :func:`shape_cache` keeps of it, least recently used first."""
+
+    __slots__ = ("fn", "budget", "size", "store", "held")
+
+    def __init__(self, fn, budget: int, size):
+        self.fn, self.budget, self.size, self.store, self.held = fn, budget, size, {}, 0
+
+    def __call__(self, *args):
+        if (hit := self.store.pop(args, None)) is not None:
+            self.store[args] = hit
+            return hit[0]
+        value = self.fn(*args)
+        if (nbytes := self.size(value)) <= self.budget:
+            self.store[args], self.held = (value, nbytes), self.held + nbytes
+            while self.held > self.budget:
+                self.held -= self.store.pop(next(iter(self.store)))[1]
+        return value
+
+    def cache_clear(self) -> None:
+        self.store.clear()
+        self.held = 0
+
+
+def shape_cache(budget: int, size=lambda value: value.nbytes):
+    """Cache a pure function of hashable positional arguments, keeping the
+    most recently used values that ``size`` counts at most ``budget``
+    bytes in all; a larger value is returned uncached.  The values must be
+    read-only, since every caller shares them."""
+    return lambda fn: _ShapeCache(fn, budget, size)
 
 
 def owned_int64(values) -> np.ndarray:
@@ -162,6 +198,7 @@ def roots(delta: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
 def fft_error(m: int, n: int, length: int) -> float:
     """eps >= |H^ - H| for every harmonic sum of every cell and lag of a
     scan of a (K, m, n) array at a 5-smooth FFT length L (ValueError for

@@ -21,18 +21,30 @@ family's rules, the one check of (q, m, k, p, s) that every builder runs
 before the path check and that the file reader and writer run on a
 set's params; :func:`family_labels` names the codes of such a set, for
 the builders, the reader and the writer alike.
+
+What depends only on a set's shape is cached, read-only, on every input
+it reads: the params (of exact ints or None only, 256 sets), the labels
+on (k, p) and the builders' selector planes, the part of the members
+that does not read f, on (m, deleted, gamma, q).  Each of the last two
+keeps at most 4 MiB, counting LABEL_BYTES a label (about 240 at most);
+a larger value is returned uncached.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_DELTA, MAX_TERMS
+from .algebra import MAX_DELTA, MAX_TERMS, shape_cache
 from .boolfn import GeneralizedBooleanFunction, check_modulus, check_path_after_deletion, extension_exponent, graph_of
 from .errors import InvalidParams, ShapeError
+
+# Byte budgets of the caches of labels, counted LABEL_BYTES a label, and of selector planes.
+LABEL_BYTES = 320
+LABELS_BYTES = 1 << 22
+SELECTOR_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,16 @@ def family_params(q: int, m: int, k: int, p: int | None = None, s: int | None = 
     its prime extension by p with s extension variables, checked before
     anything is built: q even, then m and k bounded before any shift, then
     (p, s) by :func:`~zccs.boolfn.extension_exponent`, which fills in the
-    default s and bounds delta before p's primality test."""
+    default s and bounds delta before p's primality test.  Only exact
+    ints and None reach the cache, so 5.0 or True is refused as ever."""
+    args = (q, m, k, p, s)
+    if all(type(v) is int or v is None for v in args):
+        return _family_params(*args)
+    return _family_params.__wrapped__(*args)
+
+
+@lru_cache(maxsize=256)
+def _family_params(q, m, k, p, s) -> CodeSetParams:
     check_modulus(q)
     if m < 0 or k < 0 or k + 1 + m >= MAX_TERMS.bit_length():
         raise InvalidParams(f"need m, k >= 0 and 2**(k+1+m) <= {MAX_TERMS}, got m={m}, k={k}")
@@ -94,10 +115,15 @@ def family_params(q: int, m: int, k: int, p: int | None = None, s: int | None = 
 def family_labels(pp: CodeSetParams) -> tuple[CodeLabel, ...]:
     """The labels of a family set's K codes in code order: "C", then "Cbar",
     by t for a base set; "U", then "V", by lam and t for an extended set."""
-    ts = range(1 << pp.k)
-    if pp.p is None:
+    return _labels(pp.k, pp.p)
+
+
+@shape_cache(LABELS_BYTES, size=lambda labels: LABEL_BYTES * len(labels))
+def _labels(k: int, p: int | None) -> tuple[CodeLabel, ...]:
+    ts = range(1 << k)
+    if p is None:
         return tuple(CodeLabel(family, t) for family in ("C", "Cbar") for t in ts)
-    return tuple(CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(pp.p) for t in ts)
+    return tuple(CodeLabel(family, t, lam) for family in ("U", "V") for lam in range(p) for t in ts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,15 +179,24 @@ def _prepare(f: GeneralizedBooleanFunction, deleted, gamma: int | None, p: int |
 
 
 def _member_exponents(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], gamma: int) -> np.ndarray:
-    """The (family, t, nu, 2**m) exponents over Z_q of the base set.
+    """The (family, t, nu, 2**m) exponents over Z_q of the base set: f's
+    truth table, read forwards for family "F" and backwards and negated
+    for "G", plus the :func:`_selectors` of its shape."""
+    table = f.truth_table()
+    return (_selectors(f.m, deleted, gamma, f.q) + np.stack([table, -table[::-1]])[:, None, None]) % f.q
+
+
+@shape_cache(SELECTOR_BYTES)
+def _selectors(m: int, deleted: tuple[int, ...], gamma: int, q: int) -> np.ndarray:
+    """The part of :func:`_member_exponents` that does not read f.
 
     Member nu = d*2**k + sum(d_i * 2**i) of code t of family "F" is
     f + (q/2)*((d_vec + t_vec) . x_deleted + d*x_gamma).  Family "G" reads
     f at 2**m - 1 - r, which is f(1 - x) at r, adds
     (q/2)*((d_vec + t_vec) . (1 - x_deleted) + (1 - d)*x_gamma) and is
-    conjugated (negated).
+    conjugated (negated).  These are the (q/2)-multiples, "G"'s negated.
     """
-    k, n, half = len(deleted), 1 << f.m, f.q // 2
+    k, n, half = len(deleted), 1 << m, q // 2
     r = np.arange(n, dtype=np.int64)
     planes = (r >> np.array(deleted, dtype=np.int64).reshape(k, 1)) & 1
     x_gamma = (r >> gamma) & 1
@@ -169,10 +204,9 @@ def _member_exponents(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], g
     # selector bits d_vec + t_vec, axes (t, nu, deleted variable)
     select = ((nu[: 1 << k, None] >> shifts) & 1)[:, None] + ((nu[:, None] >> shifts) & 1)
     d = (nu >> k)[:, None]
-    table = f.truth_table()
-    fam_f = table + half * (select @ planes + d * x_gamma)
-    fam_g = -(table[::-1] + half * (select @ (1 - planes) + (1 - d) * x_gamma))
-    return np.stack([fam_f, fam_g]) % f.q
+    out = np.stack([half * (select @ planes + d * x_gamma), -half * (select @ (1 - planes) + (1 - d) * x_gamma)])
+    out.flags.writeable = False
+    return out
 
 
 def build_ccc(

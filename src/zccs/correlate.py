@@ -27,16 +27,25 @@ harmonics its norm bound needs.  :func:`~zccs.algebra.fft_error` bounds
 every harmonic sum's round-off: a verdict rests on it and the norm bound,
 a form on it and the basis's gain.  A block whose values it rules out is
 recounted exactly by :func:`_count` and :func:`~zccs.algebra.reduced_forms`.
+
+A scan's shape-only values are cached, read-only, on every input they
+read: the plan on :func:`scan_plan`'s arguments and both budgets, the
+error bound and the screen, one root table per delta, whose rows each
+chunk slices, and the lag indices.  The plans keep at most 4 MiB,
+counted PLAN_ENTRY_BYTES a tile, chunk or kept spectra (about 250 as
+built), the tables 8 MiB (8.3 MB at most, at delta = 1021) and the lags
+1 MiB; a larger value is returned uncached.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import RESIDUAL_TOL, fft_error, harmonic_reduction, reduced_forms, reduction_max, roots
+from .algebra import RESIDUAL_TOL, fft_error, harmonic_reduction, reduced_forms, reduction_max, roots, shape_cache
 from .errors import ZccsError
 
 # Byte budget of a block's member sums, one complex value per harmonic,
@@ -45,6 +54,11 @@ BLOCK_BYTES = 1 << 18
 # Byte budget of the spectra a scan keeps, taken greedily in the order it
 # first reads them: every code's when they fit, else a prefix.
 CACHE_BYTES = 1 << 21
+# Byte budgets of the caches of plans, counted PLAN_ENTRY_BYTES an entry, root tables and lags.
+PLAN_ENTRY_BYTES = 384
+PLANS_BYTES = 1 << 22
+TABLES_BYTES = 1 << 23
+LAGS_BYTES = 1 << 20
 
 
 def _count(a: np.ndarray, b: np.ndarray, delta: int, tau: int) -> np.ndarray:
@@ -81,7 +95,7 @@ def _recount(exps: np.ndarray, delta: int, tile: range, block: range, t0: int, t
     ])
 
 
-ScanPlan = NamedTuple("ScanPlan", [("length", int), ("chunks", list), ("step", int), ("tiles", list), ("keep", dict)])
+ScanPlan = NamedTuple("ScanPlan", [("length", int), ("chunks", tuple), ("step", int), ("tiles", tuple), ("keep", Mapping)])
 
 
 def blocks(codes: range, step: int) -> Iterator[tuple[int, range]]:
@@ -111,16 +125,21 @@ def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, col: int = 
     codes are a suffix of the first tile's), spectra are kept while each
     fits CACHE_BYTES with those before.
     """
+    return _scan_plan(k, m, n, nh, rows, t1, col, BLOCK_BYTES, CACHE_BYTES)
+
+
+@shape_cache(PLANS_BYTES, size=lambda plan: PLAN_ENTRY_BYTES * (len(plan.chunks) + len(plan.tiles) + len(plan.keep)))
+def _scan_plan(k, m, n, nh, rows, t1, col, block_bytes, cache_bytes) -> ScanPlan:
     # A cyclic length of n + t1 - 1 keeps every shift |tau| < t1 free of
     # wrap-around: +tau sits at index tau and -tau at index length - tau.
     length = _fft_length(n + t1 - 1)
-    span = max(1, min(nh, BLOCK_BYTES // (16 * length)))
-    step = max(1, BLOCK_BYTES // (16 * length * span))
+    span = max(1, min(nh, block_bytes // (16 * length)))
+    step = max(1, block_bytes // (16 * length * span))
     chunks = [range(lo, min(lo + span, nh)) for lo in range(0, nh, span)]
     tiles, keep, total, mu1, height = [], {}, 0, rows.start, 1
     while mu1 < rows.stop:
         codes, own = range(max(mu1, col), k), mu1 - mu1 % step
-        cap = BLOCK_BYTES // (16 * length * span * max(1, len(codes)))
+        cap = block_bytes // (16 * length * span * max(1, len(codes)))
         if own + step < k:
             height = 1
         elif mu1 == rows.start and cap >= len(rows):
@@ -134,40 +153,39 @@ def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, col: int = 
     reads += [[own] for own in dict.fromkeys(own for _, own, _ in tiles[1:]) if own not in reads[0]]
     for chunk, lo in ((chunk, lo) for los in reads for chunk in chunks for lo in los):
         size = 16 * len(chunk) * min(step, k - lo) * m * length
-        if total + size <= CACHE_BYTES:
+        if total + size <= cache_bytes:
             keep[chunk.start, lo], total = size, total + size
-    return ScanPlan(length, chunks, step, tiles, keep)
+    return ScanPlan(length, tuple(chunks), step, tuple(tiles), MappingProxyType(keep))
 
 
 def _harmonic_sums(
-    exps: np.ndarray, delta: int, harmonics: np.ndarray, rows: range, t0: int, t1: int, col: int = 0
+    exps: np.ndarray, delta: int, nh: int, rows: range, t0: int, t1: int, col: int = 0
 ) -> Iterator[tuple[range, range, np.ndarray]]:
-    """The harmonics of the histograms of tiles of row codes against the codes from each tile on.
+    """The first nh primitive harmonics of the histograms of tiles of row codes against the codes from each tile on.
 
     For each tile of the rows, yields block by block of the codes mu2 >=
     max(tile.start, col) ``(tile, block, sums)``:
     ``sums[t, j, 0, tau - t0, i]`` = sum_d h[d] w^(-r*d) for r =
-    harmonics[i] and h the histogram of code tile[t] with code block[j]
-    at shift tau, and ``sums[t, j, 1, tau - t0, i]`` the same at -tau.
-    Each exponent e maps to w^(-r*e); one einsum correlates the tile with
-    a block by FFTs along the sequence and sums over the M members, the
-    cells below the diagonal too.  It runs :func:`scan_plan`: spectra are
-    computed when a tile reads them, and stored when the plan keeps them,
-    so a scan that stops at a witness computed no block it did not read.
+    ``harmonic_reduction(delta)[0][i]`` and h the histogram of code tile[t]
+    with code block[j] at shift tau, and ``sums[t, j, 1, tau - t0, i]``
+    the same at -tau.  Each exponent e maps to w^(-r*e); one einsum
+    correlates the tile with a block by FFTs along the sequence and sums
+    over the M members, the cells below the diagonal too.  It runs
+    :func:`scan_plan`: spectra are computed when a tile reads them, and
+    stored when the plan keeps them, so a scan that stops at a witness
+    computed no block it did not read.
     """
     k, m, n = exps.shape
-    if not (isinstance(t0, (int, np.integer)) and isinstance(t1, (int, np.integer)) and 0 <= t0 < t1 <= n):
-        raise ValueError(f"need integers 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
-    width, nh = t1 - t0, len(harmonics)
+    _check_window(n, t0, t1)
+    width = t1 - t0
     plan = scan_plan(k, m, n, nh, rows, t1, col)
-    taus = np.arange(t0, t1)
-    ends = np.concatenate([taus, -taus % plan.length])
+    ends = _lags(t0, t1, plan.length)
     store: dict[tuple[int, int], np.ndarray] = {}
 
     def spectra(chunk: range, lo: int) -> np.ndarray:
         spec = store.get((chunk.start, lo))
         if spec is None:
-            table = roots(delta)[-np.outer(harmonics[chunk.start : chunk.stop], np.arange(delta)) % delta]
+            table = _root_table(delta)[chunk.start : chunk.stop]
             codes = exps[lo : lo + plan.step]
             # Each member's roots, one take for all the block's codes, go
             # into the zero-padded array, which is transformed in place,
@@ -198,6 +216,29 @@ def _harmonic_sums(
                     yield tile, block, pending.pop(block.start)
 
 
+def _check_window(n: int, t0, t1) -> None:
+    """Refuse a window of shifts [t0, t1) unless integers 0 <= t0 < t1 <= n."""
+    if not (isinstance(t0, (int, np.integer)) and isinstance(t1, (int, np.integer)) and 0 <= t0 < t1 <= n):
+        raise ValueError(f"need integers 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
+
+
+@shape_cache(TABLES_BYTES)
+def _root_table(delta: int) -> np.ndarray:
+    """w^(-r*d) at row i, column d, for r = ``harmonic_reduction(delta)[0][i]``."""
+    table = roots(delta)[-np.outer(harmonic_reduction(delta)[0], np.arange(delta)) % delta]
+    table.flags.writeable = False
+    return table
+
+
+@shape_cache(LAGS_BYTES)
+def _lags(t0: int, t1: int, length: int) -> np.ndarray:
+    """The indices of the lags +tau, then -tau, t0 <= tau < t1, in a cyclic correlation."""
+    taus = np.arange(t0, t1)
+    ends = np.concatenate([taus, -taus % length])
+    ends.flags.writeable = False
+    return ends
+
+
 def code_reductions(
     exps: np.ndarray, delta: int, rows: range, t0: int, t1: int, col: int = 0
 ) -> Iterator[tuple[range, range, np.ndarray]]:
@@ -220,7 +261,7 @@ def code_reductions(
     harmonics, basis = harmonic_reduction(delta)
     # |c[., tau, i]| <= sum_d h[d] |R[d, i]| <= M * (N - |tau|) * max_d |R[d, i]|.
     bound = m * (n - np.arange(t0, t1))[:, None] * reduction_max(delta)
-    for tile, block, sums in _harmonic_sums(exps, delta, harmonics, rows, t0, t1, col):
+    for tile, block, sums in _harmonic_sums(exps, delta, len(harmonics), rows, t0, t1, col):
         approx = sums.view(np.float64) @ basis
         # The checks run in place: with the harmonics in chunks a tile holds
         # all its blocks until the last chunk, and a copy would outgrow them.
@@ -232,6 +273,7 @@ def code_reductions(
         yield tile, block, reduced if exact else reduced_forms(_recount(exps, delta, tile, block, t0, t1))
 
 
+@lru_cache(maxsize=256)
 def _screen(terms: int, nh: int, error: float) -> tuple[int, float]:
     """``(s, T)``: the fewest s of nh harmonics whose T = terms^(-(nh - s)/s),
     taken 2^-30 low for the rounding of the power, exceeds 2 * error."""
@@ -258,10 +300,10 @@ def code_nonzero(exps: np.ndarray, delta: int, rows: range, t0: int, t1: int) ->
     form is, iff its norm is), read from s harmonics, exact while eps holds.
     """
     _, m, n = exps.shape
-    harmonics = harmonic_reduction(delta)[0]
+    _check_window(n, t0, t1)
     error = fft_error(m, n, _fft_length(n + t1 - 1))  # at scan_plan's length
-    s, threshold = _screen(m * n, len(harmonics), error)
-    for tile, block, sums in _harmonic_sums(exps, delta, harmonics[:s], rows, t0, t1):
+    s, threshold = _screen(m * n, len(harmonic_reduction(delta)[0]), error)
+    for tile, block, sums in _harmonic_sums(exps, delta, s, rows, t0, t1):
         peak = np.abs(sums).max(axis=-1)
         exact = not ((peak > error) & (peak < threshold - error)).any()
         yield tile, block, peak >= threshold / 2 if exact else reduced_forms(_recount(exps, delta, tile, block, t0, t1)).any(-1)

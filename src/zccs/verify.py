@@ -36,12 +36,11 @@ class ZccsCheck(NamedTuple):
 def _lower(cs: CodeSet, first: np.ndarray, rows: range, t0: int, t1: int) -> Iterator[tuple[range, range]]:
     """Lowers ``first`` to the first non-ideal shifts in [t0, t1) of the
     rows' cells, yielding ``(tile, block)`` after each tile and block."""
-    taus = np.arange(t0, t1)
     for tile, block, bad in code_nonzero(cs.exponents, cs.params.delta, rows, t0, t1):
         if t0 == 0:
-            for mu in range(max(tile.start, block.start), min(tile.stop, block.stop)):
-                bad[mu - tile.start, mu - block.start, :, 0] = False
-        shift = np.where(bad, taus, cs.params.N).min(axis=-1)
+            mus = np.arange(max(tile.start, block.start), min(tile.stop, block.stop))
+            bad[mus - tile.start, mus - block.start, :, 0] = False
+        shift = np.where(bad.any(axis=-1), bad.argmax(axis=-1) + t0, cs.params.N)
         t, b = slice(tile.start, tile.stop), slice(block.start, block.stop)
         np.minimum(first[t, b], shift[..., 0], out=first[t, b])
         np.minimum(first[b, t], shift[..., 1].T, out=first[b, t])

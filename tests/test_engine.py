@@ -363,7 +363,7 @@ def test_harmonic_sums_runs_its_plan(monkeypatch):
         for rows, t0, t1, col in ((range(k), 0, n, 0), (range(k // 2, k), n // 2, n, 0),
                                   (range(min(1, k)), 1, 3, min(1, k)), (range(k), 0, n, k // 2)):
             calls.clear()
-            sums = correlate._harmonic_sums(exps, delta, harmonics, rows, t0, t1, col)
+            sums = correlate._harmonic_sums(exps, delta, len(harmonics), rows, t0, t1, col)
             plan = correlate.scan_plan(k, m, n, len(harmonics), rows, t1, col)
             plans.append(plan)
             blocks = [(t, b) for t, _, codes in plan.tiles for _, b in correlate.blocks(codes, plan.step)]
@@ -599,7 +599,8 @@ def test_cached_verification_memory():
 def test_root_order_1024_report_copies_no_forms():
     cs = build_ccc(_chain(1024, 10), [])
     # Traced as a first run: the tables of delta = 1024 are built inside it.
-    for table in (algebra.roots, algebra.reduction_matrix, algebra.reduction_max, algebra.harmonic_reduction):
+    for table in (algebra.roots, algebra.reduction_matrix, algebra.reduction_max, algebra.harmonic_reduction,
+                  correlate._root_table):
         table.cache_clear()
     report, peak = _peak(lambda: verify_code_set(cs, compute_max=True))
     assert report.is_ccc and report.max_zcz == cs.params.N
@@ -649,7 +650,7 @@ def test_fft_recovery_lands_near_integers(build):
     pp = cs.params
     harmonics, basis = harmonic_reduction(pp.delta)
     residual = 0.0
-    for _, _, sums in correlate._harmonic_sums(cs.exponents, pp.delta, harmonics, range(pp.K), 0, pp.N):
+    for _, _, sums in correlate._harmonic_sums(cs.exponents, pp.delta, len(harmonics), range(pp.K), 0, pp.N):
         approx = sums.view(np.float64) @ basis
         residual = max(residual, np.abs(approx - np.rint(approx)).max())
     assert residual < 1e-9
@@ -683,7 +684,7 @@ def test_near_zero_cells_recover_exactly(delta, no_fallback):
         for tile, block, bad in code_nonzero(exps, delta, range(2), 0, n):
             assert np.array_equal(bad, reduced_forms(RECOUNT(exps, delta, tile, block, 0, n)).any(-1)), (j, tile, block)
         residual, smallest = 0.0, None
-        for tile, block, sums in correlate._harmonic_sums(exps, delta, harmonics, range(2), 0, n):
+        for tile, block, sums in correlate._harmonic_sums(exps, delta, len(harmonics), range(2), 0, n):
             approx = sums.view(np.float64) @ basis
             residual = max(residual, np.abs(approx - np.rint(approx)).max())
             if 0 in tile and 1 in block:
@@ -739,7 +740,7 @@ def test_adversarial_corpus_is_decided_by_the_screen(name, exps, delta, t1, no_f
     masks = list(code_nonzero(exps, delta, range(k), 0, t1))
     zero_margin = nonzero_margin = np.inf
     measured = 0.0
-    for (tile, block, bad), (_, _, sums) in zip(masks, correlate._harmonic_sums(exps, delta, harmonics[:s], range(k), 0, t1)):
+    for (tile, block, bad), (_, _, sums) in zip(masks, correlate._harmonic_sums(exps, delta, s, range(k), 0, t1)):
         hist = RECOUNT(exps, delta, tile, block, 0, t1)
         assert np.array_equal(bad, reduced_forms(hist).any(-1)), (name, tile, block)
         peak = np.abs(sums).max(axis=-1)
@@ -855,8 +856,10 @@ def test_recounted_pairs_print_the_same_corr_bytes(monkeypatch, tmp_path):
 def test_empty_or_outside_window_is_refused():
     cs = ENGINE_SETS["zccs_12x4x24_delta6"]()
     for t0, t1 in ((3, 3), (0, 25), (-1, 2), (0, 8.5), (0.0, 8)):
-        with pytest.raises(ValueError):
-            list(code_reductions(cs.exponents, cs.params.delta, range(2), t0, t1))
+        # code_nonzero refuses the window before its screen reads t1.
+        for engine in (code_reductions, code_nonzero):
+            with pytest.raises(ValueError):
+                list(engine(cs.exponents, cs.params.delta, range(2), t0, t1))
 
 
 @settings(max_examples=80, deadline=None)
