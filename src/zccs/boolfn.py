@@ -6,13 +6,18 @@ Its truth table lists its values at every index r, with bit order fixed
 as r = sum_a r_a * 2**a (x0 is the least significant bit), and its graph
 has one edge per quadratic term, which one walk certifies as a path.
 The paper's per-member sequences are built in :mod:`zccs.reference`.
+A function's ``terms`` and a graph's ``edges`` are read-only, so each keeps
+what it derives (:func:`per_instance`): a function its truth table and
+graph, a graph its certificate per (deleted, q).  A refusal is not kept.
 """
 from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import lcm
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,6 +25,15 @@ from .algebra import MAX_DELTA, is_prime
 from .errors import ArityError, InvalidGamma, InvalidModulus, InvalidParams, NotAPath, NotSecondOrder, ParseError
 
 Monomial = tuple[int, ...]
+
+_ADDEND, _FACTOR = re.compile(r"(?=[+-])"), re.compile(r"(x?)([0-9]+)")
+
+
+def per_instance(owner, key, compute, *args):
+    """``compute(*args)``, kept in ``owner``'s ``__dict__`` under ``key`` once it
+    returns (two racing threads both get the first kept); a refusal raises again."""
+    kept = vars(owner).setdefault("_derived", {})
+    return kept[key] if key in kept else kept.setdefault(key, compute(*args))
 
 
 def check_modulus(q: int) -> None:
@@ -32,13 +46,14 @@ def check_modulus(q: int) -> None:
 class GeneralizedBooleanFunction:
     """Sparse polynomial over binary variables with coefficients in Z_q.
 
-    ``terms`` maps a sorted tuple of variable indices to a nonzero
-    integer coefficient; the empty tuple is the constant term.
+    ``terms``, a read-only mapping, maps a sorted tuple of variable indices
+    to a nonzero integer coefficient; the empty tuple is the constant term.
+    A pickle or copy is a new function, which derives its values anew.
     """
 
     m: int
     q: int
-    terms: dict[Monomial, int] = field(default_factory=dict)
+    terms: Mapping[Monomial, int] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("m", "q"):  # TypeError unless integers
@@ -56,7 +71,10 @@ class GeneralizedBooleanFunction:
                 canon[key] = (canon.get(key, 0) + c) % self.q
                 if canon[key] == 0:
                     del canon[key]
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", MappingProxyType(canon))
+
+    def __reduce__(self):
+        return type(self), (self.m, self.q, dict(self.terms))
 
     def degree(self) -> int:
         return max((len(mono) for mono in self.terms), default=0)
@@ -75,9 +93,12 @@ class GeneralizedBooleanFunction:
         return total % self.q
 
     def truth_table(self) -> np.ndarray:
-        """Read-only int64 values at every index r = sum_a x_a * 2**a, mod q.
+        """Read-only int64 values at every index r = sum_a x_a * 2**a, mod q,
+        computed once per function by :meth:`_table`."""
+        return per_instance(self, "table", self._table)
 
-        f(x) is the sum of the coefficients of the monomials whose
+    def _table(self) -> np.ndarray:
+        """f(x) is the sum of the coefficients of the monomials whose
         variables x sets, so one in-place subset-sum pass over the m bits,
         from each coefficient at its monomial's mask, gives every value.
         It refuses a function whose coefficients sum to 2**63 or more,
@@ -160,13 +181,14 @@ def parse_gbf(text: str, m: int, q: int) -> GeneralizedBooleanFunction:
     Each term is an optional integer coefficient and a ``*``-separated
     product of variables ``x<i>``, both written in ASCII digits; whitespace
     is ignored and coefficients are reduced mod q.  A bare integer is a
-    constant term.
+    constant term.  Any other text, such as an integer too long for
+    ``int``, is a ParseError.
     """
-    compact = re.sub(r"\s+", "", text)
+    compact = "".join(text.split())
     if not compact:
         raise ParseError("empty expression")
     terms: dict[Monomial, int] = {}
-    for addend in re.split(r"(?=[+-])", compact):
+    for addend in _ADDEND.split(compact):
         if not addend:
             continue
         sign, body = 1, addend
@@ -178,15 +200,18 @@ def parse_gbf(text: str, m: int, q: int) -> GeneralizedBooleanFunction:
         coeff = sign
         variables: list[int] = []
         for factor in body.split("*"):
-            if re.fullmatch(r"x[0-9]+", factor):
-                idx = int(factor[1:])
-                if idx >= m:
-                    raise ParseError(f"variable x{idx} out of range for m={m}")
-                variables.append(idx)
-            elif re.fullmatch(r"[0-9]+", factor):
-                coeff *= int(factor)
-            else:
+            if not (match := _FACTOR.fullmatch(factor)):
                 raise ParseError(f"bad factor {factor!r} in {text!r}")
+            try:
+                value = int(match[2])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"factor {factor[:20]}... has {len(factor)} characters, too many digits") from None
+            if not match[1]:
+                coeff *= value
+            elif value >= m:
+                raise ParseError(f"variable x{value} out of range for m={m}")
+            else:
+                variables.append(value)
         key = tuple(variables)
         terms[key] = terms.get(key, 0) + coeff
     return GeneralizedBooleanFunction(m, q, terms)
@@ -194,14 +219,26 @@ def parse_gbf(text: str, m: int, q: int) -> GeneralizedBooleanFunction:
 
 @dataclass(frozen=True)
 class FunctionGraph:
-    """Graph with one weighted edge per quadratic term."""
+    """Graph with one weighted edge per quadratic term, held as a read-only
+    copy of the ``edges`` it is given."""
 
     m: int
-    edges: dict[tuple[int, int], int]
+    edges: Mapping[tuple[int, int], int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+
+    def __reduce__(self):
+        return type(self), (self.m, dict(self.edges))
 
 
 def graph_of(f: GeneralizedBooleanFunction) -> FunctionGraph:
-    """Edges of the quadratic part; rejects functions of degree > 2."""
+    """Edges of the quadratic part, one graph per function; rejects
+    functions of degree > 2."""
+    return per_instance(f, "graph", _graph, f)
+
+
+def _graph(f: GeneralizedBooleanFunction) -> FunctionGraph:
     if f.degree() > 2:
         raise NotSecondOrder(f"degree {f.degree()} function has no graph")
     edges = {mono: c for mono, c in f.terms.items() if len(mono) == 2}
@@ -240,9 +277,14 @@ def check_path_after_deletion(graph: FunctionGraph, deleted, q: int) -> PathCert
     to the one neighbour not just left.  A walk through all V vertices
     uses V - 1 distinct edges, so they form a path iff it reaches all V
     and there are V - 1 edges in all.  Returns the certificate, its order
-    from the lower-indexed end, or raises NotAPath.
+    from the lower-indexed end, or raises NotAPath.  The certificate is
+    kept on the graph, per (deleted, q).
     """
     deleted = tuple(map(operator.index, deleted))
+    return per_instance(graph, ("path", deleted, q), _certify, graph, deleted, q)
+
+
+def _certify(graph: FunctionGraph, deleted: tuple[int, ...], q: int) -> PathCertificate:
     if len(set(deleted)) != len(deleted):
         raise InvalidParams("deleted vertices must be distinct")
     if any(v < 0 or v >= graph.m for v in deleted):

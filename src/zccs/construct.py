@@ -27,7 +27,9 @@ it reads: the params (of exact ints or None only, 256 sets), the labels
 on (k, p) and the builders' selector planes, the part of the members
 that does not read f, on (m, deleted, gamma, q).  Each of the last two
 keeps at most 4 MiB, counting LABEL_BYTES a label (about 240 at most);
-a larger value is returned uncached.
+a larger value is returned uncached.  What depends on f is kept on the
+function (see :mod:`zccs.boolfn`), the members' read-only base array per
+certified (deleted, gamma) too, which each builder only broadcasts.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import MAX_DELTA, MAX_TERMS, shape_cache
-from .boolfn import GeneralizedBooleanFunction, check_modulus, check_path_after_deletion, extension_exponent, graph_of
+from .boolfn import GeneralizedBooleanFunction, check_modulus, check_path_after_deletion, extension_exponent, graph_of, per_instance
 from .errors import InvalidParams, ShapeError
 
 # Byte budgets of the caches of labels, counted LABEL_BYTES a label, and of selector planes.
@@ -169,26 +171,29 @@ class CodeSet:
 
 
 def _prepare(f: GeneralizedBooleanFunction, deleted, gamma: int | None, p: int | None = None, s: int | None = None):
-    """The set's params, and the certified deleted vertices and gamma, the
-    only vertices a builder reads.  The params come first, so no huge m or
-    k reaches the path check."""
+    """The set's params, and the read-only (family, t, nu, 2**m) exponents
+    over Z_q of its base members, kept on f per certified (deleted, gamma),
+    the only vertices a builder reads.  The params come first, so no huge m
+    or k reaches the path check."""
     deleted = tuple(deleted)
     pp = family_params(f.q, f.m, len(deleted), p, s)
     cert = check_path_after_deletion(graph_of(f), deleted, f.q)
-    return pp, cert.deleted, cert.end(gamma)
+    deleted, gamma = cert.deleted, cert.end(gamma)
+    return pp, per_instance(f, ("members", deleted, gamma), _base_members, f, deleted, gamma)
 
 
-def _member_exponents(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], gamma: int) -> np.ndarray:
-    """The (family, t, nu, 2**m) exponents over Z_q of the base set: f's
-    truth table, read forwards for family "F" and backwards and negated
-    for "G", plus the :func:`_selectors` of its shape."""
+def _base_members(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], gamma: int) -> np.ndarray:
+    """f's truth table, read forwards for family "F" and backwards and
+    negated for "G", plus the :func:`_selectors` of its shape."""
     table = f.truth_table()
-    return (_selectors(f.m, deleted, gamma, f.q) + np.stack([table, -table[::-1]])[:, None, None]) % f.q
+    out = (_selectors(f.m, deleted, gamma, f.q) + np.stack([table, -table[::-1]])[:, None, None]) % f.q
+    out.flags.writeable = False
+    return out
 
 
 @shape_cache(SELECTOR_BYTES)
 def _selectors(m: int, deleted: tuple[int, ...], gamma: int, q: int) -> np.ndarray:
-    """The part of :func:`_member_exponents` that does not read f.
+    """The part of :func:`_base_members` that does not read f.
 
     Member nu = d*2**k + sum(d_i * 2**i) of code t of family "F" is
     f + (q/2)*((d_vec + t_vec) . x_deleted + d*x_gamma).  Family "G" reads
@@ -219,9 +224,8 @@ def build_ccc(
     Codes 0..2**k-1 come from the function itself (family "C"); the next
     2**k codes are the conjugated complement family ("Cbar").
     """
-    pp, deleted, gamma = _prepare(f, deleted, gamma)
-    exps = _member_exponents(f, deleted, gamma).reshape(pp.K, pp.M, pp.N)
-    return CodeSet(exps, family_labels(pp), pp)
+    pp, base = _prepare(f, deleted, gamma)
+    return CodeSet(base.reshape(pp.K, pp.M, pp.N), family_labels(pp), pp)
 
 
 def build_zccs(
@@ -241,13 +245,12 @@ def build_zccs(
     Code mu = lam*2**k + t is the "U" family; the "V" family follows in the
     same order, conjugated.
     """
-    pp, deleted, gamma = _prepare(f, deleted, gamma, p, s)
+    pp, base = _prepare(f, deleted, gamma, p, s)
     # axes (family, lam, t, nu, w, r): kept entry r + 2**m*w, w < p, reads
     # g at r; "V" takes the conjugate phase ramp
-    base = _member_exponents(f, deleted, gamma)[:, None, :, :, None, :]
     sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1, 1)
     lam, w = np.arange(p).reshape(1, p, 1, 1, 1, 1), np.arange(p).reshape(p, 1)
-    exps = (pp.delta // f.q) * base + sign * (pp.delta // p) * lam * w
+    exps = (pp.delta // f.q) * base[:, None, :, :, None, :] + sign * (pp.delta // p) * lam * w
     return CodeSet(exps.reshape(pp.K, pp.M, pp.N), family_labels(pp), pp)
 
 
@@ -262,10 +265,10 @@ def build_zccs_by_concatenation(
     i-th block phase-rotated by w_p^(lam*i); each "V" code concatenates the
     conjugated complement-family sequences rotated by w_p^(-lam*i).
     """
-    pp, deleted, gamma = _prepare(f, deleted, gamma, p)
+    pp, base = _prepare(f, deleted, gamma, p)
     delta, n = pp.delta, 1 << f.m
     # axes (family, lam, t, nu, entry); block i of a sequence is entries i*n..
-    source = (delta // f.q) * _member_exponents(f, deleted, gamma)[:, None]
+    source = (delta // f.q) * base[:, None]
     sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1)
     lam = np.arange(p).reshape(1, p, 1, 1, 1)
     ramp = sign * (delta // p) * lam * np.repeat(np.arange(p), n)

@@ -66,6 +66,13 @@ class TestParse:
             with pytest.raises(ParseError, match="bad factor"):
                 parse_gbf(text, 3, 4)
 
+    @pytest.mark.parametrize("text", ["9" * 5000 + "*x0", "x" + "1" * 5000, "x0 + " + "0" * 4400],
+                             ids=["coefficient", "variable", "zeros"])
+    def test_an_integer_too_long_to_convert_is_a_parse_error(self, text):
+        # int() refuses more than 4300 digits with a bare ValueError
+        with pytest.raises(ParseError, match=r"^factor [x0-9]{20}\.\.\. has [0-9]+ characters, too many digits$"):
+            parse_gbf(text, 2, 4)
+
     def test_empty_text_or_dangling_sign_rejected(self):
         for text, why in (("", "empty"), ("  ", "empty"), ("x0 + -", "dangling"), ("+", "dangling")):
             with pytest.raises(ParseError, match=why):

@@ -11,7 +11,7 @@ import pytest
 
 from zccs import algebra, construct, correlate
 from zccs.boolfn import parse_gbf
-from zccs.construct import build_zccs, build_zccs_by_concatenation, family_labels, family_params
+from zccs.construct import build_ccc, build_zccs, build_zccs_by_concatenation, family_labels, family_params
 from zccs.errors import InvalidModulus, InvalidParams
 
 
@@ -50,15 +50,21 @@ def test_warm_family_params_answers_as_a_cold_call(warm, then):
     (build_zccs, {"p": 5, "s": 3}, {"p": 5, "s": 3.0}),
     (build_zccs, {"p": 3}, {"p": True}),
     (build_zccs_by_concatenation, {"p": 5}, {"p": 5.0}),
+    (build_ccc, {}, {"deleted": [0.0]}),
+    (build_ccc, {}, {"gamma": 2.0}),
+    (build_zccs, {"p": 5}, {"p": 5, "deleted": [0.0]}),
+    (build_zccs, {"p": 5}, {"p": 5, "gamma": 2.0}),
+    (build_zccs_by_concatenation, {"p": 5}, {"p": 5, "deleted": [0.0]}),
+    (build_zccs_by_concatenation, {"p": 5}, {"p": 5, "gamma": 2.0}),
 ])
 def test_warm_builders_refuse_what_a_cold_call_refuses(builder, warm, then):
     f = parse_gbf("x1*x2", 3, 2)
     construct._family_params.cache_clear()
     with pytest.raises((TypeError, InvalidParams)) as cold:
-        builder(f, [0], 2, **then)
+        builder(f, **{"deleted": [0], "gamma": 2, **then})
     builder(f, [0], 2, **warm)
     with pytest.raises(cold.type, match=re.escape(str(cold.value))):
-        builder(f, [0], 2, **then)
+        builder(f, **{"deleted": [0], "gamma": 2, **then})
 
 
 def _written(target, write):

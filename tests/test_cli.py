@@ -22,7 +22,7 @@ from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
 from zccs.cli import build_parser, code_set_from_dict, code_set_to_dict, main, read_code_set, write_code_set
 from zccs.construct import CodeLabel, CodeSet, build_ccc, build_zccs
 from zccs.correlate import code_pair_reductions
-from zccs.errors import FileFormatError, InvalidModulus, InvalidParams
+from zccs.errors import FileFormatError, InvalidModulus, InvalidParams, ParseError
 from zccs.reference import profile
 
 from oracles import corrupt_seeded
@@ -121,6 +121,14 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_integer_too_long_for_the_function_reports_the_parse_error(self, tmp_path, capsys):
+        text = "9" * 5000 + "*x0*x1"
+        with pytest.raises(ParseError) as refused:
+            parse_gbf(text, 2, 2)
+        rc = main(["generate", "--kind", "ccc", "--q", "2", "--m", "2", "--f", text, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 class TestVerify:
