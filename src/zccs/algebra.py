@@ -27,15 +27,17 @@ complex number is read from c alone, by :func:`form_values` over the
 table :func:`roots`, exact at the quarter turns, so ``zccs corr`` and
 ``CycInt.to_complex`` print the same digits.
 
-The tables of a root order, and :func:`fft_error`, are cached by
-``lru_cache``; :func:`shape_cache` is the byte-bounded cache that the
-other modules put on what they compute from a set's shape alone.
+The tables of a root order, and what the other modules compute from a
+set's shape alone, are cached by :func:`shape_cache` in one store of
+SHAPE_CACHE_BYTES (32 MiB) at most, which holds the largest root order's
+tables while it is verified (25 MB at delta = 1021, the scan's included);
+``lru_cache`` keeps only values of a fixed small size.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import expm1, gcd, isqrt, log1p, sqrt
 
 import numpy as np
@@ -49,38 +51,43 @@ MAX_DELTA = 1 << 10
 ROOT_ERROR = 2.0**-48
 """Bound on |roots(delta)[j] - exp(2*pi*i*j/delta)|: the angle's three roundings and cos and sin."""
 RESIDUAL_TOL = 0.25  # the largest |c - rint(c)| accepted from an FFT recovery of reduced forms
+SHAPE_CACHE_BYTES = 1 << 25
+"""Byte budget of the one store of every :func:`shape_cache` function's values."""
+
+_STORE: dict = {}  # (function, args) -> (value, counted bytes), least recently used first
+_held = 0
 
 
-class _ShapeCache:
-    """A function and the values :func:`shape_cache` keeps of it, least recently used first."""
+def shape_cache(size=lambda value: value.nbytes):
+    """Cache a pure function of hashable positional arguments in the store
+    all such functions share, which keeps the most recently used values,
+    counted by ``size``, up to SHAPE_CACHE_BYTES in all; a larger value is
+    returned uncached.  The values must be read-only, since every caller
+    shares them.  ``cache_clear()`` drops the function's values."""
 
-    __slots__ = ("fn", "budget", "size", "store", "held")
-
-    def __init__(self, fn, budget: int, size):
-        self.fn, self.budget, self.size, self.store, self.held = fn, budget, size, {}, 0
-
-    def __call__(self, *args):
-        if (hit := self.store.pop(args, None)) is not None:
-            self.store[args] = hit
+    def decorate(fn):
+        @wraps(fn)
+        def cached(*args):
+            global _held
+            if (hit := _STORE.pop(key := (fn, args), None)) is None:
+                value = fn(*args)
+                if (nbytes := size(value)) > SHAPE_CACHE_BYTES:
+                    return value
+                hit, _held = (value, nbytes), _held + nbytes
+                while _held > SHAPE_CACHE_BYTES:
+                    _held -= _STORE.pop(next(iter(_STORE)))[1]
+            _STORE[key] = hit
             return hit[0]
-        value = self.fn(*args)
-        if (nbytes := self.size(value)) <= self.budget:
-            self.store[args], self.held = (value, nbytes), self.held + nbytes
-            while self.held > self.budget:
-                self.held -= self.store.pop(next(iter(self.store)))[1]
-        return value
 
-    def cache_clear(self) -> None:
-        self.store.clear()
-        self.held = 0
+        def cache_clear() -> None:
+            global _held
+            for key in [key for key in _STORE if key[0] is fn]:
+                _held -= _STORE.pop(key)[1]
 
+        cached.cache_clear = cache_clear
+        return cached
 
-def shape_cache(budget: int, size=lambda value: value.nbytes):
-    """Cache a pure function of hashable positional arguments, keeping the
-    most recently used values that ``size`` counts at most ``budget``
-    bytes in all; a larger value is returned uncached.  The values must be
-    read-only, since every caller shares them."""
-    return lambda fn: _ShapeCache(fn, budget, size)
+    return decorate
 
 
 def owned_int64(values) -> np.ndarray:
@@ -141,7 +148,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(series.tolist())
 
 
-@lru_cache(maxsize=32)
+@shape_cache()
 def reduction_matrix(delta: int) -> np.ndarray:
     """delta x phi(delta) integer matrix whose row j is x^j mod Phi_delta.
 
@@ -162,7 +169,7 @@ def reduction_matrix(delta: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
+@shape_cache()
 def reduction_max(delta: int) -> np.ndarray:
     """The phi(delta) column maxima max_d |R[d, i]| of R = reduction_matrix(delta).
 
@@ -185,7 +192,7 @@ def reduced_forms(h: np.ndarray) -> np.ndarray:
     return h.astype(np.float64) @ reduction_matrix(h.shape[-1]).astype(np.float64)
 
 
-@lru_cache(maxsize=32)
+@shape_cache()
 def roots(delta: int) -> np.ndarray:
     """The read-only table of w^j, j = 0..delta-1, w = exp(2*pi*i/delta),
     with w^j exactly 1, i, -1 or -i wherever 4j = 0 mod delta.  The scan
@@ -248,7 +255,7 @@ def form_values(c: np.ndarray, delta: int) -> np.ndarray:
     return (c * roots(delta)[: c.shape[-1]]).sum(axis=-1) + 0.0
 
 
-@lru_cache(maxsize=32)
+@shape_cache(size=lambda pair: pair[0].nbytes + pair[1].nbytes)
 def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     """``(harmonics, basis)``: the primitive harmonics of Z_delta and the
     real matrix that maps them to reduced forms.

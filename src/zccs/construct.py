@@ -23,13 +23,13 @@ set's params; :func:`family_labels` names the codes of such a set, for
 the builders, the reader and the writer alike.
 
 What depends only on a set's shape is cached, read-only, on every input
-it reads: the params (of exact ints or None only, 256 sets), the labels
-on (k, p) and the builders' selector planes, the part of the members
-that does not read f, on (m, deleted, gamma, q).  Each of the last two
-keeps at most 4 MiB, counting LABEL_BYTES a label (about 240 at most);
-a larger value is returned uncached.  What depends on f is kept on the
-function (see :mod:`zccs.boolfn`), the members' read-only base array per
-certified (deleted, gamma) too, which each builder only broadcasts.
+it reads and its type: the params (256 sets), the labels on (k, p) and
+the builders' selector planes, the part of the members that does not
+read f, on (m, deleted, gamma, q).  The last two count against the one
+store of :func:`~zccs.algebra.shape_cache`, SHAPE_CACHE_BYTES in all, a
+label at LABEL_BYTES (about 240 at most).  What depends on f is kept on
+the function (see :mod:`zccs.boolfn`), the members' read-only base array
+per certified (deleted, gamma) too, which each builder only broadcasts.
 """
 from __future__ import annotations
 
@@ -43,10 +43,7 @@ from .algebra import MAX_DELTA, MAX_TERMS, shape_cache
 from .boolfn import GeneralizedBooleanFunction, check_modulus, check_path_after_deletion, extension_exponent, graph_of, per_instance
 from .errors import InvalidParams, ShapeError
 
-# Byte budgets of the caches of labels, counted LABEL_BYTES a label, and of selector planes.
-LABEL_BYTES = 320
-LABELS_BYTES = 1 << 22
-SELECTOR_BYTES = 1 << 22
+LABEL_BYTES = 320  # the bytes a cached label counts
 
 
 @dataclass(frozen=True)
@@ -93,15 +90,12 @@ def family_params(q: int, m: int, k: int, p: int | None = None, s: int | None = 
     its prime extension by p with s extension variables, checked before
     anything is built: q even, then m and k bounded before any shift, then
     (p, s) by :func:`~zccs.boolfn.extension_exponent`, which fills in the
-    default s and bounds delta before p's primality test.  Only exact
-    ints and None reach the cache, so 5.0 or True is refused as ever."""
-    args = (q, m, k, p, s)
-    if all(type(v) is int or v is None for v in args):
-        return _family_params(*args)
-    return _family_params.__wrapped__(*args)
+    default s and bounds delta before p's primality test.  The cache is
+    keyed on each argument's type too, so 5.0 or True is refused as ever."""
+    return _family_params(q, m, k, p, s)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _family_params(q, m, k, p, s) -> CodeSetParams:
     check_modulus(q)
     if m < 0 or k < 0 or k + 1 + m >= MAX_TERMS.bit_length():
@@ -120,7 +114,7 @@ def family_labels(pp: CodeSetParams) -> tuple[CodeLabel, ...]:
     return _labels(pp.k, pp.p)
 
 
-@shape_cache(LABELS_BYTES, size=lambda labels: LABEL_BYTES * len(labels))
+@shape_cache(size=lambda labels: LABEL_BYTES * len(labels))
 def _labels(k: int, p: int | None) -> tuple[CodeLabel, ...]:
     ts = range(1 << k)
     if p is None:
@@ -134,7 +128,8 @@ class CodeSet:
     held as one read-only int64 (K, M, N) array ``exponents`` reduced mod
     delta: entry [mu, nu, i] is the exponent of entry i of sequence nu of
     code mu, whose label is ``labels[mu]``.  Integers that already lie in
-    [0, delta), as the file reader's do, are copied without the modulo."""
+    [0, delta), as the file reader's do, are copied without the modulo.
+    A set has a code at least: params with K < 1 raise InvalidParams."""
 
     exponents: np.ndarray = field(repr=False)
     labels: tuple[CodeLabel, ...]
@@ -142,6 +137,8 @@ class CodeSet:
 
     def __post_init__(self):
         pp = self.params
+        if pp.K < 1:
+            raise InvalidParams(f"params.K={pp.K}: a set needs at least one code")
         exps = np.asarray(self.exponents)
         reduced = exps.dtype.kind in "iu" and exps.size and exps.min() >= 0 and exps.max() < pp.delta
         exps = exps.astype(np.int64) if reduced else np.mod(exps, pp.delta, dtype=np.int64)
@@ -191,7 +188,7 @@ def _base_members(f: GeneralizedBooleanFunction, deleted: tuple[int, ...], gamma
     return out
 
 
-@shape_cache(SELECTOR_BYTES)
+@shape_cache()
 def _selectors(m: int, deleted: tuple[int, ...], gamma: int, q: int) -> np.ndarray:
     """The part of :func:`_base_members` that does not read f.
 

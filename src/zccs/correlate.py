@@ -31,10 +31,10 @@ recounted exactly by :func:`_count` and :func:`~zccs.algebra.reduced_forms`.
 A scan's shape-only values are cached, read-only, on every input they
 read: the plan on :func:`scan_plan`'s arguments and both budgets, the
 error bound and the screen, one root table per delta, whose rows each
-chunk slices, and the lag indices.  The plans keep at most 4 MiB,
-counted PLAN_ENTRY_BYTES a tile, chunk or kept spectra (about 250 as
-built), the tables 8 MiB (8.3 MB at most, at delta = 1021) and the lags
-1 MiB; a larger value is returned uncached.
+chunk slices, and the lag indices.  The plans (PLAN_ENTRY_BYTES a tile,
+chunk or kept spectra, about 250 as built), tables (8.3 MB at most, at
+delta = 1021) and lags count against SHAPE_CACHE_BYTES, the one budget of
+:func:`~zccs.algebra.shape_cache`.
 """
 from __future__ import annotations
 
@@ -54,11 +54,7 @@ BLOCK_BYTES = 1 << 18
 # Byte budget of the spectra a scan keeps, taken greedily in the order it
 # first reads them: every code's when they fit, else a prefix.
 CACHE_BYTES = 1 << 21
-# Byte budgets of the caches of plans, counted PLAN_ENTRY_BYTES an entry, root tables and lags.
-PLAN_ENTRY_BYTES = 384
-PLANS_BYTES = 1 << 22
-TABLES_BYTES = 1 << 23
-LAGS_BYTES = 1 << 20
+PLAN_ENTRY_BYTES = 384  # the bytes a cached plan counts per tile, chunk or kept spectra
 
 
 def _count(a: np.ndarray, b: np.ndarray, delta: int, tau: int) -> np.ndarray:
@@ -128,7 +124,7 @@ def scan_plan(k: int, m: int, n: int, nh: int, rows: range, t1: int, col: int = 
     return _scan_plan(k, m, n, nh, rows, t1, col, BLOCK_BYTES, CACHE_BYTES)
 
 
-@shape_cache(PLANS_BYTES, size=lambda plan: PLAN_ENTRY_BYTES * (len(plan.chunks) + len(plan.tiles) + len(plan.keep)))
+@shape_cache(size=lambda plan: PLAN_ENTRY_BYTES * (len(plan.chunks) + len(plan.tiles) + len(plan.keep)))
 def _scan_plan(k, m, n, nh, rows, t1, col, block_bytes, cache_bytes) -> ScanPlan:
     # A cyclic length of n + t1 - 1 keeps every shift |tau| < t1 free of
     # wrap-around: +tau sits at index tau and -tau at index length - tau.
@@ -222,7 +218,7 @@ def _check_window(n: int, t0, t1) -> None:
         raise ValueError(f"need integers 0 <= t0 < t1 <= N={n}, got [{t0}, {t1})")
 
 
-@shape_cache(TABLES_BYTES)
+@shape_cache()
 def _root_table(delta: int) -> np.ndarray:
     """w^(-r*d) at row i, column d, for r = ``harmonic_reduction(delta)[0][i]``."""
     table = roots(delta)[-np.outer(harmonic_reduction(delta)[0], np.arange(delta)) % delta]
@@ -230,7 +226,7 @@ def _root_table(delta: int) -> np.ndarray:
     return table
 
 
-@shape_cache(LAGS_BYTES)
+@shape_cache()
 def _lags(t0: int, t1: int, length: int) -> np.ndarray:
     """The indices of the lags +tau, then -tau, t0 <= tau < t1, in a cyclic correlation."""
     taus = np.arange(t0, t1)

@@ -1,8 +1,9 @@
 """The shape caches: what a set's shape alone decides is computed once per
 shape, and a cached value answers exactly as a first call would, cannot
-be written through, and the caches keep within their byte budgets."""
+be written through, and the one store keeps within its byte budget."""
 import dataclasses
 import gc
+import inspect
 import re
 import tracemalloc
 
@@ -103,6 +104,8 @@ def test_each_cache_gives_its_first_value_again():
         lambda: family_params(2, 3, 1, 3), lambda: family_labels(family_params(2, 3, 1, 3)),
         lambda: construct._selectors(3, (0,), 2, 2), lambda: correlate.scan_plan(12, 4, 24, 1, range(12), 9),
         lambda: correlate._root_table(20), lambda: correlate._lags(0, 9, 32),
+        lambda: algebra.reduction_matrix(20), lambda: algebra.reduction_max(20), lambda: algebra.roots(20),
+        lambda: algebra.harmonic_reduction(20),
     ]
     for call in cached:
         assert call() is call()
@@ -141,8 +144,8 @@ def _fill_labels():
 
 
 def _fill_selectors():
-    # The 2x2x2**19 CCC's planes (16 MiB) exceed the budget; the 2**16
-    # entries of the others take 2 MiB each.
+    # The 2x2x2**19 CCC's planes take 16 MiB; the 2**16 entries of the
+    # others 2 MiB each.
     construct._selectors(19, (), 0, 14)
     for gamma in range(8):
         construct._selectors(16, (), gamma, 4)
@@ -167,35 +170,60 @@ def _fill_lags():
         correlate._lags(t0, 1 << 14, 1 << 15)
 
 
-@pytest.mark.parametrize("cache, fill, budget", [
-    (construct._labels, _fill_labels, construct.LABELS_BYTES),
-    (construct._selectors, _fill_selectors, construct.SELECTOR_BYTES),
-    (correlate._scan_plan, _fill_plans, correlate.PLANS_BYTES),
-    (correlate._root_table, _fill_tables, correlate.TABLES_BYTES),
-    (correlate._lags, _fill_lags, correlate.LAGS_BYTES),
-], ids=["labels", "selectors", "plans", "tables", "lags"])
-def test_each_cache_keeps_within_its_budget(cache, fill, budget):
-    # A first fill builds the tables the values are made from (roots,
-    # harmonic_reduction), so the traced fill counts only what the cache keeps.
-    fill()
-    cache.cache_clear()
-    kept = _kept(fill)
-    cache.cache_clear()
-    # Each fill would keep more than twice the budget uncapped; the labels
-    # and plans are counted at about 1.3-1.7 times their traced bytes.
-    assert budget / 4 < kept < budget * 1.02 + 65536
+def _fill_algebra():
+    # R, B and the roots of six large odd root orders: about 100 MB uncapped.
+    for delta in (1021, 1019, 1013, 1009, 997, 991):
+        algebra.reduction_matrix(delta), algebra.harmonic_reduction(delta), algebra.roots(delta)
 
 
-def test_the_shape_cache_drops_the_least_recently_used():
+FILLS = {"labels": _fill_labels, "selectors": _fill_selectors, "plans": _fill_plans, "tables": _fill_tables,
+         "lags": _fill_lags, "algebra": _fill_algebra}
+# Every function cached in the store, wherever it is defined.
+SHAPE_CACHED = list(dict.fromkeys(
+    value for module in (algebra, construct, correlate) for value in vars(module).values()
+    if inspect.isfunction(value) and hasattr(value, "cache_clear")
+))
+
+
+@pytest.mark.parametrize("fills", [[fill] for fill in FILLS.values()] + [list(FILLS.values())], ids=[*FILLS, "all"])
+def test_the_store_keeps_within_its_budget(fills):
+    for cached in SHAPE_CACHED:
+        cached.cache_clear()
+    kept = _kept(lambda: [fill() for fill in fills])
+    budget = algebra.SHAPE_CACHE_BYTES
+    assert kept < budget * 1.02 + 65536
+    assert algebra._held == sum(nbytes for _, nbytes in algebra._STORE.values()) <= budget
+    if _fill_algebra in fills or _fill_tables in fills:
+        # Each of these fills would keep more than the budget uncapped.
+        assert kept > budget / 2
+
+
+def test_every_store_function_keeps_its_name_and_doc():
+    names = {"reduction_matrix", "reduction_max", "roots", "harmonic_reduction", "_labels", "_selectors",
+             "_scan_plan", "_root_table", "_lags"}
+    assert {cached.__name__ for cached in SHAPE_CACHED} == names
+    for cached in SHAPE_CACHED:
+        assert cached.__doc__ is cached.__wrapped__.__doc__ and cached.__name__ == cached.__wrapped__.__name__
+        assert cached is not cached.__wrapped__
+    # The doctest collector reads the cached function's docstring.
+    assert ">>> harmonics, basis = harmonic_reduction(6)" in algebra.harmonic_reduction.__doc__
+
+
+def test_the_shape_cache_drops_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(algebra, "SHAPE_CACHE_BYTES", 3)
     calls = []
 
-    @algebra.shape_cache(3, size=lambda value: value)
-    def sized(key, value):
+    def record(key, value):
         calls.append(key)
         return value
 
+    sized, other = (algebra.shape_cache(size=lambda value: value)(lambda *args: record(*args)) for _ in range(2))
     sized("a", 1), sized("b", 2), sized("a", 1), sized("c", 1), sized("d", 9)
     assert calls == ["a", "b", "c", "d"]
     sized("a", 1), sized("c", 1), sized("b", 2), sized("d", 9)
     # b was dropped for c, then a for b; d never fits.
     assert calls == ["a", "b", "c", "d", "b", "d"]
+    # One store: other's e drops c, then c drops b; clearing other keeps c.
+    other("e", 1), sized("c", 1), other.cache_clear(), sized("c", 1), other("e", 1)
+    assert calls[6:] == ["e", "c", "e"]
+    sized.cache_clear(), other.cache_clear()

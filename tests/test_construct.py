@@ -21,7 +21,6 @@ from zccs.construct import (
 )
 from zccs.errors import InvalidGamma, InvalidParams
 from zccs.reference import PbfSpec, pbf_sequence
-from zccs.verify import max_zcz, verify_code_set
 
 from oracles import TOL, float_zcz_width, naive_code_accf, reference_ccc, reference_zccs, to_complex_code
 
@@ -254,15 +253,16 @@ class TestPeak:
 
 class TestCoefficientBound:
     def test_m_times_n_up_to_the_limit(self):
-        at_limit = CodeSetParams(K=0, M=2, N=MAX_TERMS // 2, Z=1, q=2, m=19, k=0, delta=2)
-        CodeSet(np.zeros((0, 2, at_limit.N), int), (), at_limit)
+        at_limit = CodeSetParams(K=1, M=2, N=MAX_TERMS // 2, Z=1, q=2, m=19, k=0, delta=2)
+        CodeSet(np.zeros((1, 2, at_limit.N), int), (CodeLabel("C", 0),), at_limit)
         with pytest.raises(InvalidParams):
             replace(at_limit, N=MAX_TERMS, m=20)
 
-    def test_an_empty_set_has_width_n(self):
-        pp = CodeSetParams(K=0, M=2, N=MAX_TERMS // 2, Z=1, q=2, m=19, k=0, delta=2)
-        cs = CodeSet(np.zeros((0, 2, pp.N), int), (), pp)
-        assert max_zcz(cs) == verify_code_set(cs, compute_max=True).max_zcz == pp.N
+    def test_a_set_without_codes_is_refused(self):
+        # It would pass every zone check vacuously.
+        for k in (0, -1):
+            with pytest.raises(InvalidParams, match=f"params.K={k}"):
+                CodeSet(np.zeros((0, 2, 4)), (), CodeSetParams(K=k, M=2, N=4, Z=4, q=2, m=2, k=0, delta=2))
 
     def test_empty_shapes_refused(self):
         for m, n in ((0, 4), (2, 0)):
@@ -270,11 +270,11 @@ class TestCoefficientBound:
                 CodeSet(np.zeros((0, m, n), int), (), CodeSetParams(K=0, M=m, N=n, Z=1, q=2, m=2, k=0, delta=2))
 
     def test_root_order_within_limits(self):
-        exps = np.zeros((0, 2, 4), int)
-        CodeSet(exps, (), CodeSetParams(K=0, M=2, N=4, Z=1, q=2, m=2, k=0, delta=MAX_DELTA))
+        exps, labels = np.zeros((1, 2, 4), int), (CodeLabel("C", 0),)
+        CodeSet(exps, labels, CodeSetParams(K=1, M=2, N=4, Z=1, q=2, m=2, k=0, delta=MAX_DELTA))
         for delta in (0, -2, MAX_DELTA + 2):
             with pytest.raises(InvalidParams):
-                CodeSet(exps, (), CodeSetParams(K=0, M=2, N=4, Z=1, q=2, m=2, k=0, delta=delta))
+                CodeSet(exps, labels, CodeSetParams(K=1, M=2, N=4, Z=1, q=2, m=2, k=0, delta=delta))
         with pytest.raises(InvalidParams):
             build_ccc(parse_gbf(f"{MAX_DELTA // 2 + 1}*x0*x1", 2, MAX_DELTA + 2), [])
 
