@@ -8,7 +8,7 @@ keeps the paper's per-sequence definitions, re-exported here, as the
 reference those array paths are tested against.
 """
 
-from .algebra import CycInt, cyclotomic_poly, is_prime
+from .algebra import cyclotomic_poly, is_prime
 from .boolfn import (
     FunctionGraph,
     GeneralizedBooleanFunction,
@@ -24,14 +24,15 @@ from .construct import (
     CodeSetParams,
     build_ccc,
     build_zccs,
-    build_zccs_by_concatenation,
 )
 from .reference import (
     Code,
     CorrelationProfile,
+    CycInt,
     PbfSpec,
     RootSequence,
     accf,
+    build_zccs_by_concatenation,
     code_accf,
     codeword_function,
     pbf_sequence,

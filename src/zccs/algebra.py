@@ -1,31 +1,27 @@
 """Exact arithmetic with sums of roots of unity.
 
-A value is represented in the group ring Z[Z_delta]: an integer vector
-``coeffs`` of length delta encodes ``sum_j coeffs[j] * w^j`` where
+A value is represented in the group ring Z[Z_delta]: an integer vector h
+of length delta encodes ``sum_j h[j] * w^j`` where
 ``w = exp(2*pi*i/delta)``.  Addition and rotation are then plain integer
 vector operations, which is what correlation accumulation needs; nothing
 is reduced until a zero test, where the vector is reduced modulo the
 delta-th cyclotomic polynomial.
 
-Coefficients are stored in int64 and combined in Python ints, so a
-``CycInt`` result that leaves int64 raises ``OverflowError`` instead of
-wrapping.  Every term produced by a correlation has unit magnitude, so a
-code correlation of M sequences of length N has coefficients bounded by
-M*N.  :data:`MAX_TERMS` caps M*N and :data:`MAX_DELTA` caps the root
-order; ``CodeSet`` and the file reader refuse larger sets, and
-``CycInt`` refuses a larger root order.  Under those caps
+Every term produced by a correlation has unit magnitude, so a code
+correlation of M sequences of length N has coefficients bounded by M*N.
+:data:`MAX_TERMS` caps M*N and :data:`MAX_DELTA` caps the root order;
+``CodeSet`` and the file reader refuse larger sets.  Under those caps
 :func:`fft_error` bounds the floating-point steps of :mod:`zccs.correlate`.
 
 A zero test is linear algebra, the reduced form c = h @ R with
 R = :func:`reduction_matrix`.  :func:`harmonic_reduction` gives c from
 the phi(delta)/2 primitive harmonics of h, which is how ``zccs corr``
-gets it from its FFT; :func:`reduced_forms` takes the
-product in float64 for count histograms, which MAX_TERMS keeps exact,
-when the engine recounts a block; and ``CycInt.reduced`` folds any int64
-coefficients by Phi_delta's nonzero terms in Python ints.  A value's
-complex number is read from c alone, by :func:`form_values` over the
-table :func:`roots`, exact at the quarter turns, so ``zccs corr`` and
-``CycInt.to_complex`` print the same digits.
+gets it from its FFT, and :func:`reduced_forms` takes the product in
+float64 for count histograms, which MAX_TERMS keeps exact, when the
+engine recounts a block.  A value's complex number is read from c alone,
+by :func:`form_values` over the table :func:`roots`, exact at the
+quarter turns.  The reference's exact values, ``CycInt``, are in
+:mod:`zccs.reference`.
 
 The tables of a root order, and what the other modules compute from a
 set's shape alone, are cached by :func:`shape_cache` in one store of
@@ -35,14 +31,12 @@ tables while it is verified (25 MB at delta = 1021, the scan's included);
 """
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from math import expm1, gcd, isqrt, log1p, sqrt
 
 import numpy as np
 
-from .errors import DeltaMismatch, ZccsError
+from .errors import ZccsError
 
 MAX_TERMS = 1 << 20
 """Largest M*N (unit terms in one code correlation) a code set may have."""
@@ -88,20 +82,6 @@ def shape_cache(size=lambda value: value.nbytes):
         return cached
 
     return decorate
-
-
-def owned_int64(values) -> np.ndarray:
-    """``values`` as an int64 array no caller can write through: a
-    read-only array as it is, anything else copied.  Entries it would
-    change raise: TypeError unless integers, OverflowError past int64."""
-    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if arr.dtype.kind == "O":
-        ints = all(isinstance(v, (int, np.integer)) for v in arr.flat)
-    else:  # "i", the usual input, before can_cast, which costs more
-        ints = arr.dtype.kind == "i" or np.can_cast(arr.dtype, np.int64)
-    if not ints:
-        raise TypeError(f"expected integers that fit int64, got {arr.dtype} entries")
-    return np.array(arr, dtype=np.int64, copy=True if arr.flags.writeable else None)
 
 
 def is_prime(n: int) -> bool:
@@ -299,126 +279,11 @@ def harmonic_reduction(delta: int) -> tuple[np.ndarray, np.ndarray]:
     return harmonics, basis
 
 
-@dataclass(frozen=True, eq=False)
-class CycInt:
-    """An element of Z[w] for w a primitive delta-th root of unity.
+def __getattr__(name: str):
+    # Kept only for benchmarks/, which traces CycInt under this module's
+    # name, until ROADMAP item 1 lets the benchmark change.
+    if name == "CycInt":
+        from .reference import CycInt
 
-    The coefficient vector is *not* kept reduced; two instances are equal
-    when their difference reduces to zero modulo the delta-th cyclotomic
-    polynomial.
-    """
-
-    delta: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not 1 <= self.delta <= MAX_DELTA:
-            raise ValueError(f"delta must lie in [1, {MAX_DELTA}], got {self.delta}")
-        arr = owned_int64(self.coeffs)
-        if arr.shape != (self.delta,):
-            raise ValueError("coefficient vector must have length delta")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def zero(cls, delta: int) -> CycInt:
-        return cls(delta, np.zeros(delta, dtype=np.int64))
-
-    @classmethod
-    def from_int(cls, value: int, delta: int) -> CycInt:
-        coeffs = np.zeros(delta, dtype=np.int64)
-        coeffs[0] = operator.index(value)  # TypeError unless an integer
-        return cls(delta, coeffs)
-
-    @classmethod
-    def root(cls, delta: int, e: int) -> CycInt:
-        """The single root of unity w^e."""
-        coeffs = np.zeros(delta, dtype=np.int64)
-        coeffs[e % delta] = 1
-        return cls(delta, coeffs)
-
-    def __add__(self, other: CycInt) -> CycInt:
-        if self.delta != other.delta:
-            raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
-        return CycInt(self.delta, self.coeffs.astype(object) + other.coeffs)
-
-    def __sub__(self, other: CycInt) -> CycInt:
-        if self.delta != other.delta:
-            raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
-        return CycInt(self.delta, self.coeffs.astype(object) - other.coeffs)
-
-    def __neg__(self) -> CycInt:
-        return CycInt(self.delta, -self.coeffs.astype(object))
-
-    def __mul__(self, other: CycInt) -> CycInt:
-        """Product in the group ring (cyclic convolution of coefficients)."""
-        if self.delta != other.delta:
-            raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
-        conv = np.convolve(self.coeffs.astype(object), other.coeffs)
-        folded = conv[: self.delta].copy()
-        folded[: self.delta - 1] += conv[self.delta :]
-        return CycInt(self.delta, folded)
-
-    def mul_root(self, e: int) -> CycInt:
-        """Multiply by w^e, i.e. rotate the coefficient vector by e."""
-        return CycInt(self.delta, np.roll(self.coeffs, e % self.delta))
-
-    def conjugate(self) -> CycInt:
-        """Complex conjugate: w^j maps to w^(-j)."""
-        idx = (-np.arange(self.delta)) % self.delta
-        return CycInt(self.delta, self.coeffs[idx])
-
-    def promoted(self, new_delta: int) -> CycInt:
-        """Re-express over a root order that is a multiple of delta."""
-        if new_delta % self.delta != 0:
-            raise DeltaMismatch(f"{new_delta} is not a multiple of {self.delta}")
-        ratio = new_delta // self.delta
-        coeffs = np.zeros(new_delta, dtype=np.int64)
-        coeffs[np.arange(self.delta) * ratio] = self.coeffs
-        return CycInt(new_delta, coeffs)
-
-    def _form(self) -> list[int]:
-        """The phi(delta) coefficients of the remainder modulo Phi_delta.
-
-        From the top power down, each x^j with j >= phi is folded back by
-        x^phi = x^phi mod Phi_delta (row phi of :func:`reduction_matrix`),
-        over that row's nonzero terms, in Python ints: the coefficients
-        may be any int64 values."""
-        rem = self.coeffs.tolist()
-        reduce = reduction_matrix(self.delta)
-        phi = reduce.shape[1]
-        if phi < self.delta:
-            terms = [(k, v) for k, v in enumerate(reduce[phi].tolist()) if v]
-            for j in range(self.delta - 1, phi - 1, -1):
-                if top := rem[j]:
-                    for k, v in terms:
-                        rem[j - phi + k] += top * v
-        return rem[:phi]
-
-    def reduced(self) -> tuple[int, ...]:
-        """Canonical form: remainder modulo the delta-th cyclotomic
-        polynomial, without trailing zeros."""
-        rem = self._form()
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return tuple(rem)
-
-    def is_zero(self) -> bool:
-        """Exact zero test; true iff the value is 0 as a complex number."""
-        return self.reduced() == ()
-
-    def to_complex(self) -> complex:
-        """Double-precision value of the element: :func:`form_values` of
-        its remainder, as ``zccs corr`` prints it."""
-        return complex(form_values(np.array(self._form(), dtype=np.float64), self.delta))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return self.delta == other.delta and (self - other).is_zero()
-
-    def __hash__(self) -> int:
-        return hash((self.delta, self.reduced()))
-
-    def __repr__(self) -> str:
-        return f"CycInt(delta={self.delta}, coeffs={self.coeffs.tolist()})"
+        return CycInt
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

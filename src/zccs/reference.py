@@ -6,26 +6,186 @@ member as the sequence of a rational extension (:class:`PbfSpec`,
 :func:`pbf_sequence`), and each correlation as a sum over the overlap
 (:func:`accf`, :func:`code_accf`, :func:`profile`).  This module keeps
 those definitions as objects, :class:`RootSequence` and :class:`Code`
-over :class:`~zccs.algebra.CycInt` values, so that tests can check the
+over exact :class:`CycInt` values, so that tests can check the
 broadcast builders of :mod:`zccs.construct` and the FFT engine of
-:mod:`zccs.correlate` against them.  Every correlation here, a whole
-:func:`profile` too, is counted directly by ``correlate._count``, the
-one name this module takes from the engine.  No product module imports
-it at module level; ``CodeSet.codes`` is its one entry from the product
-side.
+:mod:`zccs.correlate` against them.  It also keeps the paper's second
+assembly of the extended set, :func:`build_zccs_by_concatenation`, from
+p phase-rotated copies of the base codes, which the tests compare with
+``build_zccs``, and :func:`owned_int64`, the integer check of
+``CycInt`` and ``RootSequence``.  Both classes read their root order
+delta as an int in [1, MAX_DELTA].
+
+Every correlation here, a whole :func:`profile` too, is counted
+directly by ``correlate._count``, the one name this module takes from
+the engine.  No product module imports it at module level;
+``CodeSet.codes`` is its one entry from the product side.  ``algebra``
+and ``construct`` also resolve ``CycInt`` and the concatenation builder
+by a module ``__getattr__``, kept only because ``benchmarks/`` looks the
+two up under those modules' names.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import lcm
 
 import numpy as np
 
-from .algebra import MAX_DELTA, MAX_TERMS, CycInt, is_prime, owned_int64
+from .algebra import MAX_DELTA, MAX_TERMS, form_values, is_prime, reduction_matrix
 from .boolfn import GeneralizedBooleanFunction, PathCertificate, extension_exponent
-from .construct import CodeLabel
+from .construct import CodeLabel, CodeSet, _prepare, family_labels
 from .correlate import _count
-from .errors import ArityError, InvalidParams, ShapeError, TruncateError
+from .errors import ArityError, DeltaMismatch, InvalidParams, ShapeError, TruncateError
+
+
+def owned_int64(values) -> np.ndarray:
+    """``values`` as an int64 array no caller can write through: a
+    read-only array as it is, anything else copied.  Entries it would
+    change raise: TypeError unless integers, OverflowError past int64."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.dtype.kind == "O":
+        ints = all(isinstance(v, (int, np.integer)) for v in arr.flat)
+    else:  # "i", the usual input, before can_cast, which costs more
+        ints = arr.dtype.kind == "i" or np.can_cast(arr.dtype, np.int64)
+    if not ints:
+        raise TypeError(f"expected integers that fit int64, got {arr.dtype} entries")
+    return np.array(arr, dtype=np.int64, copy=True if arr.flags.writeable else None)
+
+
+def _root_order(delta) -> int:
+    """delta as an int: TypeError unless an integer, ValueError outside
+    [1, MAX_DELTA]."""
+    delta = operator.index(delta)
+    if not 1 <= delta <= MAX_DELTA:
+        raise ValueError(f"delta must lie in [1, {MAX_DELTA}], got {delta}")
+    return delta
+
+
+@dataclass(frozen=True, eq=False)
+class CycInt:
+    """An element of Z[w] for w a primitive delta-th root of unity.
+
+    The coefficient vector is *not* kept reduced; two instances are equal
+    when their difference reduces to zero modulo the delta-th cyclotomic
+    polynomial.  Coefficients are stored in int64 and combined in Python
+    ints, so a result that leaves int64 raises OverflowError instead of
+    wrapping.
+    """
+
+    delta: int
+    coeffs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", _root_order(self.delta))
+        arr = owned_int64(self.coeffs)
+        if arr.shape != (self.delta,):
+            raise ValueError("coefficient vector must have length delta")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def zero(cls, delta: int) -> CycInt:
+        return cls(delta, np.zeros(delta, dtype=np.int64))
+
+    @classmethod
+    def from_int(cls, value: int, delta: int) -> CycInt:
+        coeffs = np.zeros(delta, dtype=np.int64)
+        coeffs[0] = operator.index(value)  # TypeError unless an integer
+        return cls(delta, coeffs)
+
+    @classmethod
+    def root(cls, delta: int, e: int) -> CycInt:
+        """The single root of unity w^e."""
+        coeffs = np.zeros(delta, dtype=np.int64)
+        coeffs[e % delta] = 1
+        return cls(delta, coeffs)
+
+    def __add__(self, other: CycInt) -> CycInt:
+        if self.delta != other.delta:
+            raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
+        return CycInt(self.delta, self.coeffs.astype(object) + other.coeffs)
+
+    def __sub__(self, other: CycInt) -> CycInt:
+        if self.delta != other.delta:
+            raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
+        return CycInt(self.delta, self.coeffs.astype(object) - other.coeffs)
+
+    def __neg__(self) -> CycInt:
+        return CycInt(self.delta, -self.coeffs.astype(object))
+
+    def __mul__(self, other: CycInt) -> CycInt:
+        """Product in the group ring (cyclic convolution of coefficients)."""
+        if self.delta != other.delta:
+            raise DeltaMismatch(f"delta {self.delta} != {other.delta}")
+        conv = np.convolve(self.coeffs.astype(object), other.coeffs)
+        folded = conv[: self.delta].copy()
+        folded[: self.delta - 1] += conv[self.delta :]
+        return CycInt(self.delta, folded)
+
+    def mul_root(self, e: int) -> CycInt:
+        """Multiply by w^e, i.e. rotate the coefficient vector by e."""
+        return CycInt(self.delta, np.roll(self.coeffs, e % self.delta))
+
+    def conjugate(self) -> CycInt:
+        """Complex conjugate: w^j maps to w^(-j)."""
+        idx = (-np.arange(self.delta)) % self.delta
+        return CycInt(self.delta, self.coeffs[idx])
+
+    def promoted(self, new_delta: int) -> CycInt:
+        """Re-express over a root order that is a multiple of delta."""
+        if new_delta % self.delta != 0:
+            raise DeltaMismatch(f"{new_delta} is not a multiple of {self.delta}")
+        ratio = new_delta // self.delta
+        coeffs = np.zeros(new_delta, dtype=np.int64)
+        coeffs[np.arange(self.delta) * ratio] = self.coeffs
+        return CycInt(new_delta, coeffs)
+
+    def _form(self) -> list[int]:
+        """The phi(delta) coefficients of the remainder modulo Phi_delta.
+
+        From the top power down, each x^j with j >= phi is folded back by
+        x^phi = x^phi mod Phi_delta (row phi of :func:`reduction_matrix`),
+        over that row's nonzero terms, in Python ints: the coefficients
+        may be any int64 values."""
+        rem = self.coeffs.tolist()
+        reduce = reduction_matrix(self.delta)
+        phi = reduce.shape[1]
+        if phi < self.delta:
+            terms = [(k, v) for k, v in enumerate(reduce[phi].tolist()) if v]
+            for j in range(self.delta - 1, phi - 1, -1):
+                if top := rem[j]:
+                    for k, v in terms:
+                        rem[j - phi + k] += top * v
+        return rem[:phi]
+
+    def reduced(self) -> tuple[int, ...]:
+        """Canonical form: remainder modulo the delta-th cyclotomic
+        polynomial, without trailing zeros."""
+        rem = self._form()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        return tuple(rem)
+
+    def is_zero(self) -> bool:
+        """Exact zero test; true iff the value is 0 as a complex number."""
+        return self.reduced() == ()
+
+    def to_complex(self) -> complex:
+        """Double-precision value of the element: :func:`form_values` of
+        its remainder, as ``zccs corr`` prints it."""
+        return complex(form_values(np.array(self._form(), dtype=np.float64), self.delta))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycInt):
+            return NotImplemented
+        return self.delta == other.delta and (self - other).is_zero()
+
+    def __hash__(self) -> int:
+        return hash((self.delta, self.reduced()))
+
+    def __repr__(self) -> str:
+        return f"CycInt(delta={self.delta}, coeffs={self.coeffs.tolist()})"
+
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +196,7 @@ class RootSequence:
     exponents: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
+        object.__setattr__(self, "delta", _root_order(self.delta))
         arr = owned_int64(self.exponents)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("exponent vector must be 1-d and non-empty")
@@ -171,6 +330,27 @@ def pbf_sequence(spec: PbfSpec, d_vec, t_vec, d: int, cert: PathCertificate, gam
     step = (delta // spec.p) * spec.lam
     w = np.arange(1 << spec.s, dtype=np.int64)[:, None]
     return RootSequence(delta, ((scale * base_exp + step * w) % delta).ravel())
+
+
+def build_zccs_by_concatenation(
+    f: GeneralizedBooleanFunction,
+    deleted,
+    gamma: int | None = None,
+    p: int = 2,
+) -> CodeSet:
+    """Assemble the same set as ``build_zccs`` without the extended
+    functions: each "U" code is p blocks of the base code's sequences, the
+    i-th block phase-rotated by w_p^(lam*i); each "V" code concatenates the
+    conjugated complement-family sequences rotated by w_p^(-lam*i).
+    """
+    pp, base = _prepare(f, deleted, gamma, p)
+    delta, n = pp.delta, 1 << f.m
+    # axes (family, lam, t, nu, entry); block i of a sequence is entries i*n..
+    source = (delta // f.q) * base[:, None]
+    sign = np.array([1, -1]).reshape(2, 1, 1, 1, 1)
+    lam = np.arange(p).reshape(1, p, 1, 1, 1)
+    ramp = sign * (delta // p) * lam * np.repeat(np.arange(p), n)
+    return CodeSet((np.tile(source, p) + ramp).reshape(pp.K, pp.M, pp.N), family_labels(pp), pp)
 
 
 def _stacked(a: tuple[RootSequence, ...], b: tuple[RootSequence, ...]) -> tuple[np.ndarray, int]:

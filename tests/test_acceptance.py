@@ -6,10 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from zccs.algebra import CycInt, is_prime
+from zccs.algebra import is_prime
 from zccs.boolfn import GeneralizedBooleanFunction, parse_gbf
-from zccs.construct import build_ccc, build_zccs, build_zccs_by_concatenation
-from zccs.reference import RootSequence, accf, code_accf, root_sum
+from zccs.construct import build_ccc, build_zccs
+from zccs.reference import CycInt, RootSequence, accf, build_zccs_by_concatenation, code_accf, root_sum
 from zccs.verify import check_ccc, check_optimal, check_zccs
 
 from oracles import naive_accf

@@ -10,7 +10,6 @@ from zccs.algebra import (
     MAX_DELTA,
     MAX_TERMS,
     ROOT_ERROR,
-    CycInt,
     cyclotomic_poly,
     fft_error,
     form_values,
@@ -22,7 +21,7 @@ from zccs.algebra import (
     roots,
 )
 from zccs.errors import DeltaMismatch, ZccsError
-from zccs.reference import root_sum
+from zccs.reference import CycInt, RootSequence, owned_int64, root_sum
 
 from oracles import poly_divmod, poly_mul
 
@@ -395,7 +394,7 @@ class TestExactArithmetic:
         assert CycInt(2, np.array([1, 2], dtype=np.uint32)).coeffs.dtype == np.int64
         kept = np.array([1, 2], dtype=np.int64)
         kept.flags.writeable = False
-        assert algebra.owned_int64(kept) is kept
+        assert owned_int64(kept) is kept
 
     @pytest.mark.parametrize("delta", [*range(1, 41), 105, 935, 1001, 1024])
     def test_fold_equals_the_dense_python_int_product(self, delta):
@@ -423,6 +422,38 @@ class TestExactArithmetic:
             CycInt(MAX_DELTA + 1, np.zeros(MAX_DELTA + 1, dtype=np.int64))
         with pytest.raises(ValueError):
             root_sum(1031, 1)
+
+
+# Each reference class built at root order delta (a CycInt of int(delta) zeros).
+BUILT_AT = {
+    "CycInt": lambda delta: CycInt(delta, np.zeros(int(delta), np.int64)),
+    "RootSequence": lambda delta: RootSequence(delta, [0, 1, 5]),
+}
+
+
+class TestRootOrder:
+    @pytest.mark.parametrize("built_at", BUILT_AT.values(), ids=BUILT_AT)
+    @pytest.mark.parametrize("delta", [6.0, 6.5])
+    def test_a_float_root_order_is_a_type_error(self, built_at, delta):
+        # both used to keep delta = 6.0 and fail later, in reduced() or accf
+        with pytest.raises(TypeError):
+            built_at(delta)
+
+    @pytest.mark.parametrize("built_at", BUILT_AT.values(), ids=BUILT_AT)
+    def test_a_root_order_past_the_cap_is_refused(self, built_at):
+        with pytest.raises(ValueError, match=rf"delta must lie in \[1, {MAX_DELTA}\], got {MAX_DELTA + 1}"):
+            built_at(MAX_DELTA + 1)
+
+    @pytest.mark.parametrize("built_at", BUILT_AT.values(), ids=BUILT_AT)
+    @pytest.mark.parametrize(
+        "delta, kept",
+        [pytest.param(np.int64(6), 6, id="int64"), pytest.param(np.int32(6), 6, id="int32"), pytest.param(True, 1, id="True")],
+    )
+    def test_an_integer_root_order_is_kept_as_an_int(self, built_at, delta, kept):
+        value = built_at(delta)
+        assert type(value.delta) is int and value.delta == kept
+        assert f"delta={kept}," in repr(value)
+
 
 
 class TestComplexValue:

@@ -12,8 +12,9 @@ import pytest
 
 from zccs import algebra, construct, correlate
 from zccs.boolfn import parse_gbf
-from zccs.construct import build_ccc, build_zccs, build_zccs_by_concatenation, family_labels, family_params
+from zccs.construct import build_ccc, build_zccs, family_labels, family_params
 from zccs.errors import InvalidModulus, InvalidParams
+from zccs.reference import build_zccs_by_concatenation
 
 
 def _outcome(call):

@@ -16,11 +16,10 @@ from zccs.construct import (
     CodeSetParams,
     build_ccc,
     build_zccs,
-    build_zccs_by_concatenation,
     family_labels,
 )
 from zccs.errors import InvalidGamma, InvalidParams
-from zccs.reference import PbfSpec, pbf_sequence
+from zccs.reference import PbfSpec, build_zccs_by_concatenation, pbf_sequence
 
 from oracles import TOL, float_zcz_width, naive_code_accf, reference_ccc, reference_zccs, to_complex_code
 

@@ -12,8 +12,9 @@ import pytest
 
 from zccs import boolfn, construct
 from zccs.boolfn import FunctionGraph, GeneralizedBooleanFunction, check_path_after_deletion, graph_of, parse_gbf
-from zccs.construct import build_ccc, build_zccs, build_zccs_by_concatenation
+from zccs.construct import build_ccc, build_zccs
 from zccs.errors import InvalidParams, NotAPath, NotSecondOrder
+from zccs.reference import build_zccs_by_concatenation
 
 # (text, m, q, deleted, p): points of the library sweep, k = 0, 1 and 2
 POINTS = [
